@@ -87,22 +87,7 @@ killPointSurvives(const serve::CampaignSpec &spec,
     bool ok = serve::runShardedSlices(
         spec, 0, killAfter, 1,
         [&](const harness::TaskResult &task, std::string &out) {
-            auto slice = static_cast<std::uint64_t>(task.index);
-            std::uint64_t base =
-                slice * static_cast<std::uint64_t>(
-                            spec.sliceIntervals);
-            for (std::size_t k = 0;
-                 k < task.result.intervals.size(); ++k) {
-                if (!feed.appendLine(
-                        serve::feedIntervalLine(
-                            base + k, slice,
-                            task.result.intervals[k]),
-                        out))
-                    return false;
-            }
-            serve::foldSliceIntoRollup(checkpoint.rollup, task);
-            checkpoint.lastStates = task.result.estimatorStates;
-            return true;
+            return serve::foldSlice(checkpoint, feed, task, out);
         },
         error);
     if (!ok || !feed.flushSync(error)) {

@@ -26,7 +26,8 @@
 #                mid-campaign, restart with --resume, and diff the
 #                final JSONL feed byte-for-byte against an
 #                uninterrupted batch run — at 1 AND 4 worker
-#                processes
+#                processes (the kill must land mid-campaign); then
+#                scenario_serve_soak's procs and kill-point sweep
 #   lanes-equiv  lane-vs-serial equivalence suite (ctest -L lanes)
 #                under the default lane count and AVF_LANES=1
 #   all          tier1 + lint + tidy + ubsan + tsan (bench-smoke and
@@ -212,9 +213,11 @@ run_serve_smoke() {
     configure_and_build "$BUILD-serve" -DCMAKE_BUILD_TYPE=Release
     SERVE="$BUILD-serve/tools/avf-serve/avf-serve"
     REPORT="$BUILD-serve/tools/avf-report/avf-report"
-    # The same campaign everywhere; m*n is sized so the 6 slices take
-    # a few seconds — long enough that the SIGKILL below reliably
-    # lands mid-campaign, short enough for a CI smoke stage.
+    # The same campaign everywhere; m*n is sized so each of the 6
+    # slices takes about a second. At 4 procs slices 0-3 run together
+    # and 4-5 after them, so the SIGKILL below (sent once slice 0 is
+    # durable) lands with a round of slices still to go; the stage
+    # checks that it did.
     # --root-cause rides along so the byte-compares below also cover
     # the attribution rollup (feed row + checkpoint) across procs
     # and kill -9 + --resume.
@@ -248,6 +251,12 @@ run_serve_smoke() {
         wait "$DPID" 2>/dev/null || true
         echo "serve-smoke: daemon killed; state at the kill instant:"
         "$REPORT" serve-status "$STATE"
+        # A kill after the campaign finished would make the cmp below
+        # pass without testing a resume at all.
+        if ! grep -q '"complete":false' "$STATE/smoke.ckpt.json"; then
+            echo "ci.sh: the kill did not land mid-campaign" >&2
+            exit 1
+        fi
         # Restart with --resume: the daemon finishes the campaign
         # before listening, so a status round-trip succeeding means
         # the resume is done. Drop the stale socket file first so
@@ -271,6 +280,10 @@ run_serve_smoke() {
     cmp "$BUILD-serve/serve-ref-1/smoke.feed.jsonl" \
         "$BUILD-serve/serve-ref-4/smoke.feed.jsonl"
     echo "serve-smoke: feeds byte-identical across shard counts"
+    # Procs 1/2/4 identity plus a resume from every kill point; exits
+    # 1 on any identity violation.
+    rm -rf "$BUILD-serve/soak-state"
+    "$BUILD-serve/bench/scenario_serve_soak" "$BUILD-serve/soak-state"
 }
 
 run_lanes_equiv() {

@@ -1,8 +1,5 @@
 #include "serve/campaign.hh"
 
-#include <algorithm>
-
-#include "obs/feed_writer.hh"
 #include "serve/sharder.hh"
 
 namespace avf::serve
@@ -13,8 +10,13 @@ namespace
 
 /**
  * Run @p checkpoint's campaign from slicesDone to completion against
- * an already-positioned feed writer, checkpointing every K slices
- * and finishing with the summary row.
+ * an already-positioned feed writer and finish with the summary row.
+ *
+ * One fan-out covers every remaining slice; checkpoints are taken in
+ * its ordered merge, after every K merged slices counted from the
+ * resume point and after the last slice. Workers keep computing
+ * while the parent syncs and checkpoints, and pipe backpressure
+ * bounds how far ahead they run.
  */
 bool
 runFromCheckpoint(Checkpoint &checkpoint, const StatePaths &paths,
@@ -24,51 +26,30 @@ runFromCheckpoint(Checkpoint &checkpoint, const StatePaths &paths,
     const CampaignSpec &spec = checkpoint.campaign;
     const std::string ckptPath = paths.checkpointPath(spec.name);
     const std::uint64_t slices = spec.numSlices();
+    const std::uint64_t resumedAt = checkpoint.slicesDone;
     const auto every = static_cast<std::uint64_t>(
         spec.checkpointEverySlices);
 
-    while (checkpoint.slicesDone < slices) {
-        std::uint64_t batchEnd =
-            std::min(slices, checkpoint.slicesDone + every);
-        bool ok = runShardedSlices(
-            spec, checkpoint.slicesDone, batchEnd, workers,
-            [&](const harness::TaskResult &task,
-                std::string &sliceError) {
-                auto slice = static_cast<std::uint64_t>(task.index);
-                std::uint64_t base =
-                    slice *
-                    static_cast<std::uint64_t>(spec.sliceIntervals);
-                for (std::size_t k = 0;
-                     k < task.result.intervals.size(); ++k) {
-                    if (!feed.appendLine(
-                            feedIntervalLine(
-                                base + k, slice,
-                                task.result.intervals[k]),
-                            sliceError))
-                        return false;
-                }
-                foldSliceIntoRollup(checkpoint.rollup, task);
-                checkpoint.lastStates = task.result.estimatorStates;
-                if (spec.metrics)
-                    checkpoint.metricsTotals.mergeTotals(
-                        task.result.metrics);
-                if (spec.rootCause)
-                    checkpoint.attributionTotals.mergeFrom(
-                        task.result.attribution);
+    bool ok = runShardedSlices(
+        spec, resumedAt, slices, workers,
+        [&](const harness::TaskResult &task, std::string &sliceError) {
+            if (!foldSlice(checkpoint, feed, task, sliceError))
+                return false;
+            const auto merged =
+                static_cast<std::uint64_t>(task.index) + 1;
+            if ((merged - resumedAt) % every != 0 && merged != slices)
                 return true;
-            },
-            errorOut);
-        if (!ok)
-            return false;
-        // Durability order matters: the feed must be on disk before
-        // the checkpoint that claims it is.
-        if (!feed.flushSync(errorOut))
-            return false;
-        checkpoint.slicesDone = batchEnd;
-        checkpoint.feedBytes = feed.bytesWritten();
-        if (!saveCheckpoint(checkpoint, ckptPath, errorOut))
-            return false;
-    }
+            // Durability order matters: the feed must be on disk
+            // before the checkpoint that claims it is.
+            if (!feed.flushSync(sliceError))
+                return false;
+            checkpoint.slicesDone = merged;
+            checkpoint.feedBytes = feed.bytesWritten();
+            return saveCheckpoint(checkpoint, ckptPath, sliceError);
+        },
+        errorOut);
+    if (!ok)
+        return false;
 
     // The attribution rollup precedes the summary row so a tail
     // reader sees the blame table before the campaign's last line.
@@ -87,6 +68,30 @@ runFromCheckpoint(Checkpoint &checkpoint, const StatePaths &paths,
 }
 
 } // namespace
+
+bool
+foldSlice(Checkpoint &checkpoint, obs::FeedWriter &feed,
+          const harness::TaskResult &task, std::string &errorOut)
+{
+    const CampaignSpec &spec = checkpoint.campaign;
+    const auto slice = static_cast<std::uint64_t>(task.index);
+    const std::uint64_t base =
+        slice * static_cast<std::uint64_t>(spec.sliceIntervals);
+    for (std::size_t k = 0; k < task.result.intervals.size(); ++k) {
+        if (!feed.appendLine(feedIntervalLine(base + k, slice,
+                                              task.result.intervals[k]),
+                             errorOut))
+            return false;
+    }
+    foldSliceIntoRollup(checkpoint.rollup, task);
+    checkpoint.lastStates = task.result.estimatorStates;
+    if (spec.metrics)
+        checkpoint.metricsTotals.mergeTotals(task.result.metrics);
+    if (spec.rootCause)
+        checkpoint.attributionTotals.mergeFrom(
+            task.result.attribution);
+    return true;
+}
 
 bool
 prepareCampaign(const CampaignSpec &spec, const StatePaths &paths,

@@ -2,11 +2,12 @@
  * @file
  * The campaign runner: drives a CampaignSpec from its current
  * checkpoint to completion, streaming per-interval rows into the
- * JSONL feed and checkpointing every K slices. Both entry points of
- * the serve layer share it — the daemon after a socket submit, and
- * `avf-serve batch` for the uninterrupted reference run the CI stage
- * diffs against — so there is exactly one code path that produces
- * feed bytes.
+ * JSONL feed and checkpointing every K slices. One process fan-out
+ * covers all of a run's remaining slices, and the checkpoints are
+ * taken in its ordered merge. Both entry points of the serve layer
+ * share it — the daemon after a socket submit, and `avf-serve batch`
+ * for the uninterrupted reference run the CI stage diffs against —
+ * so there is exactly one code path that produces feed bytes.
  */
 
 #ifndef AVF_SERVE_CAMPAIGN_HH
@@ -14,6 +15,7 @@
 
 #include <string>
 
+#include "obs/feed_writer.hh"
 #include "serve/checkpoint.hh"
 #include "serve/protocol.hh"
 
@@ -43,6 +45,17 @@ struct StatePaths
         return dir + "/" + name + ".ckpt.json";
     }
 };
+
+/**
+ * Fold one merged slice into a campaign: append its interval rows to
+ * @p feed, then fold it into @p checkpoint's rollup, last estimator
+ * states, and (when the campaign enables them) metrics and
+ * attribution totals. Neither syncs the feed nor advances
+ * slicesDone; the caller decides when a checkpoint is due. Slices
+ * must be folded in slice order.
+ */
+bool foldSlice(Checkpoint &checkpoint, obs::FeedWriter &feed,
+               const harness::TaskResult &task, std::string &errorOut);
 
 /**
  * Make @p spec durable without running anything: create the feed with

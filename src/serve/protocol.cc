@@ -368,8 +368,11 @@ foldSliceIntoRollup(CampaignRollup &rollup,
     rollup.cycles += task.result.summary.cycles;
     rollup.retired += task.result.summary.retired;
     for (const auto &state : task.result.estimatorStates) {
-        // Only the online family carries lifetime injection
-        // counters; the baselines and the port entry report zero.
+        // Only the online family counts. The coverage probes a
+        // root-cause slice adds carry lifetime counters too; summing
+        // them would make the totals depend on --root-cause.
+        if (state.name.rfind("online:", 0) != 0)
+            continue;
         rollup.injections +=
             state.counterValue("lifetime_injections");
         rollup.failures += state.counterValue("lifetime_failures");

@@ -178,8 +178,8 @@ std::string feedAttributionLine(const obs::AttributionSnapshot &attr);
 
 /**
  * Fold one finished slice into the rollup: interval sums, pipeline
- * totals, and the online estimators' lifetime injection counters
- * (read from the slice's estimator states).
+ * totals, and the lifetime injection counters of the slice's
+ * "online:*" estimator states (coverage-probe states are skipped).
  */
 void foldSliceIntoRollup(CampaignRollup &rollup,
                          const harness::TaskResult &task);

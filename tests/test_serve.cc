@@ -335,22 +335,61 @@ TEST(ServeCampaign, FeedBytesIdenticalAcrossShardCounts)
     serve::CampaignSpec spec = tinySpec("shards");
     std::string error;
 
-    serve::StatePaths one(base + "serve_shard1");
-    serve::StatePaths four(base + "serve_shard4");
-    ASSERT_TRUE(::mkdir(one.dir.c_str(), 0775) == 0 ||
-                errno == EEXIST);
-    ASSERT_TRUE(::mkdir(four.dir.c_str(), 0775) == 0 ||
-                errno == EEXIST);
+    // At every cadence the whole run is one fan-out with checkpoints
+    // taken in its merge: the feed and the final checkpoint must not
+    // depend on how many workers computed ahead.
+    for (int every : {1, 2, static_cast<int>(spec.numSlices())}) {
+        spec.checkpointEverySlices = every;
+        const std::string tag = std::to_string(every);
+        serve::StatePaths one(base + "serve_shard1_k" + tag);
+        serve::StatePaths four(base + "serve_shard4_k" + tag);
+        ASSERT_TRUE(::mkdir(one.dir.c_str(), 0775) == 0 ||
+                    errno == EEXIST);
+        ASSERT_TRUE(::mkdir(four.dir.c_str(), 0775) == 0 ||
+                    errno == EEXIST);
 
-    ASSERT_TRUE(serve::runCampaignFresh(spec, one, 1, error))
-        << error;
-    ASSERT_TRUE(serve::runCampaignFresh(spec, four, 4, error))
-        << error;
+        ASSERT_TRUE(serve::runCampaignFresh(spec, one, 1, error))
+            << error;
+        ASSERT_TRUE(serve::runCampaignFresh(spec, four, 4, error))
+            << error;
 
-    const std::string feed1 = slurp(one.feedPath(spec.name));
-    const std::string feed4 = slurp(four.feedPath(spec.name));
-    ASSERT_FALSE(feed1.empty());
-    EXPECT_EQ(feed1, feed4);
+        const std::string feed1 = slurp(one.feedPath(spec.name));
+        ASSERT_FALSE(feed1.empty());
+        EXPECT_EQ(feed1, slurp(four.feedPath(spec.name)))
+            << "cadence " << every;
+        EXPECT_EQ(slurp(one.checkpointPath(spec.name)),
+                  slurp(four.checkpointPath(spec.name)))
+            << "cadence " << every;
+    }
+}
+
+TEST(ServeCampaign, SummaryCountsOnlyOnlineEstimators)
+{
+    const std::string base = ::testing::TempDir();
+    std::string error;
+
+    // Root cause adds coverage-probe states that carry lifetime
+    // counters of their own; the summary must not count them.
+    serve::Checkpoint done[2];
+    for (int rootCause = 0; rootCause < 2; ++rootCause) {
+        serve::CampaignSpec spec = tinySpec("summary");
+        spec.rootCause = rootCause != 0;
+        serve::StatePaths paths(base + "serve_summary_rc" +
+                                std::to_string(rootCause));
+        ASSERT_TRUE(::mkdir(paths.dir.c_str(), 0775) == 0 ||
+                    errno == EEXIST);
+        ASSERT_TRUE(serve::runCampaignFresh(spec, paths, 2, error))
+            << error;
+        ASSERT_TRUE(serve::loadCheckpoint(
+            paths.checkpointPath(spec.name), done[rootCause], error))
+            << error;
+        ASSERT_TRUE(done[rootCause].complete);
+    }
+    EXPECT_GT(done[0].rollup.injections, 0u);
+    EXPECT_EQ(done[0].rollup.injections, done[1].rollup.injections);
+    EXPECT_EQ(done[0].rollup.failures, done[1].rollup.failures);
+    EXPECT_EQ(serve::feedSummaryLine(done[0].rollup),
+              serve::feedSummaryLine(done[1].rollup));
 }
 
 TEST(ServeCampaign, ResumeAfterTornTrailingLineMatchesUninterrupted)
@@ -384,70 +423,87 @@ TEST(ServeCampaign, ResumeAfterTornTrailingLineMatchesUninterrupted)
               slurp(ref.feedPath(spec.name)));
 }
 
-TEST(ServeCampaign, ResumeFromMidCampaignCheckpointMatches)
+/**
+ * Leave in @p paths the state a daemon killed right after the
+ * checkpoint at @p killAfter slices would leave: header plus slices
+ * [0, killAfter) in the feed, a matching checkpoint, and a torn line
+ * from the next slice.
+ */
+void
+writeKillState(const serve::CampaignSpec &spec,
+               const serve::StatePaths &paths, std::uint64_t killAfter)
 {
-    const std::string base = ::testing::TempDir();
-    serve::CampaignSpec spec = tinySpec("midkill");
     std::string error;
-
-    serve::StatePaths ref(base + "serve_mid_ref");
-    serve::StatePaths mid(base + "serve_mid_cut");
-    ASSERT_TRUE(::mkdir(ref.dir.c_str(), 0775) == 0 ||
-                errno == EEXIST);
-    ASSERT_TRUE(::mkdir(mid.dir.c_str(), 0775) == 0 ||
-                errno == EEXIST);
-
-    ASSERT_TRUE(serve::runCampaignFresh(spec, ref, 1, error))
-        << error;
-
-    // Build the exact state a daemon killed after slice 1's
-    // checkpoint would leave: header + slices 0-1 in the feed, a
-    // matching checkpoint, and a torn line from slice 2.
     obs::FeedWriter feed;
-    ASSERT_TRUE(feed.create(mid.feedPath(spec.name), error)) << error;
+    ASSERT_TRUE(feed.create(paths.feedPath(spec.name), error))
+        << error;
     ASSERT_TRUE(feed.appendLine(serve::feedHeaderLine(spec), error));
 
     serve::Checkpoint checkpoint;
     checkpoint.campaign = spec;
     ASSERT_TRUE(serve::runShardedSlices(
-        spec, 0, 2, 1,
+        spec, 0, killAfter, 1,
         [&](const harness::TaskResult &task, std::string &out) {
-            auto slice = static_cast<std::uint64_t>(task.index);
-            for (std::size_t k = 0;
-                 k < task.result.intervals.size(); ++k) {
-                if (!feed.appendLine(
-                        serve::feedIntervalLine(
-                            slice * 2 + k, slice,
-                            task.result.intervals[k]),
-                        out))
-                    return false;
-            }
-            serve::foldSliceIntoRollup(checkpoint.rollup, task);
-            checkpoint.lastStates = task.result.estimatorStates;
-            return true;
+            return serve::foldSlice(checkpoint, feed, task, out);
         },
         error))
         << error;
     ASSERT_TRUE(feed.flushSync(error));
-    checkpoint.slicesDone = 2;
+    checkpoint.slicesDone = killAfter;
     checkpoint.feedBytes = feed.bytesWritten();
     ASSERT_TRUE(serve::saveCheckpoint(
-        checkpoint, mid.checkpointPath(spec.name), error))
+        checkpoint, paths.checkpointPath(spec.name), error))
         << error;
-    ASSERT_TRUE(feed.appendLine("{\"interval\":4,\"torn", error));
+    ASSERT_TRUE(feed.appendLine("{\"interval\":99,\"torn", error));
     feed.close();
+}
 
-    ASSERT_TRUE(serve::resumeCampaign(spec.name, mid, 2, error))
-        << error;
-    EXPECT_EQ(slurp(mid.feedPath(spec.name)),
-              slurp(ref.feedPath(spec.name)));
+TEST(ServeCampaign, ResumeFromMidCampaignCheckpointMatches)
+{
+    const std::string base = ::testing::TempDir();
+    serve::CampaignSpec spec = tinySpec("midkill");
+    spec.intervals = 10; // 5 slices: kill points 1..4
+    std::string error;
 
-    // And the resumed checkpoint agrees it is finished.
-    serve::Checkpoint finalCkpt;
-    ASSERT_TRUE(serve::loadCheckpoint(mid.checkpointPath(spec.name),
-                                      finalCkpt, error));
-    EXPECT_TRUE(finalCkpt.complete);
-    EXPECT_EQ(finalCkpt.slicesDone, spec.numSlices());
+    serve::StatePaths mid(base + "serve_mid_cut");
+    ASSERT_TRUE(::mkdir(mid.dir.c_str(), 0775) == 0 ||
+                errno == EEXIST);
+
+    for (int every : {1, 2}) {
+        spec.checkpointEverySlices = every;
+        serve::StatePaths ref(base + "serve_mid_ref_k" +
+                              std::to_string(every));
+        ASSERT_TRUE(::mkdir(ref.dir.c_str(), 0775) == 0 ||
+                    errno == EEXIST);
+        ASSERT_TRUE(serve::runCampaignFresh(spec, ref, 1, error))
+            << error;
+
+        // Cadence 1 resumes from every kill point; cadence 2 from an
+        // odd slice count, so the resumed run's checkpoints fall on
+        // the other parity than the fresh run's.
+        const std::uint64_t first = every == 1 ? 1 : 3;
+        const std::uint64_t last =
+            every == 1 ? spec.numSlices() - 1 : 3;
+        for (std::uint64_t k = first; k <= last; ++k) {
+            ASSERT_NO_FATAL_FAILURE(writeKillState(spec, mid, k));
+            ASSERT_TRUE(
+                serve::resumeCampaign(spec.name, mid, 4, error))
+                << error;
+            EXPECT_EQ(slurp(mid.feedPath(spec.name)),
+                      slurp(ref.feedPath(spec.name)))
+                << "cadence " << every << ", kill after " << k;
+            // The resumed checkpoint is finished and equals the
+            // uninterrupted run's, byte for byte.
+            EXPECT_EQ(slurp(mid.checkpointPath(spec.name)),
+                      slurp(ref.checkpointPath(spec.name)))
+                << "cadence " << every << ", kill after " << k;
+            serve::Checkpoint finalCkpt;
+            ASSERT_TRUE(serve::loadCheckpoint(
+                mid.checkpointPath(spec.name), finalCkpt, error));
+            EXPECT_TRUE(finalCkpt.complete);
+            EXPECT_EQ(finalCkpt.slicesDone, spec.numSlices());
+        }
+    }
 }
 
 TEST(ServeCheckpoint, EncodeDecodeRoundTrip)
