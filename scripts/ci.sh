@@ -30,8 +30,13 @@
 #                scenario_serve_soak's procs and kill-point sweep
 #   lanes-equiv  lane-vs-serial equivalence suite (ctest -L lanes)
 #                under the default lane count and AVF_LANES=1
-#   all          tier1 + lint + tidy + ubsan + tsan (bench-smoke and
-#                serve-smoke are opt-in: each has its own CI job)
+#   golden       bench stdout vs tests/golden in a Release build: the
+#                tier-1 `ctest -L golden` set (fig3_accuracy and
+#                fig4_traces at one lane and the default lanes) plus
+#                the slow fig2_propagation and ext_tlb_avf
+#   all          tier1 + lint + tidy + ubsan + tsan (bench-smoke,
+#                serve-smoke and golden are opt-in: each has its own
+#                CI job)
 #
 # The avflint_repo test fails on any finding that is neither fixed,
 # suppressed inline with a justification, nor already recorded in
@@ -40,7 +45,7 @@
 set -eu
 
 usage() {
-    echo "usage: scripts/ci.sh [--stage tier1|lint|tidy|ubsan|tsan|bench-smoke|serve-smoke|lanes-equiv|all] [build-dir]"
+    echo "usage: scripts/ci.sh [--stage tier1|lint|tidy|ubsan|tsan|bench-smoke|serve-smoke|lanes-equiv|golden|all] [build-dir]"
 }
 
 STAGE=all
@@ -296,6 +301,19 @@ run_lanes_equiv() {
     AVF_LANES=1 ctest --test-dir "$BUILD" -L lanes --output-on-failure
 }
 
+run_golden() {
+    echo "=== golden: bench stdout vs tests/golden (Release) ==="
+    configure_and_build "$BUILD-golden" -DCMAKE_BUILD_TYPE=Release
+    ctest --test-dir "$BUILD-golden" -L golden --output-on-failure
+    # Too slow for tier-1, and the only benches that drive the
+    # propagation probe and the dTLB estimator.
+    for BENCH in fig2_propagation ext_tlb_avf; do
+        echo "--- golden: $BENCH ---"
+        sh tests/golden/golden.sh check "$BUILD-golden/bench/$BENCH" \
+            "tests/golden/$BENCH.default.txt" default
+    done
+}
+
 case "$STAGE" in
   all)
     run_tier1
@@ -327,6 +345,9 @@ case "$STAGE" in
     ;;
   lanes-equiv|lanes)
     run_lanes_equiv
+    ;;
+  golden)
+    run_golden
     ;;
   *)
     echo "ci.sh: unknown stage '$STAGE'" >&2

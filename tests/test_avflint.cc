@@ -20,6 +20,8 @@
 #include "avflint/report.hh"
 #include "util/json.hh"
 
+#include "test_helpers.hh"
+
 namespace
 {
 
@@ -1090,7 +1092,7 @@ class AvflintCollectFiles : public ::testing::Test
     SetUp() override
     {
         namespace fs = std::filesystem;
-        root = fs::temp_directory_path() / "avflint_collect_test";
+        root = avf::testutil::uniqueTempDir();
         fs::remove_all(root);
         for (const char *dir :
              {"src/sub", "build", "build-release", ".git", "results"})

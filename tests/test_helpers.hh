@@ -1,12 +1,18 @@
 /**
  * @file
- * Shared helpers for hand-crafting tiny instruction traces in tests.
+ * Shared helpers for hand-crafting tiny instruction traces in tests,
+ * plus a per-test scratch directory.
  */
 
 #ifndef AVF_TESTS_TEST_HELPERS_HH
 #define AVF_TESTS_TEST_HELPERS_HH
 
+#include <filesystem>
+#include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "cpu/config.hh"
 #include "cpu/pipeline.hh"
@@ -104,6 +110,25 @@ inline void
 drain(cpu::Pipeline &pipe, Cycle bound = 1'000'000)
 {
     for (Cycle i = 0; i < bound && pipe.step(); ++i) {}
+}
+
+/**
+ * Scratch directory private to the running test: named from the test
+ * suite, test name and pid, so tests that ctest runs in parallel (one
+ * process each) never share or delete each other's files. The
+ * directory is not created; callers own its lifetime.
+ */
+inline std::filesystem::path
+uniqueTempDir()
+{
+    const ::testing::TestInfo *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = "avf_test";
+    if (info)
+        name += std::string("_") + info->test_suite_name() + "_" +
+                info->name();
+    name += "_" + std::to_string(::getpid());
+    return std::filesystem::temp_directory_path() / name;
 }
 
 } // namespace avf::testutil
