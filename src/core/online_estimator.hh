@@ -23,72 +23,31 @@
  * the flips do not interact (FastFlip's composability argument), so
  * the estimate is the same statistic over the same failure test,
  * sampled at a compressed wall-clock cost.
+ *
+ * The loop itself is core::InjectionCampaign's; this class points it
+ * at one structure and reports each window to a lifecycle sink.
  */
 
 #ifndef AVF_CORE_ONLINE_ESTIMATOR_HH
 #define AVF_CORE_ONLINE_ESTIMATOR_HH
 
-#include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
-#include <memory>
-
-#include "core/avf_estimator.hh"
-#include "core/injection_port.hh"
+#include "core/injection_campaign.hh"
 #include "core/lifecycle_sink.hh"
 #include "core/structures.hh"
-#include "cpu/observer.hh"
-#include "cpu/pipeline.hh"
-#include "util/interval_ticker.hh"
-#include "util/random.hh"
-#include "util/types.hh"
 
 namespace avf::core
 {
 
-/** Estimator parameters (defaults = the paper's M = N = 1000). */
-struct OnlineConfig
-{
-    /** Cycles between successive injections (the wait window M). */
-    Cycle m = 1000;
-    /** Injections per AVF estimate (the sample count N). */
-    std::uint32_t n = 1000;
-    /**
-     * When true, the injection fires at a uniformly random cycle
-     * within each M-cycle window instead of at the window start.
-     * Used by the sampling ablation (Section 3.3 discusses the
-     * fixed-interval approximation of random sampling).
-     */
-    bool randomizeInjectionTiming = false;
-    /**
-     * IQ structure only: inject at field granularity (opcode +
-     * three operand fields per entry) instead of whole-entry
-     * granularity — Section 3.6's multiple-error-bits extension.
-     * Unpopulated fields mask their injections, so the estimated
-     * AVF is lower (less conservative) than whole-entry AVF.
-     */
-    bool fieldGranularIq = false;
-    /** Seed for the randomized-timing mode. */
-    std::uint64_t seed = 12345;
-    /**
-     * Concurrent injection windows (error-plane bit lanes) this
-     * estimator keeps saturated. 0 means "inherit": the engine fills
-     * it from RunOptions::lanes (AVF_LANES); a directly-constructed
-     * estimator treats it as 1, the paper's serial Algorithm 1.
-     * lanes = 1 reproduces serial behavior exactly; lanes = L closes
-     * an N-injection interval in ceil(N/L) boundaries.
-     */
-    int lanes = 0;
-};
-
 /**
  * Online AVF estimator for one structure, attached to the pipeline as
  * an observer. Multiple estimators (one per structure) may coexist;
- * each owns a distinct error-bit channel and individually obeys the
- * one-error-at-a-time rule within its channel.
+ * each owns distinct error-bit lanes and individually obeys the
+ * one-error-at-a-time rule within each lane.
  */
-class OnlineAvfEstimator : public AvfEstimator
+class OnlineAvfEstimator : public InjectionCampaign
 {
   public:
     /**
@@ -109,36 +68,11 @@ class OnlineAvfEstimator : public AvfEstimator
                        OnlineConfig config = OnlineConfig{},
                        InjectionPort *sharedPort = nullptr);
 
-    void onRetire(const cpu::DynInstr &instr,
-                  const cpu::RetireInfo &info) override;
-    void onCycle(Cycle now) override;
-
     /** "online:<structure>", e.g. "online:iq". */
     std::string name() const override;
 
-    /** Completed per-interval AVF estimates (one per N windows). */
-    const std::vector<double> &estimates() const override
-    {
-        return results;
-    }
-
     /** Structure being estimated. */
     Structure structure() const { return target; }
-
-    /** Injections performed in the current (incomplete) interval. */
-    std::uint32_t injectionsSoFar() const { return injections; }
-
-    /** Failures observed in the current (incomplete) interval. */
-    std::uint32_t failuresSoFar() const { return failures; }
-
-    /** Total injections across all intervals. */
-    std::uint64_t totalInjections() const { return lifetimeInjections; }
-
-    /** Total failures across all closed windows (never reset). */
-    std::uint64_t totalFailures() const { return lifetimeFailures; }
-
-    /** Windows closed across all intervals (never reset). */
-    std::uint64_t totalWindowsClosed() const { return windowsClosed; }
 
     /**
      * Attach a lifecycle sink (not owned; nullptr detaches): every
@@ -147,96 +81,16 @@ class OnlineAvfEstimator : public AvfEstimator
      */
     void setLifecycleSink(LifecycleSink *s) { sink = s; }
 
-    /**
-     * Injections that landed on an occupied entry / busy unit (for
-     * storage and logic structures respectively); the complement was
-     * trivially masked. Diagnostic only.
-     */
-    std::uint64_t totalLiveInjections() const { return liveInjections; }
-
-    /** AVF over the windows completed so far in the open interval. */
-    double partialAvf() const override;
-
-    /**
-     * Accumulated reporting state: interval and lifetime counters,
-     * the round-robin cursor, and the completed estimates. In-flight
-     * lane windows are not captured (see EstimatorState).
-     */
-    EstimatorState snapshotState() const override;
-    void restoreState(const EstimatorState &state) override;
-
-    /** Resolved concurrent-window count (config.lanes, 0 -> 1). */
-    int laneCount() const
-    {
-        return static_cast<int>(slots.size());
-    }
-
-    /** The port this estimator injects through. */
-    const InjectionPort &port() const { return *portPtr; }
-
-    /** Window boundaries needed to close one N-injection interval. */
-    std::uint32_t
-    boundariesPerEstimate() const
-    {
-        auto lanes = static_cast<std::uint32_t>(slots.size());
-        return (conf.n + lanes - 1) / lanes;
-    }
+  protected:
+    std::span<const CounterKey> counterKeys() const override;
+    void onWindowOpened(LaneId lane, const Site &site, bool live,
+                        Cycle now) override;
+    void onWindowClosed(const Outcome &outcome, Cycle now) override;
 
   private:
-    /** One concurrent injection window. */
-    struct LaneSlot
-    {
-        LaneId lane = -1;
-        WindowHandle handle;
-        bool open = false;
-        /** Randomized timing: injection pending within the window. */
-        bool scheduled = false;
-        Cycle injectAt = 0;
-    };
-
-    /** Advance the round-robin cursor; the next injection target. */
-    Site nextSite();
-
-    /** Fire one injection through the port on slot @p slot. */
-    void openWindow(LaneSlot &slot, Cycle now);
-
-    /** Close every open window, sweep lanes, open the next batch. */
-    void windowBoundary(Cycle now);
-
-    cpu::Pipeline &pipeline;
     Structure target;
-    OnlineConfig conf;
-    Rng rng;
-    /** Fires at window boundaries (now % M == 0) without the
-     *  per-cycle division. */
-    IntervalTicker boundaryTick;
-
-    /** Port injected through; ownedPort when privately constructed. */
-    InjectionPort *portPtr = nullptr;
-    std::unique_ptr<InjectionPort> ownedPort;
-    /** This estimator's windows, one per reserved lane, lane order. */
-    std::vector<LaneSlot> slots;
-    /** Union bit mask of the reserved lanes (boundary sweeps). */
-    ErrorMask myLanes = 0;
-    /** Slots with a pending randomized-timing injection. */
-    int scheduledCount = 0;
-    /** Windows opened since the current interval began. */
-    std::uint32_t openedThisInterval = 0;
-
-    std::uint32_t injections = 0;
-    std::uint32_t failures = 0;
-    std::uint64_t lifetimeInjections = 0;
-    std::uint64_t lifetimeFailures = 0;
-    std::uint64_t liveInjections = 0;
-    std::uint64_t windowsClosed = 0;
-
     /** Lifecycle observer, nullptr when tracing is off. */
     LifecycleSink *sink = nullptr;
-
-    /** Round-robin cursor over entries/units of the structure. */
-    int cursor = 0;
-
-    std::vector<double> results;
 };
 
 } // namespace avf::core

@@ -8,7 +8,7 @@ namespace avf::core
 PropagationProbe::PropagationProbe(cpu::Pipeline &pipe,
                                    Structure structure,
                                    ProbeConfig config)
-    : pipeline(pipe), target(structure), conf(config),
+    : conf(config), sites(pipe, Site::Kind::Structure, structure),
       port(std::make_unique<InjectionPort>(pipe)),
       lane(channelOf(structure))
 {
@@ -16,40 +16,11 @@ PropagationProbe::PropagationProbe(cpu::Pipeline &pipe,
     port->reserveLane(lane);
 }
 
-Site
-PropagationProbe::nextSite()
-{
-    Site site;
-    site.structure = target;
-    site.entry = cursor;
-
-    switch (target) {
-      case Structure::REG:
-        cursor = (cursor + 1) % pipeline.numIntPhysRegs();
-        break;
-      case Structure::FREG:
-        cursor = (cursor + 1) % pipeline.config().fpPhysRegs;
-        break;
-      case Structure::IQ:
-        cursor = (cursor + 1) % pipeline.totalIqEntries();
-        break;
-      case Structure::FXU:
-        cursor = (cursor + 1) % pipeline.config().numFxu;
-        break;
-      case Structure::FPU:
-        cursor = (cursor + 1) % pipeline.config().numFpu;
-        break;
-      default:
-        panic("probe bound to invalid structure");
-    }
-    return site;
-}
-
 void
 PropagationProbe::inject(Cycle now)
 {
     port->clearLanes(laneBit(lane));
-    handle = port->open(lane, nextSite(), now);
+    handle = port->open(lane, sites.next(), now);
     windowOpen = true;
     injectCycle = now;
     ++injectionsFired;

@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/injection_campaign.hh"
 #include "core/injection_port.hh"
 #include "core/structures.hh"
 #include "cpu/observer.hh"
@@ -63,19 +64,16 @@ class PropagationProbe : public cpu::PipelineObserver
     bool finished() const { return samples.size() >= conf.targetSamples; }
 
   private:
-    Site nextSite();
     void inject(Cycle now);
 
-    cpu::Pipeline &pipeline;
-    Structure target;
     ProbeConfig conf;
+    SiteSource sites;
 
     std::unique_ptr<InjectionPort> port;
     LaneId lane;
     WindowHandle handle;
     bool windowOpen = false;
     Cycle injectCycle = 0;
-    int cursor = 0;
     std::uint64_t masked = 0;
     std::uint64_t injectionsFired = 0;
     std::vector<double> samples;

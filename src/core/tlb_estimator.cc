@@ -1,84 +1,29 @@
 #include "core/tlb_estimator.hh"
 
-#include <stdexcept>
-
-#include "util/logging.hh"
-
 namespace avf::core
 {
 
 namespace
 {
 
-/** Validate before any member (the boundary ticker) consumes M. */
-TlbEstimatorConfig
-checked(TlbEstimatorConfig config)
-{
-    avf_assert(config.m > 0 && config.n > 0,
-               "TLB estimator needs positive M and N");
-    avf_assert(config.channel >= 0 &&
-                   config.channel < numErrorChannels,
-               "channel out of the %d-lane error plane",
-               numErrorChannels);
-    return config;
-}
+/** The lane the estimator's private port pins: clear of the four
+ *  paper structures and FREG, which pin lanes 0..4. */
+constexpr LaneId tlbLane = 6;
+
+constexpr CounterKey tlbKeys[] = {
+    {"injections", &CampaignCounters::injections},
+    {"failures", &CampaignCounters::failures},
+    {"lifetime_injections", &CampaignCounters::lifetimeInjections},
+};
 
 } // namespace
 
 TlbAvfEstimator::TlbAvfEstimator(cpu::Pipeline &pipe,
-                                 TlbEstimatorConfig config,
-                                 InjectionPort *sharedPort)
-    : pipeline(pipe), conf(checked(config)), boundaryTick(config.m)
-{
-    if (sharedPort) {
-        portPtr = sharedPort;
-        lane = portPtr->reserveLane();
-    } else {
-        ownedPort = std::make_unique<InjectionPort>(pipe);
-        portPtr = ownedPort.get();
-        portPtr->reserveLane(conf.channel);
-        lane = conf.channel;
-    }
-}
-
-void
-TlbAvfEstimator::onRetire(const cpu::DynInstr &instr,
-                          const cpu::RetireInfo &info)
-{
-    if (ownedPort)
-        ownedPort->onRetire(instr, info);
-}
-
-void
-TlbAvfEstimator::onCycle(Cycle now)
-{
-    if (!boundaryTick.tick(now))
-        return;
-    if (windowOpen) {
-        Outcome outcome = portPtr->closed(handle);
-        windowOpen = false;
-        ++injections;
-        if (outcome.failed)
-            ++failures;
-        if (injections == conf.n) {
-            // One estimate per completed interval of n injections.
-            // avflint: allow(hot-path-alloc)
-            results.push_back(static_cast<double>(failures) /
-                              static_cast<double>(conf.n));
-            injections = 0;
-            failures = 0;
-        }
-    }
-    portPtr->clearLanes(laneBit(lane));
-
-    Site site;
-    site.kind = Site::Kind::Dtlb;
-    site.entry = cursor;
-    cursor = (cursor + 1) % pipeline.numDtlbSlots();
-    handle = portPtr->open(lane, site, now);
-    windowOpen = true;
-    ++lifetimeInjections;
-}
+                                 TlbEstimatorConfig config)
+    : InjectionCampaign(pipe, SiteSource(pipe, Site::Kind::Dtlb),
+                        {.m = config.m, .n = config.n, .lanes = 1},
+                        nullptr, tlbLane)
+{}
 
 std::string
 TlbAvfEstimator::name() const
@@ -89,51 +34,18 @@ TlbAvfEstimator::name() const
 double
 TlbAvfEstimator::meanEstimate() const
 {
-    if (results.empty())
+    if (estimates().empty())
         return 0.0;
     double sum = 0.0;
-    for (double v : results)
+    for (double v : estimates())
         sum += v;
-    return sum / static_cast<double>(results.size());
+    return sum / static_cast<double>(estimates().size());
 }
 
-double
-TlbAvfEstimator::partialAvf() const
+std::span<const CounterKey>
+TlbAvfEstimator::counterKeys() const
 {
-    return injections ? static_cast<double>(failures) /
-                        static_cast<double>(injections)
-                      : 0.0;
-}
-
-EstimatorState
-TlbAvfEstimator::snapshotState() const
-{
-    EstimatorState state;
-    state.name = name();
-    state.counters = {
-        {"injections", injections},
-        {"failures", failures},
-        {"lifetime_injections", lifetimeInjections},
-        {"cursor", static_cast<std::uint64_t>(cursor)},
-    };
-    state.estimates = results;
-    return state;
-}
-
-void
-TlbAvfEstimator::restoreState(const EstimatorState &state)
-{
-    if (state.name != name())
-        throw std::invalid_argument(
-            "estimator state for '" + state.name +
-            "' cannot restore into '" + name() + "'");
-    injections = static_cast<std::uint32_t>(
-        state.counterValue("injections"));
-    failures = static_cast<std::uint32_t>(
-        state.counterValue("failures"));
-    lifetimeInjections = state.counterValue("lifetime_injections");
-    cursor = static_cast<int>(state.counterValue("cursor"));
-    results = state.estimates;
+    return tlbKeys;
 }
 
 } // namespace avf::core

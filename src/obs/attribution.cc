@@ -170,37 +170,10 @@ AttributionTracker::phaseOf(Cycle cycle) const
 }
 
 void
-AttributionTracker::openRecord(Structure s, LaneId lane, int entry,
-                               int field, bool live, Cycle now)
-{
-    (void)s;
-    (void)entry;
-    (void)field;
-    avf_assert(lane >= 0 && lane < numErrorChannels,
-               "attribution lane %d outside the %d-lane error plane",
-               lane, numErrorChannels);
-    LaneOpen &slot = laneOpen[static_cast<std::size_t>(lane)];
-    avf_assert(!slot.open,
-               "attribution record on lane %d opened twice", lane);
-    slot.open = true;
-    slot.live = live;
-    slot.injectCycle = now;
-}
-
-void
-AttributionTracker::closeRecord(Structure s, LaneId lane, Cycle now,
+AttributionTracker::closeRecord(Structure s, LaneId, Cycle,
                                 const core::Outcome &outcome)
 {
-    (void)now;
-    avf_assert(lane >= 0 && lane < numErrorChannels,
-               "attribution lane %d outside the %d-lane error plane",
-               lane, numErrorChannels);
-    LaneOpen &slot = laneOpen[static_cast<std::size_t>(lane)];
-    avf_assert(slot.open,
-               "attribution close without an open record on lane %d",
-               lane);
-    slot.open = false;
-    recordWindow(unitOf(s), slot.injectCycle, slot.live,
+    recordWindow(unitOf(s), outcome.openedAt, outcome.live,
                  outcome.failed, outcome.failPc, outcome.failOp);
 }
 

@@ -160,8 +160,12 @@ class AttributionTracker : public core::LifecycleSink
     std::uint32_t unitOf(core::Structure s) const;
 
     // ---- core::LifecycleSink ----
-    void openRecord(core::Structure s, LaneId lane, int entry,
-                    int field, bool live, Cycle now) override;
+    /** Nothing to record: a window is charged when it closes. */
+    void openRecord(core::Structure, LaneId, int, int, bool,
+                    Cycle) override
+    {}
+    /** Charge the window from the port's latched outcome (its
+     *  openedAt and live are the values the open reported). */
     void closeRecord(core::Structure s, LaneId lane, Cycle now,
                      const core::Outcome &outcome) override;
 
@@ -190,21 +194,12 @@ class AttributionTracker : public core::LifecycleSink
         std::uint64_t failures = 0;
     };
 
-    /** Open-window context per lane (sink path only). */
-    struct LaneOpen
-    {
-        bool open = false;
-        bool live = false;
-        Cycle injectCycle = 0;
-    };
-
     /** Map @p cycle to its campaign-global phase bucket. */
     std::uint32_t phaseOf(Cycle cycle) const;
 
     AttributionConfig conf;
     std::vector<std::string> unitNames;
     std::array<std::uint32_t, core::numStructures> structureUnit{};
-    std::array<LaneOpen, numErrorChannels> laneOpen{};
     /** Ordered blame table: std::map iteration IS the canonical
      *  (unit, phase, pc, op) row order. */
     std::map<Key, Counts> table;

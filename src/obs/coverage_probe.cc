@@ -1,7 +1,5 @@
 #include "obs/coverage_probe.hh"
 
-#include <stdexcept>
-
 #include "cpu/pipeline.hh"
 #include "obs/attribution.hh"
 #include "util/logging.hh"
@@ -9,19 +7,34 @@
 namespace avf::obs
 {
 
+using core::CampaignCounters;
+using core::CounterKey;
 using core::Site;
 
 namespace
 {
 
-/** Validate before any member (the boundary ticker) consumes M. */
-CoverageProbeConfig
-checked(CoverageProbeConfig config)
+core::SiteSource
+sitesOf(const cpu::Pipeline &pipe, CoverageTarget target)
 {
-    avf_assert(config.m > 0 && config.n > 0,
-               "coverage probe needs positive M and N");
-    return config;
+    constexpr Site::Kind kinds[numCoverageTargets] = {
+        Site::Kind::FetchBuf, Site::Kind::RenameMap,
+        Site::Kind::BranchPred};
+    auto t = static_cast<int>(target);
+    avf_assert(t >= 0 && t < numCoverageTargets,
+               "coverage probe bound to invalid target %d", t);
+    return {pipe, kinds[t]};
 }
+
+// A probe counts an injection when its window closes, so its
+// lifetime_injections is the closed-window count.
+constexpr CounterKey probeKeys[] = {
+    {"injections", &CampaignCounters::injections},
+    {"failures", &CampaignCounters::failures},
+    {"lifetime_injections", &CampaignCounters::windowsClosed},
+    {"lifetime_failures", &CampaignCounters::lifetimeFailures},
+    {"killed", &CampaignCounters::killed},
+};
 
 } // namespace
 
@@ -42,91 +55,13 @@ CoverageProbe::CoverageProbe(cpu::Pipeline &pipe,
                              AttributionTracker &tracker,
                              CoverageTarget target,
                              CoverageProbeConfig config)
-    : pipeline(pipe), portRef(port), attribution(tracker),
-      probeTarget(target), conf(checked(config)), boundaryTick(config.m)
+    : core::InjectionCampaign(pipe, sitesOf(pipe, target),
+                              {.m = config.m, .n = config.n, .lanes = 1},
+                              &port),
+      attribution(tracker), probeTarget(target)
 {
     unit = attribution.registerBlameUnit(
         std::string(coverageTargetName(target)));
-    lane = portRef.reserveLane();
-    avf_assert(numSlots() > 0, "coverage probe target has no slots");
-}
-
-int
-CoverageProbe::numSlots() const
-{
-    switch (probeTarget) {
-      case CoverageTarget::FetchBuf:
-        return pipeline.numFetchBufSlots();
-      case CoverageTarget::RenameMap:
-        return pipeline.numRenameMapSlots();
-      case CoverageTarget::BranchPred:
-        return pipeline.numBranchPredSlots();
-      default: break;
-    }
-    panic("coverage probe bound to invalid target");
-}
-
-Site
-CoverageProbe::siteAt(int slot) const
-{
-    Site site;
-    switch (probeTarget) {
-      case CoverageTarget::FetchBuf:
-        site.kind = Site::Kind::FetchBuf;
-        break;
-      case CoverageTarget::RenameMap:
-        site.kind = Site::Kind::RenameMap;
-        break;
-      case CoverageTarget::BranchPred:
-        site.kind = Site::Kind::BranchPred;
-        break;
-      default:
-        panic("coverage probe bound to invalid target");
-    }
-    site.entry = slot;
-    return site;
-}
-
-void
-CoverageProbe::onCycle(Cycle now)
-{
-    if (!boundaryTick.tick(now))
-        return;
-    if (windowOpen) {
-        core::Outcome outcome = portRef.closed(handle);
-        windowOpen = false;
-        ++injections;
-        ++lifetimeInjections;
-        if (outcome.failed) {
-            ++failures;
-            ++lifetimeFailures;
-        } else if (probeTarget == CoverageTarget::BranchPred &&
-                   (pipeline.branchPredKilledMask() & laneBit(lane))) {
-            // Counter bits never reach the dataflow: the first update
-            // of the injected counter kills them. Read the kill
-            // before the sweep below clears it.
-            ++killed;
-        }
-        attribution.recordWindow(unit, openCycle, windowLive,
-                                 outcome.failed, outcome.failPc,
-                                 outcome.failOp);
-        if (injections == conf.n) {
-            // One estimate per completed interval of n windows.
-            // avflint: allow(hot-path-alloc)
-            results.push_back(static_cast<double>(failures) /
-                              static_cast<double>(conf.n));
-            injections = 0;
-            failures = 0;
-        }
-    }
-    portRef.clearLanes(laneBit(lane));
-
-    Site site = siteAt(cursor);
-    cursor = (cursor + 1) % numSlots();
-    handle = portRef.open(lane, site, now);
-    windowOpen = true;
-    windowLive = handle.inject == InjectOutcome::Occupied;
-    openCycle = now;
 }
 
 std::string
@@ -135,47 +70,25 @@ CoverageProbe::name() const
     return "probe:" + std::string(coverageTargetName(probeTarget));
 }
 
-double
-CoverageProbe::partialAvf() const
+std::span<const CounterKey>
+CoverageProbe::counterKeys() const
 {
-    return injections ? static_cast<double>(failures) /
-                        static_cast<double>(injections)
-                      : 0.0;
-}
-
-core::EstimatorState
-CoverageProbe::snapshotState() const
-{
-    core::EstimatorState state;
-    state.name = name();
-    state.counters = {
-        {"injections", injections},
-        {"failures", failures},
-        {"lifetime_injections", lifetimeInjections},
-        {"lifetime_failures", lifetimeFailures},
-        {"killed", killed},
-        {"cursor", static_cast<std::uint64_t>(cursor)},
-    };
-    state.estimates = results;
-    return state;
+    return probeKeys;
 }
 
 void
-CoverageProbe::restoreState(const core::EstimatorState &state)
+CoverageProbe::onWindowClosed(const core::Outcome &outcome, Cycle)
 {
-    if (state.name != name())
-        throw std::invalid_argument(
-            "estimator state for '" + state.name +
-            "' cannot restore into '" + name() + "'");
-    injections = static_cast<std::uint32_t>(
-        state.counterValue("injections"));
-    failures = static_cast<std::uint32_t>(
-        state.counterValue("failures"));
-    lifetimeInjections = state.counterValue("lifetime_injections");
-    lifetimeFailures = state.counterValue("lifetime_failures");
-    killed = state.counterValue("killed");
-    cursor = static_cast<int>(state.counterValue("cursor"));
-    results = state.estimates;
+    if (!outcome.failed && probeTarget == CoverageTarget::BranchPred &&
+        (pipeline.branchPredKilledMask() & laneBit(outcome.lane))) {
+        // Counter bits never reach the dataflow: the first update of
+        // the injected counter kills them. Read the kill before the
+        // boundary's lane sweep clears it.
+        ++count.killed;
+    }
+    attribution.recordWindow(unit, outcome.openedAt, outcome.live,
+                             outcome.failed, outcome.failPc,
+                             outcome.failOp);
 }
 
 } // namespace avf::obs

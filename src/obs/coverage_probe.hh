@@ -3,11 +3,10 @@
  * Extended-coverage injection probes: single-lane online estimators
  * for the structures the paper models but never estimates — the
  * fetch/instruction buffer, the rename map, and the branch predictor
- * counter table. Each probe runs the same M-cycle tagged-window
- * protocol as core::OnlineAvfEstimator (open at the boundary, read
- * the Outcome at the next, clear, re-open round-robin), through the
- * shared core::InjectionPort, so lane accounting and the
- * one-error-per-lane rule are identical.
+ * counter table. Each probe is a core::InjectionCampaign — the same
+ * M-cycle tagged-window loop as core::OnlineAvfEstimator — on one
+ * reserved lane of the shared core::InjectionPort, so lane
+ * accounting and the one-error-per-lane rule are identical.
  *
  * What distinguishes the three targets is how their bits leave the
  * machine:
@@ -33,19 +32,12 @@
 #define AVF_OBS_COVERAGE_PROBE_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "core/avf_estimator.hh"
-#include "core/injection_port.hh"
-#include "util/interval_ticker.hh"
+#include "core/injection_campaign.hh"
 #include "util/types.hh"
-
-namespace avf::cpu
-{
-class Pipeline;
-}
 
 namespace avf::obs
 {
@@ -78,68 +70,40 @@ struct CoverageProbeConfig
 };
 
 /**
- * One probe: a core::AvfEstimator over one CoverageTarget, one lane
- * of the shared injection port, feeding the attribution tracker
+ * One probe: a core::InjectionCampaign over one CoverageTarget, one
+ * lane of the shared injection port, feeding the attribution tracker
  * directly through recordWindow(). Attach with pipe.addObserver()
  * after the shared port, like any estimator.
  */
-class CoverageProbe : public core::AvfEstimator
+class CoverageProbe : public core::InjectionCampaign
 {
   public:
     CoverageProbe(cpu::Pipeline &pipe, core::InjectionPort &port,
                   AttributionTracker &tracker, CoverageTarget target,
                   CoverageProbeConfig config);
 
-    // ---- cpu::PipelineObserver ----
-    void onCycle(Cycle now) override;
-
-    // ---- core::AvfEstimator ----
+    /** "probe:<target>", e.g. "probe:fetch_buf". */
     std::string name() const override;
-    const std::vector<double> &estimates() const override
-    {
-        return results;
-    }
-    double partialAvf() const override;
-    core::EstimatorState snapshotState() const override;
-    void restoreState(const core::EstimatorState &state) override;
 
     /** Probe target. */
     CoverageTarget target() const { return probeTarget; }
 
     /** Lane this probe injects on. */
-    LaneId laneId() const { return lane; }
+    LaneId laneId() const { return firstLane(); }
 
     /** Windows whose bit the target killed (branch predictor only:
      *  the architecturally-masked-by-construction count). */
-    std::uint64_t killedWindows() const { return killed; }
+    std::uint64_t killedWindows() const { return count.killed; }
+
+  protected:
+    std::span<const core::CounterKey> counterKeys() const override;
+    void onWindowClosed(const core::Outcome &outcome,
+                        Cycle now) override;
 
   private:
-    /** Slots in the probed structure (round-robin modulus). */
-    int numSlots() const;
-
-    /** Build the injection site for the current cursor. */
-    core::Site siteAt(int slot) const;
-
-    cpu::Pipeline &pipeline;
-    core::InjectionPort &portRef;
     AttributionTracker &attribution;
     CoverageTarget probeTarget;
-    CoverageProbeConfig conf;
     std::uint32_t unit = 0;
-
-    IntervalTicker boundaryTick;
-    LaneId lane = -1;
-    core::WindowHandle handle;
-    bool windowOpen = false;
-    bool windowLive = false;
-    Cycle openCycle = 0;
-    int cursor = 0;
-    std::uint32_t injections = 0;
-    std::uint32_t failures = 0;
-    std::uint64_t lifetimeInjections = 0;
-    std::uint64_t lifetimeFailures = 0;
-    std::uint64_t killed = 0;
-    std::vector<double> results;
 };
 
 } // namespace avf::obs
