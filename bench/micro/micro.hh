@@ -1,10 +1,9 @@
 /**
  * @file
  * The bench/micro harness: a tiny, dependency-free microbenchmark
- * runner for single hot paths (google-benchmark stays available for
- * the coarse perf_microbench suite; this harness exists so CI and
- * scripts get machine-readable, schema-stable JSON without linking
- * an external framework into every probe).
+ * runner for single hot paths, so CI and scripts get
+ * machine-readable, schema-stable JSON without linking an external
+ * framework into every probe.
  *
  * Protocol (see DESIGN.md §9):
  *   1. calibrate: double the per-repeat iteration count until one
