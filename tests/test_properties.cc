@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -108,6 +109,15 @@ struct MachineVariant
     const char *name;
     CpuConfig config;
 };
+
+// Without this, gtest prints the parameter as a byte dump whose first
+// eight bytes are the `name` pointer, so the listed test names (and the
+// ctest names discovered from them) change from run to run under ASLR.
+void
+PrintTo(const MachineVariant &variant, std::ostream *os)
+{
+    *os << '"' << variant.name << '"';
+}
 
 MachineVariant
 narrowMachine()
