@@ -82,6 +82,11 @@ class ThrottleController : public cpu::PipelineObserver
                        reliability::BudgetArbiter *arbiter = nullptr);
 
     void onCycle(Cycle now) override;
+    /** Rows publish only in the feed's onCycle: wake with it. */
+    Cycle nextWake(Cycle now) const override
+    {
+        return feed.nextWake(now);
+    }
 
     /** True while the throttle is engaged. */
     bool throttled() const { return engaged; }

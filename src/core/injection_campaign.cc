@@ -234,4 +234,16 @@ InjectionCampaign::onCycle(Cycle now)
     }
 }
 
+Cycle
+InjectionCampaign::nextWake(Cycle now) const
+{
+    Cycle wake = boundaryTick.next(now);
+    if (scheduledCount) {
+        for (const auto &slot : windows)
+            if (slot.scheduled && slot.injectAt < wake)
+                wake = slot.injectAt;
+    }
+    return wake;
+}
+
 } // namespace avf::core

@@ -182,6 +182,8 @@ class InjectionCampaign : public AvfEstimator
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
     void onCycle(Cycle now) override;
+    /** The next window boundary or pending randomized injection. */
+    Cycle nextWake(Cycle now) const override;
 
     /** Completed per-interval AVF estimates (one per N windows). */
     const std::vector<double> &estimates() const override

@@ -195,6 +195,8 @@ class InjectionPort : public cpu::PipelineObserver
     /** Latch failures: first failure retirement per open lane. */
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
+    /** No per-cycle work: off the onCycle schedule. */
+    Cycle nextWake(Cycle) const override { return cpu::neverWake; }
 
   private:
     struct Lane

@@ -37,6 +37,10 @@ class OccupancyEstimator : public AvfEstimator
                        Cycle intervalCycles);
 
     void onCycle(Cycle now) override;
+    Cycle nextWake(Cycle now) const override
+    {
+        return boundaryTick.next(now);
+    }
 
     /** "occupancy:iq". */
     std::string name() const override;

@@ -49,6 +49,12 @@ class PropagationProbe : public cpu::PipelineObserver
 
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
+    /**
+     * Keeps the default every-cycle nextWake(): a failing retirement
+     * closes the window in onRetire, which moves the next injection
+     * (and the maxWait timeout) outside onCycle, so no wake computed
+     * at the previous onCycle would stay exact.
+     */
     void onCycle(Cycle now) override;
 
     /** Cycles from injection to failure, one entry per failure. */

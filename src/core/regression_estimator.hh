@@ -52,6 +52,10 @@ class FeatureCollector : public cpu::PipelineObserver
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
     void onCycle(Cycle now) override;
+    Cycle nextWake(Cycle now) const override
+    {
+        return boundaryTick.next(now);
+    }
 
     /** One feature vector per completed interval. */
     const std::vector<FeatureVector> &features() const
@@ -147,6 +151,10 @@ class RegressionEstimator : public AvfEstimator
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
     void onCycle(Cycle now) override;
+    Cycle nextWake(Cycle now) const override
+    {
+        return collector.nextWake(now);
+    }
 
     /** "regression:iq" (the model is calibrated against IQ AVF). */
     std::string name() const override;

@@ -37,6 +37,10 @@ class UtilizationEstimator : public AvfEstimator
                          Cycle intervalCycles);
 
     void onCycle(Cycle now) override;
+    Cycle nextWake(Cycle now) const override
+    {
+        return boundaryTick.next(now);
+    }
 
     /** "utilization:<unit class>", e.g. "utilization:fxu". */
     std::string name() const override;

@@ -2,16 +2,22 @@
  * @file
  * Observation interface over the pipeline. The online estimator and
  * the SoftArch offline analyzer both attach here; the pipeline calls
- * out at dispatch, issue, completion, retirement, and once per cycle.
+ * out at dispatch, issue, completion and retirement, and at the end
+ * of every cycle an observer's nextWake() names.
  */
 
 #ifndef AVF_CPU_OBSERVER_HH
 #define AVF_CPU_OBSERVER_HH
 
+#include <limits>
+
 #include "cpu/dyn_instr.hh"
 
 namespace avf::cpu
 {
+
+/** nextWake() value of an observer that never needs onCycle. */
+inline constexpr Cycle neverWake = std::numeric_limits<Cycle>::max();
 
 /**
  * How an error bit moved during one pipeline event. Mirrors the
@@ -62,8 +68,19 @@ class PipelineObserver
     /** Instruction retired (in order). */
     virtual void onRetire(const DynInstr &, const RetireInfo &) {}
 
-    /** End of cycle @p now. */
+    /** End of cycle @p now; only on the cycles nextWake() names. */
     virtual void onCycle(Cycle) {}
+
+    /**
+     * The next cycle at which onCycle must run, asked right after
+     * the onCycle(@p now) call (and after every other observer due at
+     * @p now has had its own). The answer must be exact: never later
+     * than the next cycle on which onCycle would change anything.
+     * The default, now + 1, keeps an observer on every cycle;
+     * neverWake takes it off the schedule; a value <= @p now acts
+     * as now + 1. See DESIGN.md, "The wake contract".
+     */
+    virtual Cycle nextWake(Cycle now) const { return now + 1; }
 
     /**
      * Error bits @p bits moved via @p hop at instruction @p instr.

@@ -68,7 +68,8 @@ Pipeline::Pipeline(const CpuConfig &config, trace::TraceSource &src)
 void
 Pipeline::addObserver(PipelineObserver *observer)
 {
-    observers.push_back(observer);
+    observers.push_back({observer, currentCycle});
+    earliestWake = std::min(earliestWake, currentCycle);
 }
 
 bool
@@ -91,12 +92,30 @@ Pipeline::step()
     fetchStage();
     accountCycle();
 
-    for (auto *obs : observers)
-        obs->onCycle(currentCycle);
+    if (currentCycle >= earliestWake)
+        wakeDueObservers();
 
     ++currentCycle;
     ++statsData.cycles;
     return !done();
+}
+
+void
+Pipeline::wakeDueObservers()
+{
+    // Call every due observer first, in attach order, and only then
+    // ask for wakes: an observer's nextWake may read the state that
+    // observers attached before it changed this cycle (ControlFeed
+    // reads its sources' schedules).
+    for (const Attached &a : observers)
+        if (a.wake <= currentCycle)
+            a.observer->onCycle(currentCycle);
+    earliestWake = neverWake;
+    for (Attached &a : observers) {
+        if (a.wake <= currentCycle)
+            a.wake = a.observer->nextWake(currentCycle);
+        earliestWake = std::min(earliestWake, a.wake);
+    }
 }
 
 void
@@ -150,8 +169,8 @@ Pipeline::retireStage()
         if (instr.oldDestPhys >= 0)
             rename.release(instr.oldDestPhys);
 
-        for (auto *obs : observers)
-            obs->onRetire(instr, info);
+        for (const Attached &a : observers)
+            a.observer->onRetire(instr, info);
 
         robHead = (robHead + 1) % conf.robEntries;
         --robCount;
@@ -246,8 +265,8 @@ Pipeline::completeStage()
             ++statsData.redirects;
         }
 
-        for (auto *obs : observers)
-            obs->onComplete(instr);
+        for (const Attached &a : observers)
+            a.observer->onComplete(instr);
     }
     bucket.clear();
 }
@@ -421,8 +440,8 @@ Pipeline::issueOne(int robIdx, FuClass cls)
     unit_state.resident.emplace_back(robIdx, instr.completeCycle);
 
     ++statsData.issued;
-    for (auto *obs : observers)
-        obs->onIssue(instr);
+    for (const Attached &a : observers)
+        a.observer->onIssue(instr);
 }
 
 void
@@ -605,11 +624,11 @@ Pipeline::tryDispatchOne(const FetchedInstr &fetched)
     }
 
     ++statsData.dispatched;
-    for (auto *obs : observers)
-        obs->onDispatch(instr);
+    for (const Attached &a : observers)
+        a.observer->onDispatch(instr);
     if (in.op == OpClass::Nop) {
-        for (auto *obs : observers)
-            obs->onComplete(instr);
+        for (const Attached &a : observers)
+            a.observer->onComplete(instr);
     }
     return true;
 }

@@ -78,7 +78,11 @@ class Pipeline
      */
     Pipeline(const CpuConfig &config, trace::TraceSource &source);
 
-    /** Attach an observer (not owned); order of attach = call order. */
+    /**
+     * Attach an observer (not owned); order of attach = call order.
+     * Its first onCycle comes at the end of the current cycle; after
+     * that, only on the cycles its nextWake() names.
+     */
     void addObserver(PipelineObserver *observer);
 
     /**
@@ -304,6 +308,8 @@ class Pipeline
     void dispatchStage();
     void fetchStage();
     void accountCycle();
+    /** Run onCycle for every observer due now, then reschedule. */
+    void wakeDueObservers();
 
     // helpers
     static IqId iqFor(trace::OpClass op);
@@ -324,7 +330,15 @@ class Pipeline
     mem::MemoryHierarchy hierarchy;
     BranchPredictor predictor;
     RenameUnit rename;
-    std::vector<PipelineObserver *> observers;
+    /** An attached observer and the next cycle its onCycle runs. */
+    struct Attached
+    {
+        PipelineObserver *observer;
+        Cycle wake;
+    };
+    std::vector<Attached> observers;
+    /** Minimum wake over observers: step()'s one per-cycle compare. */
+    Cycle earliestWake = neverWake;
 
     Cycle currentCycle = 0;
     InstrSeq nextSeq = 0;

@@ -68,6 +68,18 @@ ControlFeed::onCycle(Cycle now)
         pump(source, now);
 }
 
+Cycle
+ControlFeed::nextWake(Cycle now) const
+{
+    Cycle wake = cpu::neverWake;
+    for (const auto &source : sources) {
+        wake = std::min(wake, source.estimator->nextWake(now));
+        if (!source.staged.empty())
+            wake = std::min(wake, source.staged.front().first);
+    }
+    return wake;
+}
+
 std::size_t
 ControlFeed::rows() const
 {

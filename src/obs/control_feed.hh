@@ -69,6 +69,12 @@ class ControlFeed : public cpu::PipelineObserver
     void attachOccupancy(const core::AvfEstimator &estimator);
 
     void onCycle(Cycle now) override;
+    /**
+     * The earliest of the sources' wakes (a source's estimates grow
+     * only in its own onCycle) and the staged rows' due cycles.
+     * Exact only when the feed is attached after its sources.
+     */
+    Cycle nextWake(Cycle now) const override;
 
     /**
      * Rows published so far: the minimum published length across all

@@ -223,6 +223,8 @@ class LifecycleTracker : public cpu::PipelineObserver,
                   const cpu::RetireInfo &info) override;
     void onErrorHop(const cpu::DynInstr &instr, cpu::ErrorMask bits,
                     cpu::ErrorHop hop) override;
+    /** No per-cycle work: off the onCycle schedule. */
+    Cycle nextWake(Cycle) const override { return cpu::neverWake; }
 
     /** Snapshot every aggregate (callable any time). */
     LifecycleSummary summary() const;

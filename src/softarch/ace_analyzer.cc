@@ -47,11 +47,15 @@ AceAnalyzer::onRetire(const cpu::DynInstr &instr, const cpu::RetireInfo &)
 void
 AceAnalyzer::onCycle(Cycle now)
 {
-    while (now >= (static_cast<Cycle>(nextFinalize) + 1) *
-                      conf.intervalCycles +
-                      conf.lookahead) {
+    while (now >= nextWake(now))
         finalizeInterval();
-    }
+}
+
+Cycle
+AceAnalyzer::nextWake(Cycle) const
+{
+    return (static_cast<Cycle>(nextFinalize) + 1) * conf.intervalCycles +
+           conf.lookahead;
 }
 
 void

@@ -88,6 +88,8 @@ class AceAnalyzer : public cpu::PipelineObserver
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
     void onCycle(Cycle now) override;
+    /** The cycle the next interval's lookahead runs out. */
+    Cycle nextWake(Cycle now) const override;
 
     /**
      * Flush every remaining interval (call once simulation stops;

@@ -1,15 +1,17 @@
 /**
  * @file
- * Division-free periodic trigger for per-cycle observers. The
- * estimators all ask "is `now` at my interval boundary?" every
- * cycle; asked with `now % period` that is a 64-bit division on the
- * hottest loop in the simulator. IntervalTicker answers the same
- * question with a decrement and a compare by exploiting the only
- * call pattern the pipeline produces: consecutive cycle numbers, one
- * tick per cycle.
+ * Division-free periodic trigger for cycle observers. The estimators
+ * all ask "is `now` at my interval boundary?"; asked with
+ * `now % period` that is a 64-bit division on the hottest loop in the
+ * simulator. IntervalTicker keeps the absolute cycle of its next
+ * firing instead, so the question is one compare, and next() hands
+ * that cycle to PipelineObserver::nextWake() so an observer can sleep
+ * until it.
  *
- * The first tick computes the phase once (one division total), so a
- * ticker attached mid-run stays exact.
+ * Contract: call tick() on every firing cycle; calls on the cycles in
+ * between are optional and return false. The first tick computes the
+ * phase once (one division total), so a ticker first ticked mid-run
+ * stays exact.
  */
 
 #ifndef AVF_UTIL_INTERVAL_TICKER_HH
@@ -38,34 +40,51 @@ class IntervalTicker
     }
 
     /**
-     * Advance one cycle. Must be called with consecutive values of
-     * @p now (the pipeline observer contract); only the first call
+     * True when @p now is a firing cycle. Calls must not go backwards
+     * in time and must not skip a firing cycle; only the first call
      * may start anywhere.
      */
     bool
     tick(Cycle now)
     {
         if (!primed) {
-            Cycle mod = now % interval;
-            remaining = mod <= residue ? residue - mod
-                                       : interval - mod + residue;
+            nextFire = firstFireFrom(now);
             primed = true;
         }
-        if (remaining == 0) {
-            remaining = interval - 1;
-            return true;
-        }
-        --remaining;
-        return false;
+        if (now < nextFire)
+            return false;
+        avf_assert(now == nextFire, "ticker skipped a firing cycle");
+        nextFire += interval;
+        return true;
+    }
+
+    /**
+     * The next cycle at which tick() returns true: the earliest
+     * firing cycle >= @p now before the first tick, the one after the
+     * last firing since.
+     */
+    Cycle
+    next(Cycle now) const
+    {
+        return primed ? nextFire : firstFireFrom(now);
     }
 
     /** The configured period. */
     Cycle period() const { return interval; }
 
   private:
+    /** The earliest firing cycle >= @p now. */
+    Cycle
+    firstFireFrom(Cycle now) const
+    {
+        Cycle mod = now % interval;
+        return mod <= residue ? now + (residue - mod)
+                              : now + (interval - mod + residue);
+    }
+
     Cycle interval;
     Cycle residue = 0;
-    Cycle remaining = 0;
+    Cycle nextFire = 0;
     bool primed = false;
 };
 

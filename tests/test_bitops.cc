@@ -243,6 +243,42 @@ TEST(IntervalTicker, FirstTickMayStartMidStream)
     }
 }
 
+TEST(IntervalTicker, SparseCallsMatchModuloReference)
+{
+    // The wake contract: an observer's onCycle runs on every firing
+    // cycle and on arbitrary others. next() must name exactly the
+    // next cycle the modulo reference fires on.
+    Rng rng(2024);
+    for (Cycle period : {Cycle{1}, Cycle{3}, Cycle{64}, Cycle{1000}}) {
+        for (Cycle phase : {Cycle{0}, Cycle{1}, period - 1}) {
+            for (Cycle start : {Cycle{0}, Cycle{5}, Cycle{100000007}}) {
+                auto fires = [&](Cycle c) {
+                    return c % period == phase % period;
+                };
+                auto nextFire = [&](Cycle c) {
+                    while (!fires(c))
+                        ++c;
+                    return c;
+                };
+                IntervalTicker ticker(period, phase);
+                EXPECT_EQ(ticker.next(start), nextFire(start));
+                Cycle now = start;
+                for (int call = 0; call < 200; ++call) {
+                    EXPECT_EQ(ticker.tick(now), fires(now))
+                        << "period " << period << " phase " << phase
+                        << " cycle " << now;
+                    Cycle wake = ticker.next(now);
+                    EXPECT_EQ(wake, nextFire(now + 1))
+                        << "period " << period << " phase " << phase
+                        << " cycle " << now;
+                    // Jump to the wake or to any cycle before it.
+                    now += 1 + rng.below(wake - now);
+                }
+            }
+        }
+    }
+}
+
 TEST(IntervalTickerDeathTest, RejectsZeroPeriod)
 {
     EXPECT_DEATH(IntervalTicker ticker(0),
