@@ -19,12 +19,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -35,27 +29,6 @@ Rng::Rng(std::uint64_t seed)
     // xoshiro must not start from the all-zero state.
     if ((s[0] | s[1] | s[2] | s[3]) == 0)
         s[0] = 0x9e3779b97f4a7c15ull;
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const std::uint64_t t = s[1] << 17;
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return (next() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t
@@ -85,16 +58,6 @@ Rng::range(std::int64_t lo, std::int64_t hi)
         below(static_cast<std::uint64_t>(hi - lo) + 1));
 }
 
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
-}
-
 std::uint64_t
 Rng::geometric(double p, std::uint64_t cap)
 {
@@ -103,8 +66,12 @@ Rng::geometric(double p, std::uint64_t cap)
     if (p <= 0.0)
         return cap;
     // Inverse-CDF method.
+    if (p != geomP) {
+        geomP = p;
+        geomLog = std::log1p(-p);
+    }
     double u = uniform();
-    double draws = std::floor(std::log1p(-u) / std::log1p(-p));
+    double draws = std::floor(std::log1p(-u) / geomLog);
     if (draws < 0.0)
         draws = 0.0;
     auto val = static_cast<std::uint64_t>(draws);

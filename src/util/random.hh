@@ -29,10 +29,27 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit draw. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+        const std::uint64_t t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 high bits -> double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform integer in [0, bound) using Lemire rejection. */
     std::uint64_t below(std::uint64_t bound);
@@ -41,7 +58,15 @@ class Rng
     std::int64_t range(std::int64_t lo, std::int64_t hi);
 
     /** Bernoulli draw with probability p of true. */
-    bool chance(double p);
+    bool
+    chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /**
      * Geometric draw: number of failures before first success with
@@ -53,7 +78,17 @@ class Rng
     double gaussian();
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s[4];
+    /** geometric()'s last p in (0, 1) and its log1p(-p): the trace
+     *  generators draw with a handful of fixed probabilities. */
+    double geomP = 0.0;
+    double geomLog = 0.0;
 };
 
 /** Stable 64-bit hash of a string (FNV-1a), for name -> seed mapping. */
