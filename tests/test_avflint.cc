@@ -840,6 +840,20 @@ TEST(AvflintHotPathAlloc, FlagsAllocationInHotBodies)
               1u);
 }
 
+TEST(AvflintHotPathAlloc, FlagsAllocationInNextWake)
+{
+    // The pipeline asks nextWake after every onCycle it makes.
+    auto findings = withId(
+        lintText("src/foo.cc",
+                 "Cycle Feed::nextWake(Cycle now) const {\n"
+                 "    std::vector<Cycle> due = pending();\n"
+                 "    return earliest(due);\n"
+                 "}\n"),
+        "hot-path-alloc");
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].line, 2);
+}
+
 TEST(AvflintHotPathAlloc, FollowsTheIntraRepoCallGraph)
 {
     auto findings = withId(

@@ -493,18 +493,15 @@ checkMetricNames(const SourceFile &src, const CheckContext &,
     static const std::set<std::string_view> registrars = {
         "registerCounter", "registerGauge", "registerHistogram",
         "registerSeries", "registerBlameUnit"};
-    // Per-cycle execution contexts: registration inside one of these
-    // turns a one-time setup cost into a per-cycle string lookup.
-    static const std::set<std::string_view> hotFuncs = {
-        "onCycle", "onRetire", "onErrorHop", "step"};
-
     // Pass 1: token spans that execute per cycle — the argument list
-    // of any call to a hot-named function (covers callbacks hooked
-    // via lambdas) and, for a definition, its body braces.
+    // of any call to a hot root (RepoIndex::isHotRoot; covers
+    // callbacks hooked via lambdas) and, for a definition, its body
+    // braces. Registration there turns a one-time setup cost into a
+    // per-cycle string lookup.
     std::vector<std::pair<std::size_t, std::size_t>> hotSpans;
     for (std::size_t i = 0; i < src.tokens.size(); ++i) {
         if (src.tokens[i].kind != TokKind::Identifier ||
-            hotFuncs.count(src.tokens[i].text) == 0 ||
+            !RepoIndex::isHotRoot(src.tokens[i].text) ||
             !at(src, i + 1).is("("))
             continue;
         int depth = 0;
@@ -556,8 +553,9 @@ checkMetricNames(const SourceFile &src, const CheckContext &,
             out.push_back(
                 {src.path, tok.line, "metric-name-discipline",
                  "'" + tok.text + "' called from a per-cycle hot "
-                 "path (onCycle/onRetire/onErrorHop/step); register "
-                 "metrics once at setup and record through the Id"});
+                 "path (onCycle/nextWake/onRetire/onErrorHop/step); "
+                 "register metrics once at setup and record through "
+                 "the Id"});
         const Token &arg = at(src, i + 2);
         if (arg.kind != TokKind::String || arg.text.size() < 2 ||
             arg.text.front() != '"' || arg.text.back() != '"')

@@ -57,7 +57,8 @@
  *                 no new/malloc, no std::string/std::vector
  *                 construction, and no push_back without a reserve on
  *                 the same receiver, inside a per-cycle hot path:
- *                 onCycle/onRetire/onErrorHop/step bodies and every
+ *                 onCycle/nextWake/onRetire/onErrorHop/step bodies
+ *                 (avflint/index.hh hotRoots) and every
  *                 function reachable from them through the intra-repo
  *                 call graph (name-based, hence warn).
  *   env-knob-discipline

@@ -1,18 +1,9 @@
 #include "avflint/index.hh"
 
-#include <array>
 #include <deque>
 
 namespace avf::lint
 {
-
-namespace
-{
-
-constexpr std::array<std::string_view, 4> hotRoots = {
-    "onCycle", "onRetire", "onErrorHop", "step"};
-
-} // namespace
 
 bool
 RepoIndex::isHotRoot(const std::string &fn)

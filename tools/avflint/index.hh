@@ -6,8 +6,7 @@
  * where each function name is defined, the caller → callee edge set,
  * which functions wrap `getenv` directly, and — by breadth-first
  * search over those edges — the set of functions reachable from the
- * per-cycle hot-path roots (`onCycle`, `onRetire`, `onErrorHop`,
- * `step`).
+ * per-cycle hot-path roots (hotRoots below).
  *
  * Resolution is by bare name, deliberately: avflint has no overload
  * or namespace resolution, so a name is "repo-defined" if any file
@@ -19,15 +18,26 @@
 #ifndef AVF_TOOLS_AVFLINT_INDEX_HH
 #define AVF_TOOLS_AVFLINT_INDEX_HH
 
+#include <array>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "avflint/parser.hh"
 
 namespace avf::lint
 {
+
+/**
+ * The per-cycle hot-path roots: Pipeline::step and the observer hooks
+ * it calls — onCycle and nextWake on every wake, onRetire and
+ * onErrorHop per event. The one list both hot-path-alloc and
+ * metric-name-discipline key on.
+ */
+inline constexpr std::array<std::string_view, 5> hotRoots = {
+    "onCycle", "nextWake", "onRetire", "onErrorHop", "step"};
 
 /** Cross-file symbol index built from all FileModels in a run. */
 struct RepoIndex
