@@ -10,7 +10,7 @@
 
 #include "micro.hh"
 
-#include <sstream>
+#include <string>
 
 #include "obs/metrics.hh"
 
@@ -87,8 +87,9 @@ AVF_MICROBENCH(metrics_write_json)
 {
     MetricsSnapshot snap = populatedShard().snapshot();
     while (b.next()) {
-        std::ostringstream out;
-        snap.writeJson(out, 4);
-        avf::micro::doNotOptimize(out);
+        std::string text;
+        avf::json::Writer out(text, avf::json::Writer::Style::Spaced);
+        snap.writeJson(out);
+        avf::micro::doNotOptimize(text);
     }
 }

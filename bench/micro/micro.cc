@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string_view>
 
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace avf::micro
@@ -130,9 +130,8 @@ runOne(const Registered &bench, const Options &opts)
 }
 
 /**
- * Pull (name, trimmed_mean_ns) pairs out of a previous JSON report.
- * Only understands this harness's own writer format — one benchmark
- * object per line — which is all --compare is for.
+ * Pull (name, trimmed_mean_ns) pairs out of a previous JSON report
+ * (this harness's own avf-micro-v1 format).
  */
 std::vector<std::pair<std::string, double>>
 readBaseline(const std::string &path)
@@ -143,26 +142,29 @@ readBaseline(const std::string &path)
         warn("bench/micro: cannot read baseline %s", path.c_str());
         return out;
     }
-    std::string line;
-    while (std::getline(in, line)) {
-        auto name_pos = line.find("\"name\": \"");
-        auto mean_pos = line.find("\"trimmed_mean_ns\": ");
-        if (name_pos == std::string::npos ||
-            mean_pos == std::string::npos)
-            continue;
-        name_pos += std::strlen("\"name\": \"");
-        auto name_end = line.find('"', name_pos);
-        if (name_end == std::string::npos)
-            continue;
-        mean_pos += std::strlen("\"trimmed_mean_ns\": ");
-        try {
-            out.emplace_back(
-                line.substr(name_pos, name_end - name_pos),
-                std::stod(line.substr(mean_pos)));
-        } catch (...) {
-            warn("bench/micro: malformed baseline line in %s",
+    std::ostringstream text;
+    text << in.rdbuf();
+    json::Value doc;
+    std::string error;
+    const json::Value *benches =
+        json::parse(text.str(), doc, error)
+            ? doc.find("benchmarks", json::Value::Kind::Array)
+            : nullptr;
+    if (!benches) {
+        warn("bench/micro: %s is not an avf-micro report%s%s",
+             path.c_str(), error.empty() ? "" : ": ", error.c_str());
+        return out;
+    }
+    for (const json::Value &bench : benches->items) {
+        const json::Value *name =
+            bench.find("name", json::Value::Kind::String);
+        const json::Value *mean = bench.find("trimmed_mean_ns");
+        if (!name || !mean || !mean->isNumber()) {
+            warn("bench/micro: malformed baseline entry in %s",
                  path.c_str());
+            continue;
         }
+        out.emplace_back(name->text, mean->asDouble());
     }
     return out;
 }
@@ -170,32 +172,33 @@ readBaseline(const std::string &path)
 void
 writeJson(const std::vector<Result> &results, const Options &opts)
 {
-    std::ostringstream out;
-    out.setf(std::ios::fixed);
-    out.precision(3);
-    out << "{\n  \"schema\": \"avf-micro-v1\",\n  \"mode\": \""
-        << (opts.smoke ? "smoke" : "full")
-        << "\",\n  \"benchmarks\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const Result &r = results[i];
-        out << "    {\"name\": \"" << r.name
-            << "\", \"iterations\": " << r.iterations
-            << ", \"repeats\": " << r.repeats
-            << ", \"trimmed_mean_ns\": " << r.trimmedMeanNs
-            << ", \"median_ns\": " << r.medianNs
-            << ", \"min_ns\": " << r.minNs
-            << ", \"max_ns\": " << r.maxNs
-            << ", \"stddev_ns\": " << r.stddevNs
-            << ", \"items_per_sec\": " << r.itemsPerSec;
+    using Layout = json::Writer::Layout;
+    std::string text;
+    json::Writer out(text, json::Writer::Style::Spaced);
+    out.startObject(Layout::Lines)
+        .member("schema").text("avf-micro-v1")
+        .member("mode").text(opts.smoke ? "smoke" : "full")
+        .member("benchmarks").startArray(Layout::Lines);
+    for (const Result &r : results) {
+        out.startObject()
+            .member("name").text(r.name)
+            .member("iterations").uint(r.iterations)
+            .member("repeats").sint(r.repeats)
+            .member("trimmed_mean_ns").fixed(r.trimmedMeanNs, 3)
+            .member("median_ns").fixed(r.medianNs, 3)
+            .member("min_ns").fixed(r.minNs, 3)
+            .member("max_ns").fixed(r.maxNs, 3)
+            .member("stddev_ns").fixed(r.stddevNs, 3)
+            .member("items_per_sec").fixed(r.itemsPerSec, 3);
         if (r.baselineNs > 0.0)
-            out << ", \"baseline_trimmed_mean_ns\": " << r.baselineNs
-                << ", \"speedup\": " << r.speedup;
-        out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+            out.member("baseline_trimmed_mean_ns").fixed(r.baselineNs, 3)
+                .member("speedup").fixed(r.speedup, 3);
+        out.endObject();
     }
-    out << "  ]\n}\n";
+    out.endArray().endObject().newline();
 
     std::ofstream file(opts.outPath, std::ios::trunc);
-    file << out.str();
+    file << text;
     if (!file.flush())
         fatal("bench/micro: cannot write %s", opts.outPath.c_str());
 }

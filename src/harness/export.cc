@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "core/structures.hh"
 #include "obs/attribution.hh"
@@ -11,6 +9,7 @@
 #include "obs/trace_export.hh"
 #include "stats/histogram.hh"
 #include "trace/instruction.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/timing.hh"
 
@@ -29,19 +28,29 @@ openOrDie(const std::string &path)
     return file;
 }
 
-/** Emit a histogram snapshot as a JSON object on @p file. */
+/** Flush @p out, close @p file; fatal() if either write failed. */
 void
-printHistogram(std::FILE *file, const stats::HistogramSnapshot &hist)
+closeOrDie(json::Writer &out, std::FILE *file, const std::string &path)
 {
-    std::fprintf(file, "{\"lo\": %.1f, \"hi\": %.1f, \"bins\": [",
-                 hist.lo, hist.hi);
-    for (std::size_t b = 0; b < hist.bins.size(); ++b)
-        std::fprintf(file, "%s%llu", b ? ", " : "",
-                     static_cast<unsigned long long>(hist.bins[b]));
-    std::fprintf(file,
-                 "], \"underflow\": %llu, \"overflow\": %llu}",
-                 static_cast<unsigned long long>(hist.underflow),
-                 static_cast<unsigned long long>(hist.overflow));
+    const bool written = out.finish();
+    if (std::fclose(file) != 0 || !written)
+        fatal("error closing '%s'", path.c_str());
+}
+
+/** A lifecycle-summary histogram (one decimal; no total). */
+void
+writeHistogram(json::Writer &out, const stats::HistogramSnapshot &hist)
+{
+    out.startObject()
+        .member("lo").fixed(hist.lo, 1)
+        .member("hi").fixed(hist.hi, 1)
+        .member("bins").startArray();
+    for (std::uint64_t bin : hist.bins)
+        out.uint(bin);
+    out.endArray()
+        .member("underflow").uint(hist.underflow)
+        .member("overflow").uint(hist.overflow)
+        .endObject();
 }
 
 } // namespace
@@ -50,28 +59,7 @@ std::string
 jsonEscape(std::string_view text)
 {
     std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
+    json::escape(out, text);
     return out;
 }
 
@@ -107,96 +95,76 @@ writeCsv(const ExperimentResult &result, const std::string &path)
 void
 writeJson(const ExperimentResult &result, const std::string &path)
 {
+    using Layout = json::Writer::Layout;
     std::FILE *file = openOrDie(path);
+    json::Writer out(file, json::Writer::Style::Spaced);
 
-    std::fprintf(file, "{\n  \"benchmark\": \"%s\",\n",
-                 jsonEscape(result.benchmark).c_str());
-    std::fprintf(file,
-                 "  \"summary\": {\"ipc\": %.4f, "
-                 "\"branch_accuracy\": %.4f, \"l1d_miss\": %.4f, "
-                 "\"l2_miss\": %.4f, \"cycles\": %llu, "
-                 "\"retired\": %llu},\n",
-                 result.summary.ipc, result.summary.branchAccuracy,
-                 result.summary.l1dMissRate, result.summary.l2MissRate,
-                 static_cast<unsigned long long>(result.summary.cycles),
-                 static_cast<unsigned long long>(
-                     result.summary.retired));
-    std::fprintf(file, "  \"intervals\": [\n");
+    const RunSummary &summary = result.summary;
+    out.startObject(Layout::Lines)
+        .member("benchmark").text(result.benchmark)
+        .member("summary").startObject()
+        .member("ipc").fixed(summary.ipc, 4)
+        .member("branch_accuracy").fixed(summary.branchAccuracy, 4)
+        .member("l1d_miss").fixed(summary.l1dMissRate, 4)
+        .member("l2_miss").fixed(summary.l2MissRate, 4)
+        .member("cycles").uint(summary.cycles)
+        .member("retired").uint(summary.retired)
+        .endObject()
+        .member("intervals").startArray(Layout::Lines);
     for (std::size_t k = 0; k < result.intervals.size(); ++k) {
         const auto &row = result.intervals[k];
-        std::fprintf(file, "    {\"k\": %zu", k);
+        out.startObject().member("k").uint(k);
         for (int s = 0; s < core::numStructures; ++s) {
-            auto name = core::structureName(
-                static_cast<core::Structure>(s));
-            std::fprintf(
-                file,
-                ", \"%.*s\": {\"online\": %.6f, \"softarch\": %.6f}",
-                static_cast<int>(name.size()), name.data(),
-                row.online[static_cast<std::size_t>(s)],
-                row.softarch[static_cast<std::size_t>(s)]);
+            const auto i = static_cast<std::size_t>(s);
+            out.member(core::structureName(static_cast<core::Structure>(s)))
+                .startObject()
+                .member("online").fixed(row.online[i], 6)
+                .member("softarch").fixed(row.softarch[i], 6)
+                .endObject();
         }
-        std::fprintf(file,
-                     ", \"util\": {\"fxu\": %.6f, \"fpu\": %.6f}}%s\n",
-                     row.utilization[0], row.utilization[1],
-                     k + 1 == result.intervals.size() ? "" : ",");
+        out.member("util").startObject()
+            .member("fxu").fixed(row.utilization[0], 6)
+            .member("fpu").fixed(row.utilization[1], 6)
+            .endObject()
+            .endObject();
     }
-    std::fprintf(file, "  ]%s\n",
-                 result.lifecycle.enabled ? "," : "");
+    out.endArray();
 
     if (result.lifecycle.enabled) {
-        std::fprintf(file, "  \"lifecycle\": {\n");
+        out.member("lifecycle").startObject(Layout::Lines);
         for (int s = 0; s < core::numStructures; ++s) {
             const auto &sum =
                 result.lifecycle.structures[static_cast<std::size_t>(s)];
-            auto name = core::structureName(
-                static_cast<core::Structure>(s));
-            std::fprintf(file,
-                         "    \"%.*s\": {\"closed\": %llu, "
-                         "\"open_at_end\": %llu, \"live\": %llu, "
-                         "\"dropped\": %llu,\n",
-                         static_cast<int>(name.size()), name.data(),
-                         static_cast<unsigned long long>(sum.closed),
-                         static_cast<unsigned long long>(sum.openAtEnd),
-                         static_cast<unsigned long long>(sum.live),
-                         static_cast<unsigned long long>(sum.dropped));
-            std::fprintf(file, "      \"outcomes\": {");
-            for (int o = 0; o < obs::numOutcomes; ++o) {
-                auto oname = obs::outcomeName(
-                    static_cast<obs::Outcome>(o));
-                std::fprintf(
-                    file, "%s\"%.*s\": %llu", o ? ", " : "",
-                    static_cast<int>(oname.size()), oname.data(),
-                    static_cast<unsigned long long>(
-                        sum.outcomes[static_cast<std::size_t>(o)]));
-            }
-            std::fprintf(file, "},\n      \"hops\": {");
-            for (int h = 0; h < cpu::numErrorHops; ++h) {
-                const char *hname = cpu::errorHopName(
-                    static_cast<cpu::ErrorHop>(h));
-                std::fprintf(
-                    file, "%s\"%s\": %llu", h ? ", " : "", hname,
-                    static_cast<unsigned long long>(
-                        sum.hopTotals[static_cast<std::size_t>(h)]));
-            }
-            std::fprintf(file,
-                         "},\n      \"latency\": {\"mean\": %.4f, "
-                         "\"stddev\": %.4f, \"min\": %.1f, "
-                         "\"max\": %.1f},\n",
-                         sum.latencyMean, sum.latencyStddev,
-                         sum.latencyMin, sum.latencyMax);
-            std::fprintf(file, "      \"latency_hist\": ");
-            printHistogram(file, sum.latencyHist);
-            std::fprintf(file, ",\n      \"hop_count_hist\": ");
-            printHistogram(file, sum.hopCountHist);
-            std::fprintf(file, "}%s\n",
-                         s + 1 == core::numStructures ? "" : ",");
+            out.member(core::structureName(static_cast<core::Structure>(s)))
+                .startObject(Layout::Lines)
+                .member("closed").uint(sum.closed)
+                .member("open_at_end").uint(sum.openAtEnd)
+                .member("live").uint(sum.live)
+                .member("dropped").uint(sum.dropped)
+                .member("outcomes").startObject();
+            for (int o = 0; o < obs::numOutcomes; ++o)
+                out.member(obs::outcomeName(static_cast<obs::Outcome>(o)))
+                    .uint(sum.outcomes[static_cast<std::size_t>(o)]);
+            out.endObject().member("hops").startObject();
+            for (int h = 0; h < cpu::numErrorHops; ++h)
+                out.member(cpu::errorHopName(static_cast<cpu::ErrorHop>(h)))
+                    .uint(sum.hopTotals[static_cast<std::size_t>(h)]);
+            out.endObject()
+                .member("latency").startObject()
+                .member("mean").fixed(sum.latencyMean, 4)
+                .member("stddev").fixed(sum.latencyStddev, 4)
+                .member("min").fixed(sum.latencyMin, 1)
+                .member("max").fixed(sum.latencyMax, 1)
+                .endObject();
+            writeHistogram(out.member("latency_hist"), sum.latencyHist);
+            writeHistogram(out.member("hop_count_hist"),
+                           sum.hopCountHist);
+            out.endObject();
         }
-        std::fprintf(file, "  }\n");
+        out.endObject();
     }
-
-    std::fprintf(file, "}\n");
-    if (std::fclose(file) != 0)
-        fatal("error closing '%s'", path.c_str());
+    out.endObject().newline();
+    closeOrDie(out, file, path);
 }
 
 void
@@ -209,99 +177,83 @@ writeLifecycleJsonl(const ExperimentResult &result,
               path.c_str());
 
     std::FILE *file = openOrDie(path);
-    std::string bench = jsonEscape(result.benchmark);
+    json::Writer out(file, json::Writer::Style::Spaced);
 
     // First line: a legend record naming the hop kinds and outcomes
     // the record lines key their objects on, so a reader never has
     // to hard-code the cpu::ErrorHop taxonomy. Readers distinguish
     // it by its "legend" key (record lines have none).
-    std::fprintf(file, "{\"legend\": true, \"hop_kinds\": [");
+    out.startObject().member("legend").boolean(true)
+        .member("hop_kinds").startArray();
     for (int h = 0; h < cpu::numErrorHops; ++h)
-        std::fprintf(file, "%s\"%s\"", h ? ", " : "",
-                     cpu::errorHopName(static_cast<cpu::ErrorHop>(h)));
-    std::fprintf(file, "], \"outcomes\": [");
-    for (int o = 0; o < obs::numOutcomes; ++o) {
-        auto oname = obs::outcomeName(static_cast<obs::Outcome>(o));
-        std::fprintf(file, "%s\"%.*s\"", o ? ", " : "",
-                     static_cast<int>(oname.size()), oname.data());
-    }
-    std::fprintf(file, "]}\n");
+        out.text(cpu::errorHopName(static_cast<cpu::ErrorHop>(h)));
+    out.endArray().member("outcomes").startArray();
+    for (int o = 0; o < obs::numOutcomes; ++o)
+        out.text(obs::outcomeName(static_cast<obs::Outcome>(o)));
+    out.endArray().endObject().newline();
 
     for (int s = 0; s < core::numStructures; ++s) {
         const auto &sum =
             result.lifecycle.structures[static_cast<std::size_t>(s)];
         auto name = core::structureName(static_cast<core::Structure>(s));
         for (const auto &rec : sum.records) {
-            auto oname = obs::outcomeName(rec.outcome);
-            std::fprintf(
-                file,
-                "{\"benchmark\": \"%s\", \"structure\": \"%.*s\", "
-                "\"lane\": %d, "
-                "\"entry\": %d, \"field\": %d, \"live\": %s, "
-                "\"inject_cycle\": %llu, \"close_cycle\": %llu, "
-                "\"outcome_cycle\": %llu, \"outcome\": \"%.*s\", "
-                "\"latency\": %llu, ",
-                bench.c_str(), static_cast<int>(name.size()),
-                name.data(), rec.lane, rec.entry, rec.field,
-                rec.live ? "true" : "false",
-                static_cast<unsigned long long>(rec.injectCycle),
-                static_cast<unsigned long long>(rec.closeCycle),
-                static_cast<unsigned long long>(rec.outcomeCycle),
-                static_cast<int>(oname.size()), oname.data(),
-                static_cast<unsigned long long>(rec.latency()));
             // Blame identity of failure records ("-"/0 otherwise).
             auto opname =
                 rec.blameOp >= 0
                     ? trace::opClassName(
                           static_cast<trace::OpClass>(rec.blameOp))
                     : std::string_view("-");
-            std::fprintf(
-                file, "\"blame_pc\": %llu, \"blame_op\": \"%.*s\", "
-                "\"hops\": {",
-                static_cast<unsigned long long>(rec.blamePc),
-                static_cast<int>(opname.size()), opname.data());
-            for (int h = 0; h < cpu::numErrorHops; ++h) {
-                std::fprintf(
-                    file, "%s\"%s\": %u", h ? ", " : "",
-                    cpu::errorHopName(static_cast<cpu::ErrorHop>(h)),
-                    rec.hops[static_cast<std::size_t>(h)]);
-            }
-            std::fprintf(file, "}}\n");
+            out.startObject()
+                .member("benchmark").text(result.benchmark)
+                .member("structure").text(name)
+                .member("lane").sint(rec.lane)
+                .member("entry").sint(rec.entry)
+                .member("field").sint(rec.field)
+                .member("live").boolean(rec.live)
+                .member("inject_cycle").uint(rec.injectCycle)
+                .member("close_cycle").uint(rec.closeCycle)
+                .member("outcome_cycle").uint(rec.outcomeCycle)
+                .member("outcome").text(obs::outcomeName(rec.outcome))
+                .member("latency").uint(rec.latency())
+                .member("blame_pc").uint(rec.blamePc)
+                .member("blame_op").text(opname)
+                .member("hops").startObject();
+            for (int h = 0; h < cpu::numErrorHops; ++h)
+                out.member(cpu::errorHopName(static_cast<cpu::ErrorHop>(h)))
+                    .uint(rec.hops[static_cast<std::size_t>(h)]);
+            out.endObject().endObject().newline();
         }
     }
-    if (std::fclose(file) != 0)
-        fatal("error closing '%s'", path.c_str());
+    closeOrDie(out, file, path);
 }
 
 void
 writeMetricsJson(const std::string &path, const std::string &campaign,
                  const std::vector<TaskResult> &tasks)
 {
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open '%s' for writing", path.c_str());
+    using Layout = json::Writer::Layout;
+    std::FILE *file = openOrDie(path);
+    json::Writer out(file, json::Writer::Style::Spaced);
 
-    out << "{\n  \"schema\": \"" << obs::metricsSchemaVersion
-        << "\",\n  \"campaign\": \"" << jsonEscape(campaign)
-        << "\",\n  \"tasks\": [\n";
+    out.startObject(Layout::Lines)
+        .member("schema").text(obs::metricsSchemaVersion)
+        .member("campaign").text(campaign)
+        .member("tasks").startArray(Layout::Lines);
     obs::MetricsSnapshot totals;
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        const auto &task = tasks[i];
-        out << "    {\"name\": \"" << jsonEscape(task.name)
-            << "\", \"index\": " << task.index << ", \"ok\": "
-            << (task.ok() ? "true" : "false") << ", \"metrics\": ";
-        task.result.metrics.writeJson(out, 4);
-        out << "}" << (i + 1 == tasks.size() ? "" : ",") << "\n";
+    for (const auto &task : tasks) {
+        out.startObject()
+            .member("name").text(task.name)
+            .member("index").uint(task.index)
+            .member("ok").boolean(task.ok());
+        task.result.metrics.writeJson(out.member("metrics"));
+        out.endObject();
         if (task.ok())
             totals.mergeTotals(task.result.metrics);
     }
-    out << "  ],\n  \"totals\": ";
-    totals.writeJson(out, 2);
-    out << "\n}\n";
-
-    out.close();
-    if (!out)
-        fatal("error closing '%s'", path.c_str());
+    out.endArray();
+    totals.writeJson(out.member("totals"));
+    out.endObject().newline();
+    closeOrDie(out, file, path);
 }
 
 void
@@ -349,12 +301,14 @@ writeTraceJson(const std::string &path, const std::string &campaign,
     trace.addPhases(phases, phaseLane, campaignStartNs);
 
     const auto pool = engine.poolStats();
-    std::ostringstream poolJson;
-    poolJson << "{\"workers\": " << workers << ", \"submitted\": "
-             << pool.submitted << ", \"executed\": " << pool.executed
-             << ", \"max_queue_depth\": " << pool.maxQueueDepth
-             << "}";
-    trace.addOtherData("thread_pool", poolJson.str());
+    trace.addOtherData("thread_pool", [workers, pool](json::Writer &out) {
+        out.startObject()
+            .member("workers").uint(workers)
+            .member("submitted").uint(pool.submitted)
+            .member("executed").uint(pool.executed)
+            .member("max_queue_depth").uint(pool.maxQueueDepth)
+            .endObject();
+    });
 
     // Task-latency histogram (milliseconds, uniform buckets sized to
     // the slowest task). Wall-clock data: trace side channel only.
@@ -362,23 +316,26 @@ writeTraceJson(const std::string &path, const std::string &campaign,
                                                 : 1.0, 20);
     for (const auto &task : tasks)
         latency.add(task.wallMs);
-    const auto snap = latency.snapshot();
-    std::ostringstream latencyJson;
-    latencyJson << "{\"unit\": \"ms\", \"lo\": " << snap.lo
-                << ", \"hi\": " << snap.hi << ", \"bins\": [";
-    for (std::size_t b = 0; b < snap.bins.size(); ++b)
-        latencyJson << (b ? ", " : "") << snap.bins[b];
-    latencyJson << "], \"underflow\": " << snap.underflow
-                << ", \"overflow\": " << snap.overflow << "}";
-    trace.addOtherData("task_latency_ms", latencyJson.str());
+    trace.addOtherData(
+        "task_latency_ms", [snap = latency.snapshot()](json::Writer &out) {
+            out.startObject()
+                .member("unit").text("ms")
+                .member("lo").exact(snap.lo)
+                .member("hi").exact(snap.hi)
+                .member("bins").startArray();
+            for (std::uint64_t bin : snap.bins)
+                out.uint(bin);
+            out.endArray()
+                .member("underflow").uint(snap.underflow)
+                .member("overflow").uint(snap.overflow)
+                .endObject();
+        });
 
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open '%s' for writing", path.c_str());
+    std::FILE *file = openOrDie(path);
+    json::Writer out(file, json::Writer::Style::Spaced);
     trace.writeJson(out);
-    out.close();
-    if (!out)
-        fatal("error closing '%s'", path.c_str());
+    out.newline();
+    closeOrDie(out, file, path);
 }
 
 void
@@ -398,17 +355,14 @@ writeRootCauseJson(const std::string &path,
               "data (run with attribution enabled)",
               path.c_str());
 
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open '%s' for writing", path.c_str());
-    out << "{\n  \"schema\": \"" << obs::rootCauseSchemaVersion
-        << "\",\n  \"campaign\": \"" << jsonEscape(campaign)
-        << "\",\n  \"attribution\": ";
-    totals.writeJson(out, 2);
-    out << "\n}\n";
-    out.close();
-    if (!out)
-        fatal("error closing '%s'", path.c_str());
+    std::FILE *file = openOrDie(path);
+    json::Writer out(file, json::Writer::Style::Spaced);
+    out.startObject(json::Writer::Layout::Lines)
+        .member("schema").text(obs::rootCauseSchemaVersion)
+        .member("campaign").text(campaign);
+    totals.writeJson(out.member("attribution"));
+    out.endObject().newline();
+    closeOrDie(out, file, path);
 }
 
 bool

@@ -1,8 +1,9 @@
 /**
  * @file
  * Machine-readable exports of experiment results: CSV for
- * spreadsheets, JSON for scripts, and gnuplot command files that
- * re-plot the paper's figures from the emitted data.
+ * spreadsheets, JSON for scripts (all written through json::Writer
+ * in Spaced style), and gnuplot command files that re-plot the
+ * paper's figures from the emitted data.
  */
 
 #ifndef AVF_HARNESS_EXPORT_HH
@@ -19,10 +20,8 @@ namespace avf::harness
 {
 
 /**
- * Minimal JSON string escaping: backslash, double quote, and control
- * characters (U+0000..U+001F, as \n, \t, ... or \u00XX). Everything
- * the JSON writers interpolate from runtime strings (benchmark names
- * in particular) must pass through here.
+ * json::escape() into a new string. Kept only for the bench/e2e
+ * harness; new code writes through json::Writer.
  */
 std::string jsonEscape(std::string_view text);
 

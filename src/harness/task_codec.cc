@@ -1,194 +1,124 @@
 #include "harness/task_codec.hh"
 
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
+#include <type_traits>
 
-#include "harness/export.hh"
 #include "util/json.hh"
-#include "util/logging.hh"
 
 namespace avf::harness::codec
 {
 
 void
-appendExactDouble(std::string &out, double value)
+writeExactDoubles(json::Writer &out, const double *values,
+                  std::size_t count)
 {
-    // %.17g round-trips every finite double through strtod exactly;
-    // non-finite values have no JSON spelling and nothing in a task
-    // result may produce one.
-    avf_assert(std::isfinite(value),
-               "task codec: non-finite double");
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    out += buf;
+    out.startArray();
+    for (std::size_t i = 0; i < count; ++i)
+        out.exact(values[i]);
+    out.endArray();
+}
+
+void
+writeIntervalMembers(json::Writer &out, const IntervalResult &row)
+{
+    writeExactDoubles(out.member("online"), row.online.data(),
+                      row.online.size());
+    writeExactDoubles(out.member("softarch"), row.softarch.data(),
+                      row.softarch.size());
+    writeExactDoubles(out.member("utilization"), row.utilization.data(),
+                      row.utilization.size());
+    out.member("occupancy").exact(row.occupancy);
+}
+
+namespace
+{
+
+/** [[name, number], ...]: counters as integers, values exact. */
+template <typename T>
+void
+writeNamed(json::Writer &out,
+           const std::vector<std::pair<std::string, T>> &pairs)
+{
+    out.startArray();
+    for (const auto &[name, value] : pairs) {
+        out.startArray().text(name);
+        if constexpr (std::is_same_v<T, double>)
+            out.exact(value);
+        else
+            out.uint(value);
+        out.endArray();
+    }
+    out.endArray();
+}
+
+} // namespace
+
+void
+writeEstimatorState(json::Writer &out,
+                    const core::EstimatorState &state)
+{
+    out.startObject().member("name").text(state.name);
+    writeNamed(out.member("counters"), state.counters);
+    writeNamed(out.member("values"), state.values);
+    writeExactDoubles(out.member("estimates"), state.estimates.data(),
+                      state.estimates.size());
+    out.endObject();
 }
 
 namespace
 {
 
 void
-appendUint(std::string &out, std::uint64_t value)
+writeMetricsSnapshot(json::Writer &out,
+                     const obs::MetricsSnapshot &metrics)
 {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, value);
-    out += buf;
-}
-
-void
-appendString(std::string &out, std::string_view text)
-{
-    out += '"';
-    out += jsonEscape(text);
-    out += '"';
-}
-
-void
-appendDoubles(std::string &out, const double *values,
-              std::size_t count)
-{
-    out += '[';
-    for (std::size_t i = 0; i < count; ++i) {
-        if (i)
-            out += ',';
-        appendExactDouble(out, values[i]);
+    out.startObject();
+    writeNamed(out.member("counters"), metrics.counters);
+    writeNamed(out.member("gauges"), metrics.gauges);
+    out.member("histograms").startArray();
+    for (const auto &[name, hist] : metrics.histograms) {
+        out.startArray().text(name).startObject();
+        out.member("lo").exact(hist.lo).member("hi").exact(hist.hi);
+        out.member("bins").startArray();
+        for (std::uint64_t bin : hist.bins)
+            out.uint(bin);
+        out.endArray()
+            .member("underflow").uint(hist.underflow)
+            .member("overflow").uint(hist.overflow)
+            .member("total").uint(hist.total);
+        out.endObject().endArray();
     }
-    out += ']';
-}
-
-void
-appendDoubles(std::string &out, const std::vector<double> &values)
-{
-    appendDoubles(out, values.data(), values.size());
+    out.endArray().member("series").startArray();
+    for (const auto &[name, points] : metrics.series) {
+        out.startArray().text(name);
+        writeExactDoubles(out, points.data(), points.size());
+        out.endArray();
+    }
+    out.endArray().endObject();
 }
 
 } // namespace
 
 void
-appendEstimatorState(std::string &out,
-                     const core::EstimatorState &state)
+writeAttributionSnapshot(json::Writer &out,
+                         const obs::AttributionSnapshot &attr)
 {
-    out += "{\"name\":";
-    appendString(out, state.name);
-    out += ",\"counters\":[";
-    for (std::size_t i = 0; i < state.counters.size(); ++i) {
-        if (i)
-            out += ',';
-        out += '[';
-        appendString(out, state.counters[i].first);
-        out += ',';
-        appendUint(out, state.counters[i].second);
-        out += ']';
+    out.startObject().member("units").startArray();
+    for (const std::string &unit : attr.units)
+        out.text(unit);
+    out.endArray().member("rows").startArray();
+    for (const obs::AttributionRow &row : attr.rows) {
+        // op is signed: -1 = no blame op.
+        out.startArray()
+            .uint(row.unit)
+            .uint(row.phase)
+            .uint(row.pc)
+            .sint(row.op)
+            .uint(row.windows)
+            .uint(row.live)
+            .uint(row.failures)
+            .endArray();
     }
-    out += "],\"values\":[";
-    for (std::size_t i = 0; i < state.values.size(); ++i) {
-        if (i)
-            out += ',';
-        out += '[';
-        appendString(out, state.values[i].first);
-        out += ',';
-        appendExactDouble(out, state.values[i].second);
-        out += ']';
-    }
-    out += "],\"estimates\":";
-    appendDoubles(out, state.estimates);
-    out += '}';
-}
-
-void
-appendMetricsSnapshot(std::string &out,
-                      const obs::MetricsSnapshot &metrics)
-{
-    out += "{\"counters\":[";
-    for (std::size_t i = 0; i < metrics.counters.size(); ++i) {
-        if (i)
-            out += ',';
-        out += '[';
-        appendString(out, metrics.counters[i].first);
-        out += ',';
-        appendUint(out, metrics.counters[i].second);
-        out += ']';
-    }
-    out += "],\"gauges\":[";
-    for (std::size_t i = 0; i < metrics.gauges.size(); ++i) {
-        if (i)
-            out += ',';
-        out += '[';
-        appendString(out, metrics.gauges[i].first);
-        out += ',';
-        appendExactDouble(out, metrics.gauges[i].second);
-        out += ']';
-    }
-    out += "],\"histograms\":[";
-    for (std::size_t i = 0; i < metrics.histograms.size(); ++i) {
-        if (i)
-            out += ',';
-        const auto &hist = metrics.histograms[i].second;
-        out += '[';
-        appendString(out, metrics.histograms[i].first);
-        out += ",{\"lo\":";
-        appendExactDouble(out, hist.lo);
-        out += ",\"hi\":";
-        appendExactDouble(out, hist.hi);
-        out += ",\"bins\":[";
-        for (std::size_t b = 0; b < hist.bins.size(); ++b) {
-            if (b)
-                out += ',';
-            appendUint(out, hist.bins[b]);
-        }
-        out += "],\"underflow\":";
-        appendUint(out, hist.underflow);
-        out += ",\"overflow\":";
-        appendUint(out, hist.overflow);
-        out += ",\"total\":";
-        appendUint(out, hist.total);
-        out += "}]";
-    }
-    out += "],\"series\":[";
-    for (std::size_t i = 0; i < metrics.series.size(); ++i) {
-        if (i)
-            out += ',';
-        out += '[';
-        appendString(out, metrics.series[i].first);
-        out += ',';
-        appendDoubles(out, metrics.series[i].second);
-        out += ']';
-    }
-    out += "]}";
-}
-
-void
-appendAttributionSnapshot(std::string &out,
-                          const obs::AttributionSnapshot &attr)
-{
-    out += "{\"units\":[";
-    for (std::size_t i = 0; i < attr.units.size(); ++i) {
-        if (i)
-            out += ',';
-        appendString(out, attr.units[i]);
-    }
-    out += "],\"rows\":[";
-    for (std::size_t i = 0; i < attr.rows.size(); ++i) {
-        if (i)
-            out += ',';
-        const obs::AttributionRow &row = attr.rows[i];
-        out += '[';
-        appendUint(out, row.unit);
-        out += ',';
-        appendUint(out, row.phase);
-        out += ',';
-        appendUint(out, row.pc);
-        out += ',';
-        out += std::to_string(row.op); // signed: -1 = no blame op
-        out += ',';
-        appendUint(out, row.windows);
-        out += ',';
-        appendUint(out, row.live);
-        out += ',';
-        appendUint(out, row.failures);
-        out += ']';
-    }
-    out += "]}";
+    out.endArray().endObject();
 }
 
 // ------------------------------------------------------------------ //
@@ -240,31 +170,23 @@ readFixedDoubles(const json::Value &value, double *out,
     return true;
 }
 
-bool
-readNamedPairs(
-    const json::Value &value,
-    std::vector<std::pair<std::string, std::uint64_t>> &out,
-    std::string &errorOut, const char *what)
+/** @p number as the type a snapshot stores it in. */
+template <typename T>
+T
+numberAs(const json::Value &number)
 {
-    if (!value.isArray())
-        return fail(errorOut, std::string(what) + " not an array");
-    out.clear();
-    out.reserve(value.items.size());
-    for (const auto &item : value.items) {
-        if (!item.isArray() || item.items.size() != 2 ||
-            !item.items[0].isString() || !item.items[1].isNumber())
-            return fail(errorOut,
-                        std::string(what) + " entry malformed");
-        out.emplace_back(item.items[0].text, item.items[1].asUint());
-    }
-    return true;
+    if constexpr (std::is_same_v<T, double>)
+        return number.asDouble();
+    else
+        return number.asUint();
 }
 
+/** [[name, number], ...] as written by writeNamed(). */
+template <typename T>
 bool
-readNamedDoublePairs(
-    const json::Value &value,
-    std::vector<std::pair<std::string, double>> &out,
-    std::string &errorOut, const char *what)
+readNamedPairs(const json::Value &value,
+               std::vector<std::pair<std::string, T>> &out,
+               std::string &errorOut, const char *what)
 {
     if (!value.isArray())
         return fail(errorOut, std::string(what) + " not an array");
@@ -276,36 +198,23 @@ readNamedDoublePairs(
             return fail(errorOut,
                         std::string(what) + " entry malformed");
         out.emplace_back(item.items[0].text,
-                         item.items[1].asDouble());
+                         numberAs<T>(item.items[1]));
     }
     return true;
 }
 
+template <typename T>
 bool
-readUintField(const json::Value &object, const char *key,
-              std::uint64_t &out, std::string &errorOut)
+readField(const json::Value &object, const char *key, T &out,
+          std::string &errorOut)
 {
     const json::Value *value = object.find(key);
     if (!value || !value->isNumber())
         return fail(errorOut,
                     std::string("missing number '") + key + "'");
-    out = value->asUint();
+    out = numberAs<T>(*value);
     return true;
 }
-
-bool
-readDoubleField(const json::Value &object, const char *key,
-                double &out, std::string &errorOut)
-{
-    const json::Value *value = object.find(key);
-    if (!value || !value->isNumber())
-        return fail(errorOut,
-                    std::string("missing number '") + key + "'");
-    out = value->asDouble();
-    return true;
-}
-
-} // namespace
 
 bool
 decodeEstimatorState(const json::Value &value,
@@ -326,7 +235,7 @@ decodeEstimatorState(const json::Value &value,
         return fail(errorOut, "state missing a section");
     return readNamedPairs(*counters, out.counters, errorOut,
                           "state counters") &&
-           readNamedDoublePairs(*values, out.values, errorOut,
+           readNamedPairs(*values, out.values, errorOut,
                                 "state values") &&
            readDoubles(*estimates, out.estimates, errorOut,
                        "state estimates");
@@ -348,7 +257,7 @@ decodeMetricsSnapshot(const json::Value &value,
         return fail(errorOut, "metrics missing a section");
     if (!readNamedPairs(*counters, out.counters, errorOut,
                         "metrics counters") ||
-        !readNamedDoublePairs(*gauges, out.gauges, errorOut,
+        !readNamedPairs(*gauges, out.gauges, errorOut,
                               "metrics gauges"))
         return false;
     if (!histograms->isArray())
@@ -361,13 +270,13 @@ decodeMetricsSnapshot(const json::Value &value,
             return fail(errorOut, "metrics histogram malformed");
         const json::Value &body = item.items[1];
         stats::HistogramSnapshot hist;
-        if (!readDoubleField(body, "lo", hist.lo, errorOut) ||
-            !readDoubleField(body, "hi", hist.hi, errorOut) ||
-            !readUintField(body, "underflow", hist.underflow,
+        if (!readField(body, "lo", hist.lo, errorOut) ||
+            !readField(body, "hi", hist.hi, errorOut) ||
+            !readField(body, "underflow", hist.underflow,
                            errorOut) ||
-            !readUintField(body, "overflow", hist.overflow,
+            !readField(body, "overflow", hist.overflow,
                            errorOut) ||
-            !readUintField(body, "total", hist.total, errorOut))
+            !readField(body, "total", hist.total, errorOut))
             return false;
         const json::Value *bins = body.find("bins");
         if (!bins || !bins->isArray())
@@ -447,91 +356,95 @@ decodeAttributionSnapshot(const json::Value &value,
     return true;
 }
 
+} // namespace
+
+void
+writeSnapshots(json::Writer &out,
+               const std::vector<core::EstimatorState> &states,
+               const obs::MetricsSnapshot &metrics,
+               const obs::AttributionSnapshot &attribution)
+{
+    out.member("states").startArray();
+    for (const core::EstimatorState &state : states)
+        writeEstimatorState(out, state);
+    out.endArray();
+    if (metrics.enabled)
+        writeMetricsSnapshot(out.member("metrics"), metrics);
+    if (attribution.enabled)
+        writeAttributionSnapshot(out.member("attribution"), attribution);
+}
+
+bool
+readSnapshots(const json::Value &object,
+              std::vector<core::EstimatorState> &states,
+              obs::MetricsSnapshot &metrics,
+              obs::AttributionSnapshot &attribution,
+              std::string &errorOut)
+{
+    const json::Value *list = object.find("states");
+    if (!list || !list->isArray())
+        return fail(errorOut, "missing states");
+    states.clear();
+    states.reserve(list->items.size());
+    for (const auto &item : list->items) {
+        core::EstimatorState state;
+        if (!decodeEstimatorState(item, state, errorOut))
+            return false;
+        states.push_back(std::move(state));
+    }
+    const json::Value *m = object.find("metrics");
+    const json::Value *a = object.find("attribution");
+    return (!m || decodeMetricsSnapshot(*m, metrics, errorOut)) &&
+           (!a || decodeAttributionSnapshot(*a, attribution, errorOut));
+}
+
 std::string
 encodeTaskResult(const TaskResult &task)
 {
-    std::string out;
+    std::string line;
     // Sized for small campaigns; larger results grow amortized.
-    out.reserve(512);
-    out += "{\"v\":\"";
-    out += taskCodecVersion;
-    out += "\",\"index\":";
-    appendUint(out, task.index);
-    out += ",\"name\":";
-    appendString(out, task.name);
-    out += ",\"error_text\":";
-    appendString(out, task.errorText);
+    line.reserve(512);
+    json::Writer out(line, json::Writer::Style::Compact);
+    out.startObject()
+        .member("v").text(taskCodecVersion)
+        .member("index").uint(task.index)
+        .member("name").text(task.name)
+        .member("error_text").text(task.errorText);
     if (!task.ok()) {
-        out += '}';
-        return out;
+        out.endObject();
+        return line;
     }
 
     const ExperimentResult &result = task.result;
-    out += ",\"result\":{\"benchmark\":";
-    appendString(out, result.benchmark);
-    out += ",\"intervals\":[";
-    for (std::size_t k = 0; k < result.intervals.size(); ++k) {
-        if (k)
-            out += ',';
-        const IntervalResult &row = result.intervals[k];
-        out += "{\"online\":";
-        appendDoubles(out, row.online.data(), row.online.size());
-        out += ",\"softarch\":";
-        appendDoubles(out, row.softarch.data(), row.softarch.size());
-        out += ",\"utilization\":";
-        appendDoubles(out, row.utilization.data(),
-                      row.utilization.size());
-        out += ",\"occupancy\":";
-        appendExactDouble(out, row.occupancy);
-        out += '}';
+    out.member("result").startObject()
+        .member("benchmark").text(result.benchmark)
+        .member("intervals").startArray();
+    for (const IntervalResult &row : result.intervals) {
+        out.startObject();
+        writeIntervalMembers(out, row);
+        out.endObject();
     }
-    out += "],\"features\":[";
-    for (std::size_t k = 0; k < result.features.size(); ++k) {
-        if (k)
-            out += ',';
-        appendDoubles(out, result.features[k].data(),
-                      result.features[k].size());
-    }
+    out.endArray().member("features").startArray();
+    for (const core::FeatureVector &row : result.features)
+        writeExactDoubles(out, row.data(), row.size());
     const RunSummary &summary = result.summary;
-    out += "],\"summary\":{\"ipc\":";
-    appendExactDouble(out, summary.ipc);
-    out += ",\"branch_accuracy\":";
-    appendExactDouble(out, summary.branchAccuracy);
-    out += ",\"l1d_miss_rate\":";
-    appendExactDouble(out, summary.l1dMissRate);
-    out += ",\"l2_miss_rate\":";
-    appendExactDouble(out, summary.l2MissRate);
-    out += ",\"dtlb_miss_rate\":";
-    appendExactDouble(out, summary.dtlbMissRate);
-    out += ",\"cycles\":";
-    appendUint(out, summary.cycles);
-    out += ",\"retired\":";
-    appendUint(out, summary.retired);
-    out += ",\"lifecycle_records\":";
-    appendUint(out, summary.lifecycleRecords);
-    out += ",\"lifecycle_failures\":";
-    appendUint(out, summary.lifecycleFailures);
-    out += ",\"lifecycle_killed\":";
-    appendUint(out, summary.lifecycleKilled);
-    out += ",\"lifecycle_expired\":";
-    appendUint(out, summary.lifecycleExpired);
-    out += "},\"states\":[";
-    for (std::size_t i = 0; i < result.estimatorStates.size(); ++i) {
-        if (i)
-            out += ',';
-        appendEstimatorState(out, result.estimatorStates[i]);
-    }
-    out += ']';
-    if (result.metrics.enabled) {
-        out += ",\"metrics\":";
-        appendMetricsSnapshot(out, result.metrics);
-    }
-    if (result.attribution.enabled) {
-        out += ",\"attribution\":";
-        appendAttributionSnapshot(out, result.attribution);
-    }
-    out += "}}";
-    return out;
+    out.endArray().member("summary").startObject()
+        .member("ipc").exact(summary.ipc)
+        .member("branch_accuracy").exact(summary.branchAccuracy)
+        .member("l1d_miss_rate").exact(summary.l1dMissRate)
+        .member("l2_miss_rate").exact(summary.l2MissRate)
+        .member("dtlb_miss_rate").exact(summary.dtlbMissRate)
+        .member("cycles").uint(summary.cycles)
+        .member("retired").uint(summary.retired)
+        .member("lifecycle_records").uint(summary.lifecycleRecords)
+        .member("lifecycle_failures").uint(summary.lifecycleFailures)
+        .member("lifecycle_killed").uint(summary.lifecycleKilled)
+        .member("lifecycle_expired").uint(summary.lifecycleExpired)
+        .endObject();
+    writeSnapshots(out, result.estimatorStates, result.metrics,
+                   result.attribution);
+    out.endObject().endObject();
+    return line;
 }
 
 bool
@@ -551,7 +464,7 @@ decodeTaskResult(std::string_view line, TaskResult &out,
 
     out = TaskResult{};
     std::uint64_t index = 0;
-    if (!readUintField(doc, "index", index, errorOut))
+    if (!readField(doc, "index", index, errorOut))
         return false;
     out.index = static_cast<std::size_t>(index);
     const json::Value *name =
@@ -596,7 +509,7 @@ decodeTaskResult(std::string_view line, TaskResult &out,
             !readFixedDoubles(*utilization, row.utilization.data(),
                               row.utilization.size(), errorOut,
                               "interval utilization") ||
-            !readDoubleField(item, "occupancy", row.occupancy,
+            !readField(item, "occupancy", row.occupancy,
                              errorOut))
             return errorOut.empty()
                        ? fail(errorOut, "interval missing a series")
@@ -621,50 +534,30 @@ decodeTaskResult(std::string_view line, TaskResult &out,
     if (!summary || !summary->isObject())
         return fail(errorOut, "missing summary");
     RunSummary &sum = out.result.summary;
-    if (!readDoubleField(*summary, "ipc", sum.ipc, errorOut) ||
-        !readDoubleField(*summary, "branch_accuracy",
+    if (!readField(*summary, "ipc", sum.ipc, errorOut) ||
+        !readField(*summary, "branch_accuracy",
                          sum.branchAccuracy, errorOut) ||
-        !readDoubleField(*summary, "l1d_miss_rate", sum.l1dMissRate,
+        !readField(*summary, "l1d_miss_rate", sum.l1dMissRate,
                          errorOut) ||
-        !readDoubleField(*summary, "l2_miss_rate", sum.l2MissRate,
+        !readField(*summary, "l2_miss_rate", sum.l2MissRate,
                          errorOut) ||
-        !readDoubleField(*summary, "dtlb_miss_rate",
+        !readField(*summary, "dtlb_miss_rate",
                          sum.dtlbMissRate, errorOut) ||
-        !readUintField(*summary, "cycles", sum.cycles, errorOut) ||
-        !readUintField(*summary, "retired", sum.retired, errorOut) ||
-        !readUintField(*summary, "lifecycle_records",
+        !readField(*summary, "cycles", sum.cycles, errorOut) ||
+        !readField(*summary, "retired", sum.retired, errorOut) ||
+        !readField(*summary, "lifecycle_records",
                        sum.lifecycleRecords, errorOut) ||
-        !readUintField(*summary, "lifecycle_failures",
+        !readField(*summary, "lifecycle_failures",
                        sum.lifecycleFailures, errorOut) ||
-        !readUintField(*summary, "lifecycle_killed",
+        !readField(*summary, "lifecycle_killed",
                        sum.lifecycleKilled, errorOut) ||
-        !readUintField(*summary, "lifecycle_expired",
+        !readField(*summary, "lifecycle_expired",
                        sum.lifecycleExpired, errorOut))
         return false;
 
-    const json::Value *states = result->find("states");
-    if (!states || !states->isArray())
-        return fail(errorOut, "missing states");
-    out.result.estimatorStates.clear();
-    out.result.estimatorStates.reserve(states->items.size());
-    for (const auto &item : states->items) {
-        core::EstimatorState state;
-        if (!decodeEstimatorState(item, state, errorOut))
-            return false;
-        out.result.estimatorStates.push_back(std::move(state));
-    }
-
-    if (const json::Value *metrics = result->find("metrics")) {
-        if (!decodeMetricsSnapshot(*metrics, out.result.metrics,
-                                   errorOut))
-            return false;
-    }
-    if (const json::Value *attr = result->find("attribution")) {
-        if (!decodeAttributionSnapshot(*attr, out.result.attribution,
-                                       errorOut))
-            return false;
-    }
-    return true;
+    return readSnapshots(*result, out.result.estimatorStates,
+                         out.result.metrics, out.result.attribution,
+                         errorOut);
 }
 
 } // namespace avf::harness::codec

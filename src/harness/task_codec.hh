@@ -6,12 +6,15 @@
  * parser and merges in submission order, exactly as the in-process
  * engine would.
  *
- * Byte-identity contract: doubles are printed with %.17g, which
- * strtod() parses back to the identical bit pattern, so a value that
- * crosses the wire equals the value that did not. The serve sharder
- * leans on this the other way around: it routes EVERY result through
- * the codec — even at one worker process — so the feed bytes are the
- * same at any shard count by construction, not by accident.
+ * Byte-identity contract: every double crosses as
+ * json::Writer::exact() (%.17g), which strtod() parses back to the
+ * identical bit pattern, so a value that crosses the wire equals the
+ * value that did not. The serve sharder leans on this the other way
+ * around: it routes EVERY result through the codec — even at one
+ * worker process — so the feed bytes are the same at any shard count
+ * by construction, not by accident. The write* functions below are
+ * shared with the serve checkpoint and feed, which therefore store
+ * states, metrics and attribution tables in the same bytes.
  *
  * Deliberately partial: the codec carries the deterministic fields
  * (result payload, estimator states, metrics snapshot, error text)
@@ -35,49 +38,48 @@ namespace avf::harness::codec
 /** Codec schema tag, first key of every encoded line. */
 inline constexpr std::string_view taskCodecVersion = "avf-task-v1";
 
-/** Append @p value as %.17g (round-trip exact) to @p out. */
-void appendExactDouble(std::string &out, double value);
+/** Write @p count doubles as one array of exact() numbers. */
+void writeExactDoubles(json::Writer &out, const double *values,
+                       std::size_t count);
 
 /**
- * Append one estimator state as a JSON object (fixed key order:
- * name, counters, values, estimates). Shared by the task wire format
- * and the serve checkpoint writer so both serialize states to the
- * same bytes.
+ * Write @p row's online, softarch, utilization and occupancy members
+ * into the open object (task results and feed interval rows).
  */
-void appendEstimatorState(std::string &out,
-                          const core::EstimatorState &state);
-
-/** Decode an object written by appendEstimatorState(). */
-bool decodeEstimatorState(const json::Value &value,
-                          core::EstimatorState &out,
-                          std::string &errorOut);
+void writeIntervalMembers(json::Writer &out, const IntervalResult &row);
 
 /**
- * Append a metrics snapshot as a JSON object (counters, gauges,
- * histograms, series; registration order preserved).
+ * Write one estimator state as a JSON object (fixed key order:
+ * name, counters, values, estimates).
  */
-void appendMetricsSnapshot(std::string &out,
-                           const obs::MetricsSnapshot &metrics);
-
-/** Decode an object written by appendMetricsSnapshot(); sets
- *  out.enabled = true. */
-bool decodeMetricsSnapshot(const json::Value &value,
-                           obs::MetricsSnapshot &out,
-                           std::string &errorOut);
+void writeEstimatorState(json::Writer &out,
+                         const core::EstimatorState &state);
 
 /**
- * Append an attribution snapshot as a JSON object: unit names in
+ * Write an attribution snapshot as a JSON object: unit names in
  * registration order, rows as compact 7-number arrays
  * [unit, phase, pc, op, windows, live, failures] in canonical order.
  */
-void appendAttributionSnapshot(std::string &out,
-                               const obs::AttributionSnapshot &attr);
+void writeAttributionSnapshot(json::Writer &out,
+                              const obs::AttributionSnapshot &attr);
 
-/** Decode an object written by appendAttributionSnapshot(); sets
- *  out.enabled = true. */
-bool decodeAttributionSnapshot(const json::Value &value,
-                               obs::AttributionSnapshot &out,
-                               std::string &errorOut);
+/**
+ * Write the members task results and checkpoints end with into the
+ * open object: "states" (one writeEstimatorState() object each),
+ * then "metrics" and "attribution" when those snapshots are enabled.
+ */
+void writeSnapshots(json::Writer &out,
+                    const std::vector<core::EstimatorState> &states,
+                    const obs::MetricsSnapshot &metrics,
+                    const obs::AttributionSnapshot &attribution);
+
+/** Read the members writeSnapshots() wrote into @p object; a
+ *  snapshot that is present comes back with enabled = true. */
+bool readSnapshots(const json::Value &object,
+                   std::vector<core::EstimatorState> &states,
+                   obs::MetricsSnapshot &metrics,
+                   obs::AttributionSnapshot &attribution,
+                   std::string &errorOut);
 
 /**
  * Encode one task as a single line of JSON (no trailing newline).

@@ -1,7 +1,5 @@
 #include "obs/attribution.hh"
 
-#include <ostream>
-
 #include "core/injection_port.hh"
 #include "obs/metrics.hh"
 #include "trace/instruction.hh"
@@ -24,12 +22,6 @@ blameOpName(int op)
     avf_assert(op < static_cast<int>(trace::OpClass::NumOpClasses),
                "blame op %d out of range", op);
     return trace::opClassName(static_cast<trace::OpClass>(op));
-}
-
-std::string
-pad(int width)
-{
-    return std::string(static_cast<std::size_t>(width), ' ');
 }
 
 } // namespace
@@ -104,26 +96,25 @@ AttributionSnapshot::totalFailures() const
 }
 
 void
-AttributionSnapshot::writeJson(std::ostream &out, int indent) const
+AttributionSnapshot::writeJson(json::Writer &out) const
 {
-    const std::string p0 = pad(indent);
-    const std::string p1 = pad(indent + 2);
-    const std::string p2 = pad(indent + 4);
-
-    out << "{\n" << p1 << "\"units\": [";
-    for (std::size_t i = 0; i < units.size(); ++i)
-        out << (i ? ", " : "") << "\"" << units[i] << "\"";
-    out << "],\n" << p1 << "\"rows\": [";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const AttributionRow &row = rows[i];
-        out << (i ? ",\n" : "\n") << p2 << "{\"unit\": \""
-            << units[row.unit] << "\", \"phase\": " << row.phase
-            << ", \"pc\": " << row.pc << ", \"op\": \""
-            << blameOpName(row.op) << "\", \"windows\": "
-            << row.windows << ", \"live\": " << row.live
-            << ", \"failures\": " << row.failures << "}";
+    using Layout = json::Writer::Layout;
+    out.startObject(Layout::Lines).member("units").startArray();
+    for (const std::string &unit : units)
+        out.text(unit);
+    out.endArray().member("rows").startArray(Layout::Lines);
+    for (const AttributionRow &row : rows) {
+        out.startObject()
+            .member("unit").text(units[row.unit])
+            .member("phase").uint(row.phase)
+            .member("pc").uint(row.pc)
+            .member("op").text(blameOpName(row.op))
+            .member("windows").uint(row.windows)
+            .member("live").uint(row.live)
+            .member("failures").uint(row.failures)
+            .endObject();
     }
-    out << (rows.empty() ? "" : "\n" + p1) << "]\n" << p0 << "}";
+    out.endArray().endObject();
 }
 
 AttributionTracker::AttributionTracker(AttributionConfig config)

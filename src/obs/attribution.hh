@@ -44,6 +44,7 @@
 
 #include "core/lifecycle_sink.hh"
 #include "core/structures.hh"
+#include "util/json.hh"
 #include "util/types.hh"
 
 namespace avf::obs
@@ -129,11 +130,11 @@ struct AttributionSnapshot
     std::uint64_t totalFailures() const;
 
     /**
-     * Emit the ROOTCAUSE.json document body: fixed key order, fixed
-     * number formatting, ops and units by name — equal snapshots
-     * serialize to equal bytes.
+     * Write the ROOTCAUSE.json attribution object (line-broken, one
+     * row per line): fixed key order, integer counts, ops and units
+     * by name — equal snapshots serialize to equal bytes.
      */
-    void writeJson(std::ostream &out, int indent = 0) const;
+    void writeJson(json::Writer &out) const;
 };
 
 /**

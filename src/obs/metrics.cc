@@ -1,8 +1,6 @@
 #include "obs/metrics.hh"
 
-#include <cstdio>
-#include <ostream>
-
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace avf::obs
@@ -11,32 +9,21 @@ namespace avf::obs
 namespace
 {
 
-/** Fixed-format double for byte-stable JSON. */
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    return buf;
-}
-
-std::string
-pad(int indent)
-{
-    return std::string(static_cast<std::size_t>(indent), ' ');
-}
-
 void
-writeHistogramJson(std::ostream &out,
+writeHistogramJson(json::Writer &out,
                    const stats::HistogramSnapshot &hist)
 {
-    out << "{\"lo\": " << fmtDouble(hist.lo)
-        << ", \"hi\": " << fmtDouble(hist.hi) << ", \"bins\": [";
-    for (std::size_t b = 0; b < hist.bins.size(); ++b)
-        out << (b ? ", " : "") << hist.bins[b];
-    out << "], \"underflow\": " << hist.underflow
-        << ", \"overflow\": " << hist.overflow
-        << ", \"total\": " << hist.total << "}";
+    out.startObject()
+        .member("lo").fixed(hist.lo, 6)
+        .member("hi").fixed(hist.hi, 6)
+        .member("bins").startArray();
+    for (std::uint64_t bin : hist.bins)
+        out.uint(bin);
+    out.endArray()
+        .member("underflow").uint(hist.underflow)
+        .member("overflow").uint(hist.overflow)
+        .member("total").uint(hist.total)
+        .endObject();
 }
 
 } // namespace
@@ -116,37 +103,26 @@ MetricsSnapshot::mergeTotals(const MetricsSnapshot &other)
 }
 
 void
-MetricsSnapshot::writeJson(std::ostream &out, int indent) const
+MetricsSnapshot::writeJson(json::Writer &out) const
 {
-    const std::string p0 = pad(indent);
-    const std::string p1 = pad(indent + 2);
-    const std::string p2 = pad(indent + 4);
-
-    out << "{\n" << p1 << "\"counters\": {";
-    for (std::size_t i = 0; i < counters.size(); ++i)
-        out << (i ? ", " : "") << "\"" << counters[i].first
-            << "\": " << counters[i].second;
-    out << "},\n" << p1 << "\"gauges\": {";
-    for (std::size_t i = 0; i < gauges.size(); ++i)
-        out << (i ? ", " : "") << "\"" << gauges[i].first
-            << "\": " << fmtDouble(gauges[i].second);
-    out << "},\n" << p1 << "\"histograms\": {";
-    for (std::size_t i = 0; i < histograms.size(); ++i) {
-        out << (i ? ",\n" : "\n") << p2 << "\""
-            << histograms[i].first << "\": ";
-        writeHistogramJson(out, histograms[i].second);
+    using Layout = json::Writer::Layout;
+    out.startObject(Layout::Lines).member("counters").startObject();
+    for (const auto &[name, value] : counters)
+        out.member(name).uint(value);
+    out.endObject().member("gauges").startObject();
+    for (const auto &[name, value] : gauges)
+        out.member(name).fixed(value, 6);
+    out.endObject().member("histograms").startObject(Layout::Lines);
+    for (const auto &[name, hist] : histograms)
+        writeHistogramJson(out.member(name), hist);
+    out.endObject().member("series").startObject(Layout::Lines);
+    for (const auto &[name, values] : series) {
+        out.member(name).startArray();
+        for (double v : values)
+            out.fixed(v, 6);
+        out.endArray();
     }
-    out << (histograms.empty() ? "" : "\n" + p1) << "},\n"
-        << p1 << "\"series\": {";
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        out << (i ? ",\n" : "\n") << p2 << "\"" << series[i].first
-            << "\": [";
-        const auto &values = series[i].second;
-        for (std::size_t k = 0; k < values.size(); ++k)
-            out << (k ? ", " : "") << fmtDouble(values[k]);
-        out << "]";
-    }
-    out << (series.empty() ? "" : "\n" + p1) << "}\n" << p0 << "}";
+    out.endObject().endObject();
 }
 
 void

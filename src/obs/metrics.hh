@@ -35,7 +35,6 @@
 #define AVF_OBS_METRICS_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <set>
 #include <string>
 #include <string_view>
@@ -43,6 +42,7 @@
 #include <vector>
 
 #include "stats/histogram.hh"
+#include "util/json.hh"
 
 namespace avf::obs
 {
@@ -88,12 +88,13 @@ struct MetricsSnapshot
     void mergeTotals(const MetricsSnapshot &other);
 
     /**
-     * Emit as one JSON object with fixed key order {"counters": {},
-     * "gauges": {}, "histograms": {}, "series": {}} and fixed number
-     * formatting (%.6f for doubles), so equal snapshots serialize to
-     * equal bytes.
+     * Write as one line-broken JSON object with fixed key order
+     * {"counters": {}, "gauges": {}, "histograms": {}, "series": {}}
+     * and fixed number formatting (fixed(v, 6) for doubles), so equal
+     * snapshots serialize to equal bytes. METRICS.json writes it with
+     * a Spaced writer.
      */
-    void writeJson(std::ostream &out, int indent = 0) const;
+    void writeJson(json::Writer &out) const;
 };
 
 /**

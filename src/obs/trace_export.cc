@@ -1,55 +1,11 @@
 #include "obs/trace_export.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <ostream>
 
 #include "util/timing.hh"
 
 namespace avf::obs
 {
-
-namespace
-{
-
-/** JSON string escape (local copy; obs cannot depend on harness). */
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** Microseconds with sub-µs precision, as trace_event expects. */
-std::string
-usec(double ns)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.3f", ns / 1000.0);
-    return buf;
-}
-
-} // namespace
 
 void
 TraceWriter::setProcessName(std::string name)
@@ -78,9 +34,10 @@ TraceWriter::addSpan(TraceSpan span)
 }
 
 void
-TraceWriter::addOtherData(std::string key, std::string jsonValue)
+TraceWriter::addOtherData(std::string key,
+                          std::function<void(json::Writer &)> value)
 {
-    otherData.emplace_back(std::move(key), std::move(jsonValue));
+    otherData.emplace_back(std::move(key), std::move(value));
 }
 
 void
@@ -107,7 +64,7 @@ TraceWriter::addPhases(const timing::PhaseAccumulator &phases,
 }
 
 void
-TraceWriter::writeJson(std::ostream &out) const
+TraceWriter::writeJson(json::Writer &out) const
 {
     // Rebase so the earliest span lands at ts=0: steady-clock ticks
     // are huge raw numbers Perfetto would render as absolute time.
@@ -117,57 +74,54 @@ TraceWriter::writeJson(std::ostream &out) const
         for (const auto &span : spans)
             base = std::min(base, span.beginNs);
     }
-
-    out << "{\n  \"traceEvents\": [\n";
-    bool first = true;
-    auto sep = [&] {
-        if (!first)
-            out << ",\n";
-        first = false;
+    // trace_event wants microseconds; keep sub-µs precision.
+    auto usec = [](std::uint64_t ns) {
+        return static_cast<double>(ns) / 1000.0;
     };
 
-    sep();
-    out << "    {\"name\": \"process_name\", \"ph\": \"M\", "
-           "\"pid\": 1, \"tid\": 0, \"args\": {\"name\": \""
-        << escape(processName) << "\"}}";
-    for (const auto &[tid, label] : threadNames) {
-        sep();
-        out << "    {\"name\": \"thread_name\", \"ph\": \"M\", "
-               "\"pid\": 1, \"tid\": " << tid
-            << ", \"args\": {\"name\": \"" << escape(label)
-            << "\"}}";
-    }
+    using Layout = json::Writer::Layout;
+    out.startObject(Layout::Lines)
+        .member("traceEvents").startArray(Layout::Lines);
+    auto metadata = [&out](std::string_view kind, std::uint32_t tid,
+                           const std::string &name) {
+        out.startObject()
+            .member("name").text(kind)
+            .member("ph").text("M")
+            .member("pid").uint(1)
+            .member("tid").uint(tid)
+            .member("args").startObject().member("name").text(name)
+            .endObject()
+            .endObject();
+    };
+    metadata("process_name", 0, processName);
+    for (const auto &[tid, label] : threadNames)
+        metadata("thread_name", tid, label);
     for (const auto &span : spans) {
-        sep();
-        out << "    {\"name\": \"" << escape(span.name)
-            << "\", \"cat\": \""
-            << escape(span.category.empty() ? "avf" : span.category)
-            << "\", \"ph\": \"X\", \"ts\": "
-            << usec(static_cast<double>(span.beginNs - base))
-            << ", \"dur\": " << usec(static_cast<double>(span.durNs))
-            << ", \"pid\": 1, \"tid\": " << span.tid;
+        out.startObject()
+            .member("name").text(span.name)
+            .member("cat").text(span.category.empty() ? "avf"
+                                                      : span.category)
+            .member("ph").text("X")
+            .member("ts").fixed(usec(span.beginNs - base), 3)
+            .member("dur").fixed(usec(span.durNs), 3)
+            .member("pid").uint(1)
+            .member("tid").uint(span.tid);
         if (!span.args.empty()) {
-            out << ", \"args\": {";
-            for (std::size_t i = 0; i < span.args.size(); ++i) {
-                char buf[64];
-                std::snprintf(buf, sizeof(buf), "%.3f",
-                              span.args[i].second);
-                out << (i ? ", " : "") << "\""
-                    << escape(span.args[i].first) << "\": " << buf;
-            }
-            out << "}";
+            out.member("args").startObject();
+            for (const auto &[name, value] : span.args)
+                out.member(name).fixed(value, 3);
+            out.endObject();
         }
-        out << "}";
+        out.endObject();
     }
-    out << "\n  ],\n";
+    out.endArray();
     if (!otherData.empty()) {
-        out << "  \"otherData\": {";
-        for (std::size_t i = 0; i < otherData.size(); ++i)
-            out << (i ? ", " : "") << "\"" << escape(otherData[i].first)
-                << "\": " << otherData[i].second;
-        out << "},\n";
+        out.member("otherData").startObject();
+        for (const auto &[key, value] : otherData)
+            value(out.member(key));
+        out.endObject();
     }
-    out << "  \"displayTimeUnit\": \"ms\"\n}\n";
+    out.member("displayTimeUnit").text("ms").endObject();
 }
 
 } // namespace avf::obs

@@ -18,10 +18,12 @@
 #define AVF_OBS_TRACE_EXPORT_HH
 
 #include <cstdint>
-#include <iosfwd>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/json.hh"
 
 namespace avf::timing
 {
@@ -79,19 +81,23 @@ class TraceWriter
 
     /**
      * Attach one entry to the document's "otherData" metadata object
-     * (pool stats, task-latency histograms, ...). @p jsonValue is
-     * emitted verbatim and must already be valid JSON.
+     * (pool stats, task-latency histograms, ...). @p value writes
+     * the entry's one JSON value when the trace is serialized.
      */
-    void addOtherData(std::string key, std::string jsonValue);
+    void addOtherData(std::string key,
+                      std::function<void(json::Writer &)> value);
 
-    /** Serialize the whole trace as one JSON document. */
-    void writeJson(std::ostream &out) const;
+    /** Serialize the whole trace as one JSON document (no trailing
+     *  newline; TRACE.json uses a Spaced writer). */
+    void writeJson(json::Writer &out) const;
 
   private:
     std::string processName = "avf";
     std::vector<std::pair<std::uint32_t, std::string>> threadNames;
     std::vector<TraceSpan> spans;
-    std::vector<std::pair<std::string, std::string>> otherData;
+    std::vector<std::pair<std::string,
+                          std::function<void(json::Writer &)>>>
+        otherData;
 };
 
 } // namespace avf::obs

@@ -1,13 +1,11 @@
 #include "serve/checkpoint.hh"
 
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
 #include <unistd.h>
 
-#include "harness/export.hh"
 #include "harness/task_codec.hh"
 #include "util/json.hh"
 
@@ -16,37 +14,6 @@ namespace avf::serve
 
 namespace
 {
-
-using harness::codec::appendExactDouble;
-
-void
-appendUint(std::string &out, std::uint64_t value)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, value);
-    out += buf;
-}
-
-void
-appendString(std::string &out, std::string_view text)
-{
-    out += '"';
-    out += harness::jsonEscape(text);
-    out += '"';
-}
-
-void
-appendDoubles(std::string &out, const double *values,
-              std::size_t count)
-{
-    out += '[';
-    for (std::size_t i = 0; i < count; ++i) {
-        if (i)
-            out += ',';
-        appendExactDouble(out, values[i]);
-    }
-    out += ']';
-}
 
 bool
 fail(std::string &errorOut, const std::string &what)
@@ -89,83 +56,38 @@ readFixedDoubles(const json::Value &object, const char *key,
 std::string
 encodeCheckpoint(const Checkpoint &checkpoint)
 {
-    const CampaignSpec &c = checkpoint.campaign;
-    std::string out;
-    out.reserve(512);
-    out += "{\"v\":\"";
-    out += checkpointSchemaVersion;
-    out += "\",\"campaign\":{\"name\":";
-    appendString(out, c.name);
-    out += ",\"benchmark\":";
-    appendString(out, c.benchmark);
-    out += ",\"intervals\":";
-    appendUint(out, static_cast<std::uint64_t>(c.intervals));
-    out += ",\"slice_intervals\":";
-    appendUint(out, static_cast<std::uint64_t>(c.sliceIntervals));
-    out += ",\"m\":";
-    appendUint(out, c.m);
-    out += ",\"n\":";
-    appendUint(out, c.n);
-    out += ",\"lanes\":";
-    appendUint(out, static_cast<std::uint64_t>(c.lanes));
-    out += ",\"seed_salt\":";
-    appendUint(out, c.seedSalt);
-    out += ",\"checkpoint_every\":";
-    appendUint(out,
-               static_cast<std::uint64_t>(c.checkpointEverySlices));
-    out += ",\"metrics\":";
-    out += c.metrics ? "true" : "false";
-    out += ",\"root_cause\":";
-    out += c.rootCause ? "true" : "false";
-    out += "},\"slices_done\":";
-    appendUint(out, checkpoint.slicesDone);
-    out += ",\"feed_bytes\":";
-    appendUint(out, checkpoint.feedBytes);
-    out += ",\"complete\":";
-    out += checkpoint.complete ? "true" : "false";
+    using harness::codec::writeExactDoubles;
+
+    std::string text;
+    text.reserve(512);
+    json::Writer out(text, json::Writer::Style::Compact);
+    out.startObject().member("v").text(checkpointSchemaVersion);
+    writeCampaign(out.member("campaign"), checkpoint.campaign);
+    out.member("slices_done").uint(checkpoint.slicesDone)
+        .member("feed_bytes").uint(checkpoint.feedBytes)
+        .member("complete").boolean(checkpoint.complete);
 
     const CampaignRollup &r = checkpoint.rollup;
-    out += ",\"rollup\":{\"intervals\":";
-    appendUint(out, r.intervals);
-    out += ",\"slices\":";
-    appendUint(out, r.slices);
-    out += ",\"online_sum\":";
-    appendDoubles(out, r.onlineSum.data(), r.onlineSum.size());
-    out += ",\"softarch_sum\":";
-    appendDoubles(out, r.softarchSum.data(), r.softarchSum.size());
-    out += ",\"utilization_sum\":";
-    appendDoubles(out, r.utilizationSum.data(),
-                  r.utilizationSum.size());
-    out += ",\"occupancy_sum\":";
-    appendExactDouble(out, r.occupancySum);
-    out += ",\"cycles\":";
-    appendUint(out, r.cycles);
-    out += ",\"retired\":";
-    appendUint(out, r.retired);
-    out += ",\"injections\":";
-    appendUint(out, r.injections);
-    out += ",\"failures\":";
-    appendUint(out, r.failures);
-    out += "},\"states\":[";
-    for (std::size_t i = 0; i < checkpoint.lastStates.size(); ++i) {
-        if (i)
-            out += ',';
-        harness::codec::appendEstimatorState(
-            out, checkpoint.lastStates[i]);
-    }
-    out += ']';
-    if (checkpoint.metricsTotals.enabled) {
-        out += ",\"metrics\":";
-        harness::codec::appendMetricsSnapshot(
-            out, checkpoint.metricsTotals);
-    }
-    if (checkpoint.attributionTotals.enabled) {
-        out += ",\"attribution\":";
-        harness::codec::appendAttributionSnapshot(
-            out, checkpoint.attributionTotals);
-    }
-    out += '}';
-    return out;
+    out.member("rollup").startObject()
+        .member("intervals").uint(r.intervals)
+        .member("slices").uint(r.slices);
+    writeExactDoubles(out.member("online_sum"), r.onlineSum.data(),
+                      r.onlineSum.size());
+    writeExactDoubles(out.member("softarch_sum"), r.softarchSum.data(),
+                      r.softarchSum.size());
+    writeExactDoubles(out.member("utilization_sum"),
+                      r.utilizationSum.data(), r.utilizationSum.size());
+    out.member("occupancy_sum").exact(r.occupancySum)
+        .member("cycles").uint(r.cycles)
+        .member("retired").uint(r.retired)
+        .member("injections").uint(r.injections)
+        .member("failures").uint(r.failures)
+        .endObject();
+    harness::codec::writeSnapshots(out, checkpoint.lastStates,
+                                   checkpoint.metricsTotals,
+                                   checkpoint.attributionTotals);
+    out.endObject();
+    return text;
 }
 
 bool
@@ -185,42 +107,11 @@ decodeCheckpoint(std::string_view text, Checkpoint &out,
 
     out = Checkpoint{};
     const json::Value *campaign = doc.find("campaign");
-    if (!campaign || !campaign->isObject())
+    if (!campaign)
         return fail(errorOut, "missing campaign");
-    CampaignSpec &c = out.campaign;
-    const json::Value *name =
-        campaign->find("name", json::Value::Kind::String);
-    const json::Value *benchmark =
-        campaign->find("benchmark", json::Value::Kind::String);
-    if (!name || !benchmark)
-        return fail(errorOut, "campaign missing name or benchmark");
-    c.name = name->text;
-    c.benchmark = benchmark->text;
-    std::uint64_t intervals = 0, slice = 0, n = 0, lanes = 0,
-                  every = 0;
-    if (!readUint(*campaign, "intervals", intervals, errorOut) ||
-        !readUint(*campaign, "slice_intervals", slice, errorOut) ||
-        !readUint(*campaign, "m", c.m, errorOut) ||
-        !readUint(*campaign, "n", n, errorOut) ||
-        !readUint(*campaign, "lanes", lanes, errorOut) ||
-        !readUint(*campaign, "seed_salt", c.seedSalt, errorOut) ||
-        !readUint(*campaign, "checkpoint_every", every, errorOut))
-        return false;
-    c.intervals = static_cast<int>(intervals);
-    c.sliceIntervals = static_cast<int>(slice);
-    c.n = static_cast<std::uint32_t>(n);
-    c.lanes = static_cast<int>(lanes);
-    c.checkpointEverySlices = static_cast<int>(every);
-    if (const json::Value *metrics = campaign->find("metrics")) {
-        if (!metrics->isBool())
-            return fail(errorOut, "campaign metrics not a bool");
-        c.metrics = metrics->boolean;
-    }
-    if (const json::Value *rc = campaign->find("root_cause")) {
-        if (!rc->isBool())
-            return fail(errorOut, "campaign root_cause not a bool");
-        c.rootCause = rc->boolean;
-    }
+    std::string why;
+    if (!readCampaign(*campaign, out.campaign, why))
+        return fail(errorOut, why);
 
     if (!readUint(doc, "slices_done", out.slicesDone, errorOut) ||
         !readUint(doc, "feed_bytes", out.feedBytes, errorOut))
@@ -254,29 +145,9 @@ decodeCheckpoint(std::string_view text, Checkpoint &out,
         return fail(errorOut, "rollup missing occupancy_sum");
     r.occupancySum = occupancy->asDouble();
 
-    const json::Value *states = doc.find("states");
-    if (!states || !states->isArray())
-        return fail(errorOut, "missing states");
-    out.lastStates.clear();
-    out.lastStates.reserve(states->items.size());
-    for (const auto &item : states->items) {
-        core::EstimatorState state;
-        if (!harness::codec::decodeEstimatorState(item, state,
-                                                  errorOut))
-            return false;
-        out.lastStates.push_back(std::move(state));
-    }
-    if (const json::Value *metrics = doc.find("metrics")) {
-        if (!harness::codec::decodeMetricsSnapshot(
-                *metrics, out.metricsTotals, errorOut))
-            return false;
-    }
-    if (const json::Value *attr = doc.find("attribution")) {
-        if (!harness::codec::decodeAttributionSnapshot(
-                *attr, out.attributionTotals, errorOut))
-            return false;
-    }
-    return true;
+    return harness::codec::readSnapshots(doc, out.lastStates,
+                                         out.metricsTotals,
+                                         out.attributionTotals, errorOut);
 }
 
 bool

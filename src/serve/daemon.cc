@@ -12,8 +12,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "harness/export.hh"
 #include "serve/protocol.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace avf::serve
@@ -53,35 +53,58 @@ listCampaigns(const std::string &stateDir)
     return names;
 }
 
-/** {"ok":true,"campaigns":[...]} from every checkpoint on disk. */
+/** {"ok":true,"campaigns":[...]} from every checkpoint on disk;
+ *  a checkpoint that does not load is left out. */
 std::string
 statusResponse(const StatePaths &paths)
 {
-    std::string out = "{\"ok\":true,\"campaigns\":[";
-    bool first = true;
+    std::string line;
+    json::Writer out(line, json::Writer::Style::Compact);
+    out.startObject().member("ok").boolean(true)
+        .member("campaigns").startArray();
     for (const std::string &name : listCampaigns(paths.dir)) {
         Checkpoint checkpoint;
         std::string error;
         if (!loadCheckpoint(paths.checkpointPath(name), checkpoint,
                             error))
             continue;
-        if (!first)
-            out += ',';
-        first = false;
-        out += "{\"name\":\"";
-        out += harness::jsonEscape(checkpoint.campaign.name);
-        out += "\",\"slices_done\":";
-        out += std::to_string(checkpoint.slicesDone);
-        out += ",\"slices\":";
-        out += std::to_string(checkpoint.campaign.numSlices());
-        out += ",\"complete\":";
-        out += checkpoint.complete ? "true" : "false";
-        out += ",\"feed_bytes\":";
-        out += std::to_string(checkpoint.feedBytes);
-        out += '}';
+        out.startObject()
+            .member("name").text(checkpoint.campaign.name)
+            .member("slices_done").uint(checkpoint.slicesDone)
+            .member("slices").uint(checkpoint.campaign.numSlices())
+            .member("complete").boolean(checkpoint.complete)
+            .member("feed_bytes").uint(checkpoint.feedBytes)
+            .endObject();
     }
-    out += "]}";
-    return out;
+    out.endArray().endObject();
+    return line;
+}
+
+/** {"ok":true,"shutdown":true} */
+std::string
+shutdownResponse()
+{
+    std::string line;
+    json::Writer(line, json::Writer::Style::Compact)
+        .startObject()
+        .member("ok").boolean(true)
+        .member("shutdown").boolean(true)
+        .endObject();
+    return line;
+}
+
+/** {"ok":true,"campaign":name,"slices":N} */
+std::string
+acceptedResponse(const CampaignSpec &spec)
+{
+    std::string line;
+    json::Writer(line, json::Writer::Style::Compact)
+        .startObject()
+        .member("ok").boolean(true)
+        .member("campaign").text(spec.name)
+        .member("slices").uint(spec.numSlices())
+        .endObject();
+    return line;
 }
 
 /**
@@ -239,8 +262,7 @@ runDaemon(const DaemonOptions &options)
             ::close(client);
             break;
         case Request::Op::Shutdown:
-            (void)writeResponseLine(client,
-                                    "{\"ok\":true,\"shutdown\":true}");
+            (void)writeResponseLine(client, shutdownResponse());
             ::close(client);
             shutdown = true;
             break;
@@ -253,13 +275,8 @@ runDaemon(const DaemonOptions &options)
                 ::close(client);
                 break;
             }
-            std::string accepted = "{\"ok\":true,\"campaign\":\"";
-            accepted += harness::jsonEscape(request.campaign.name);
-            accepted += "\",\"slices\":";
-            accepted +=
-                std::to_string(request.campaign.numSlices());
-            accepted += '}';
-            (void)writeResponseLine(client, accepted);
+            (void)writeResponseLine(client,
+                                    acceptedResponse(request.campaign));
             ::close(client);
             inform("avf-serve: running campaign '%s' (%d intervals)",
                    request.campaign.name.c_str(),

@@ -1,10 +1,7 @@
 #include "serve/protocol.hh"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
-#include "harness/export.hh"
 #include "harness/task_codec.hh"
 #include "trace/spec_profiles.hh"
 #include "util/json.hh"
@@ -15,36 +12,7 @@ namespace avf::serve
 namespace
 {
 
-using harness::codec::appendExactDouble;
-
-void
-appendUint(std::string &out, std::uint64_t value)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, value);
-    out += buf;
-}
-
-void
-appendString(std::string &out, std::string_view text)
-{
-    out += '"';
-    out += harness::jsonEscape(text);
-    out += '"';
-}
-
-void
-appendDoubles(std::string &out, const double *values,
-              std::size_t count)
-{
-    out += '[';
-    for (std::size_t i = 0; i < count; ++i) {
-        if (i)
-            out += ',';
-        appendExactDouble(out, values[i]);
-    }
-    out += ']';
-}
+using harness::codec::writeExactDoubles;
 
 /** Campaign names become file stems; keep them path-safe. */
 bool
@@ -68,6 +36,14 @@ fail(std::string &errorOut, const std::string &what)
     return false;
 }
 
+/** Sets @p errorOut to @p what (no prefix; callers add theirs). */
+bool
+reject(std::string &errorOut, const std::string &what)
+{
+    errorOut = what;
+    return false;
+}
+
 bool
 readUint(const json::Value &object, const char *key,
          std::uint64_t &out, std::string &errorOut)
@@ -75,32 +51,55 @@ readUint(const json::Value &object, const char *key,
     const json::Value *value =
         object.find(key, json::Value::Kind::Uint);
     if (!value)
-        return fail(errorOut, std::string("missing or non-integer '") +
-                                  key + "'");
+        return reject(errorOut,
+                      std::string("missing or non-integer '") + key +
+                          "'");
     out = value->uintValue;
     return true;
 }
 
-bool
-parseCampaign(const json::Value &body, CampaignSpec &out,
-              std::string &errorOut)
+} // namespace
+
+void
+writeCampaign(json::Writer &out, const CampaignSpec &spec)
 {
+    out.startObject()
+        .member("name").text(spec.name)
+        .member("benchmark").text(spec.benchmark)
+        .member("intervals").sint(spec.intervals)
+        .member("slice_intervals").sint(spec.sliceIntervals)
+        .member("m").uint(spec.m)
+        .member("n").uint(spec.n)
+        .member("lanes").sint(spec.lanes)
+        .member("seed_salt").uint(spec.seedSalt)
+        .member("checkpoint_every").sint(spec.checkpointEverySlices)
+        .member("metrics").boolean(spec.metrics)
+        .member("root_cause").boolean(spec.rootCause)
+        .endObject();
+}
+
+bool
+readCampaign(const json::Value &body, CampaignSpec &out,
+             std::string &errorOut)
+{
+    if (!body.isObject())
+        return reject(errorOut, "campaign is not an object");
     const json::Value *name =
         body.find("name", json::Value::Kind::String);
     if (!name || !validCampaignName(name->text))
-        return fail(errorOut,
-                    "campaign name must be 1-64 chars of [a-z0-9_-]");
+        return reject(errorOut,
+                      "campaign name must be 1-64 chars of [a-z0-9_-]");
     out.name = name->text;
 
     const json::Value *benchmark =
         body.find("benchmark", json::Value::Kind::String);
     if (!benchmark)
-        return fail(errorOut, "missing benchmark");
+        return reject(errorOut, "missing benchmark");
     const auto &known = trace::specBenchmarkNames();
     if (std::find(known.begin(), known.end(), benchmark->text) ==
         known.end())
-        return fail(errorOut,
-                    "unknown benchmark '" + benchmark->text + "'");
+        return reject(errorOut,
+                      "unknown benchmark '" + benchmark->text + "'");
     out.benchmark = benchmark->text;
 
     std::uint64_t intervals = 0, slice = 0, m = 0, n = 0, lanes = 0,
@@ -112,16 +111,15 @@ parseCampaign(const json::Value &body, CampaignSpec &out,
         !readUint(body, "seed_salt", out.seedSalt, errorOut))
         return false;
     if (intervals == 0 || intervals > 1'000'000)
-        return fail(errorOut, "intervals out of 1..1000000");
+        return reject(errorOut, "intervals out of 1..1000000");
     if (slice == 0 || slice > intervals)
-        return fail(errorOut,
-                    "slice_intervals out of 1..intervals");
+        return reject(errorOut, "slice_intervals out of 1..intervals");
     if (m == 0 || m > 100'000'000)
-        return fail(errorOut, "m out of 1..1e8");
+        return reject(errorOut, "m out of 1..1e8");
     if (n == 0 || n > 1'000'000)
-        return fail(errorOut, "n out of 1..1e6");
+        return reject(errorOut, "n out of 1..1e6");
     if (out.seedSalt == 0)
-        return fail(errorOut, "seed_salt must be nonzero");
+        return reject(errorOut, "seed_salt must be nonzero");
     out.intervals = static_cast<int>(intervals);
     out.sliceIntervals = static_cast<int>(slice);
     out.m = m;
@@ -131,30 +129,28 @@ parseCampaign(const json::Value &body, CampaignSpec &out,
         if (!readUint(body, "lanes", lanes, errorOut))
             return false;
         if (lanes > 64)
-            return fail(errorOut, "lanes out of 0..64");
+            return reject(errorOut, "lanes out of 0..64");
         out.lanes = static_cast<int>(lanes);
     }
     if (body.find("checkpoint_every")) {
         if (!readUint(body, "checkpoint_every", every, errorOut))
             return false;
         if (every == 0 || every > 100'000)
-            return fail(errorOut, "checkpoint_every out of 1..1e5");
+            return reject(errorOut, "checkpoint_every out of 1..1e5");
         out.checkpointEverySlices = static_cast<int>(every);
     }
     if (const json::Value *metrics = body.find("metrics")) {
         if (!metrics->isBool())
-            return fail(errorOut, "metrics must be a bool");
+            return reject(errorOut, "metrics must be a bool");
         out.metrics = metrics->boolean;
     }
     if (const json::Value *rc = body.find("root_cause")) {
         if (!rc->isBool())
-            return fail(errorOut, "root_cause must be a bool");
+            return reject(errorOut, "root_cause must be a bool");
         out.rootCause = rc->boolean;
     }
     return true;
 }
-
-} // namespace
 
 bool
 parseRequest(std::string_view line, Request &out,
@@ -188,7 +184,9 @@ parseRequest(std::string_view line, Request &out,
         const json::Value *campaign = doc.find("campaign");
         if (!campaign || !campaign->isObject())
             return fail(errorOut, "submit needs a campaign object");
-        return parseCampaign(*campaign, out.campaign, errorOut);
+        if (!readCampaign(*campaign, out.campaign, errorOut))
+            return fail(errorOut, errorOut);
+        return true;
     }
     return fail(errorOut, "unknown op '" + op->text + "'");
 }
@@ -196,103 +194,66 @@ parseRequest(std::string_view line, Request &out,
 std::string
 encodeRequest(const Request &request)
 {
-    std::string out;
-    out += "{\"v\":\"";
-    out += requestSchemaVersion;
-    out += "\",\"op\":\"";
+    std::string line;
+    json::Writer out(line, json::Writer::Style::Compact);
+    out.startObject().member("v").text(requestSchemaVersion);
     switch (request.op) {
-      case Request::Op::Status: out += "status"; break;
-      case Request::Op::Shutdown: out += "shutdown"; break;
-      case Request::Op::Submit: out += "submit"; break;
+      case Request::Op::Status: out.member("op").text("status"); break;
+      case Request::Op::Shutdown:
+        out.member("op").text("shutdown");
+        break;
+      case Request::Op::Submit: out.member("op").text("submit"); break;
     }
-    out += '"';
-    if (request.op == Request::Op::Submit) {
-        const CampaignSpec &c = request.campaign;
-        out += ",\"campaign\":{\"name\":";
-        appendString(out, c.name);
-        out += ",\"benchmark\":";
-        appendString(out, c.benchmark);
-        out += ",\"intervals\":";
-        appendUint(out, static_cast<std::uint64_t>(c.intervals));
-        out += ",\"slice_intervals\":";
-        appendUint(out, static_cast<std::uint64_t>(c.sliceIntervals));
-        out += ",\"m\":";
-        appendUint(out, c.m);
-        out += ",\"n\":";
-        appendUint(out, c.n);
-        out += ",\"lanes\":";
-        appendUint(out, static_cast<std::uint64_t>(c.lanes));
-        out += ",\"seed_salt\":";
-        appendUint(out, c.seedSalt);
-        out += ",\"checkpoint_every\":";
-        appendUint(out, static_cast<std::uint64_t>(
-                            c.checkpointEverySlices));
-        out += ",\"metrics\":";
-        out += c.metrics ? "true" : "false";
-        out += ",\"root_cause\":";
-        out += c.rootCause ? "true" : "false";
-        out += '}';
-    }
-    out += '}';
-    return out;
+    if (request.op == Request::Op::Submit)
+        writeCampaign(out.member("campaign"), request.campaign);
+    out.endObject();
+    return line;
 }
 
 std::string
 errorResponse(std::string_view message)
 {
-    std::string out = "{\"ok\":false,\"error\":";
-    appendString(out, message);
-    out += '}';
-    return out;
+    std::string line;
+    json::Writer(line, json::Writer::Style::Compact)
+        .startObject()
+        .member("ok").boolean(false)
+        .member("error").text(message)
+        .endObject();
+    return line;
 }
 
 std::string
 feedHeaderLine(const CampaignSpec &spec)
 {
-    std::string out;
-    out += "{\"v\":\"";
-    out += feedSchemaVersion;
-    out += "\",\"campaign\":";
-    appendString(out, spec.name);
-    out += ",\"benchmark\":";
-    appendString(out, spec.benchmark);
-    out += ",\"intervals\":";
-    appendUint(out, static_cast<std::uint64_t>(spec.intervals));
-    out += ",\"slice_intervals\":";
-    appendUint(out, static_cast<std::uint64_t>(spec.sliceIntervals));
-    out += ",\"m\":";
-    appendUint(out, spec.m);
-    out += ",\"n\":";
-    appendUint(out, spec.n);
-    out += ",\"lanes\":";
-    appendUint(out, static_cast<std::uint64_t>(spec.lanes));
-    out += ",\"seed_salt\":";
-    appendUint(out, spec.seedSalt);
-    out += '}';
-    return out;
+    std::string line;
+    json::Writer(line, json::Writer::Style::Compact)
+        .startObject()
+        .member("v").text(feedSchemaVersion)
+        .member("campaign").text(spec.name)
+        .member("benchmark").text(spec.benchmark)
+        .member("intervals").sint(spec.intervals)
+        .member("slice_intervals").sint(spec.sliceIntervals)
+        .member("m").uint(spec.m)
+        .member("n").uint(spec.n)
+        .member("lanes").sint(spec.lanes)
+        .member("seed_salt").uint(spec.seedSalt)
+        .endObject();
+    return line;
 }
 
 std::string
 feedIntervalLine(std::uint64_t globalInterval, std::uint64_t slice,
                  const harness::IntervalResult &row)
 {
-    std::string out;
-    out.reserve(256);
-    out += "{\"interval\":";
-    appendUint(out, globalInterval);
-    out += ",\"slice\":";
-    appendUint(out, slice);
-    out += ",\"online\":";
-    appendDoubles(out, row.online.data(), row.online.size());
-    out += ",\"softarch\":";
-    appendDoubles(out, row.softarch.data(), row.softarch.size());
-    out += ",\"utilization\":";
-    appendDoubles(out, row.utilization.data(),
-                  row.utilization.size());
-    out += ",\"occupancy\":";
-    appendExactDouble(out, row.occupancy);
-    out += '}';
-    return out;
+    std::string line;
+    line.reserve(256);
+    json::Writer out(line, json::Writer::Style::Compact);
+    out.startObject()
+        .member("interval").uint(globalInterval)
+        .member("slice").uint(slice);
+    harness::codec::writeIntervalMembers(out, row);
+    out.endObject();
+    return line;
 }
 
 std::string
@@ -313,41 +274,38 @@ feedSummaryLine(const CampaignRollup &rollup)
     utilization[0] = mean(rollup.utilizationSum[0]);
     utilization[1] = mean(rollup.utilizationSum[1]);
 
-    std::string out;
-    out.reserve(256);
-    out += "{\"summary\":true,\"intervals\":";
-    appendUint(out, rollup.intervals);
-    out += ",\"slices\":";
-    appendUint(out, rollup.slices);
-    out += ",\"online_mean\":";
-    appendDoubles(out, online.data(), online.size());
-    out += ",\"softarch_mean\":";
-    appendDoubles(out, softarch.data(), softarch.size());
-    out += ",\"utilization_mean\":";
-    appendDoubles(out, utilization.data(), utilization.size());
-    out += ",\"occupancy_mean\":";
-    appendExactDouble(out, mean(rollup.occupancySum));
-    out += ",\"cycles\":";
-    appendUint(out, rollup.cycles);
-    out += ",\"retired\":";
-    appendUint(out, rollup.retired);
-    out += ",\"injections\":";
-    appendUint(out, rollup.injections);
-    out += ",\"failures\":";
-    appendUint(out, rollup.failures);
-    out += '}';
-    return out;
+    std::string line;
+    line.reserve(256);
+    json::Writer out(line, json::Writer::Style::Compact);
+    out.startObject()
+        .member("summary").boolean(true)
+        .member("intervals").uint(rollup.intervals)
+        .member("slices").uint(rollup.slices);
+    writeExactDoubles(out.member("online_mean"), online.data(),
+                      online.size());
+    writeExactDoubles(out.member("softarch_mean"), softarch.data(),
+                      softarch.size());
+    writeExactDoubles(out.member("utilization_mean"),
+                      utilization.data(), utilization.size());
+    out.member("occupancy_mean").exact(mean(rollup.occupancySum))
+        .member("cycles").uint(rollup.cycles)
+        .member("retired").uint(rollup.retired)
+        .member("injections").uint(rollup.injections)
+        .member("failures").uint(rollup.failures)
+        .endObject();
+    return line;
 }
 
 std::string
 feedAttributionLine(const obs::AttributionSnapshot &attr)
 {
-    std::string out;
-    out.reserve(256);
-    out += "{\"attribution\":true,\"table\":";
-    harness::codec::appendAttributionSnapshot(out, attr);
-    out += '}';
-    return out;
+    std::string line;
+    line.reserve(256);
+    json::Writer out(line, json::Writer::Style::Compact);
+    out.startObject().member("attribution").boolean(true);
+    harness::codec::writeAttributionSnapshot(out.member("table"), attr);
+    out.endObject();
+    return line;
 }
 
 void

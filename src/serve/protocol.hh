@@ -8,8 +8,9 @@
  *
  * The same header also defines the campaign feed rows (the JSONL
  * stream `avf-report tail` follows) and the campaign rollup the
- * summary row and the checkpoint share. All doubles print as %.17g
- * (see harness/task_codec.hh), so a value that crossed the worker
+ * summary row and the checkpoint share. Every line is written by
+ * json::Writer in Compact style and every double as exact() (%.17g,
+ * see harness/task_codec.hh), so a value that crossed the worker
  * pipe, the rollup, and a crash-resume cycle still renders to the
  * same bytes as one that never left the process.
  */
@@ -25,6 +26,7 @@
 #include "core/structures.hh"
 #include "harness/engine.hh"
 #include "obs/attribution.hh"
+#include "util/json.hh"
 #include "util/types.hh"
 
 namespace avf::serve
@@ -114,6 +116,21 @@ struct Request
     Op op = Op::Status;
     CampaignSpec campaign;
 };
+
+/**
+ * Write @p spec as the campaign object that submit requests and
+ * checkpoints carry (fixed key order).
+ */
+void writeCampaign(json::Writer &out, const CampaignSpec &spec);
+
+/**
+ * Read a campaign object written by writeCampaign(), range- and
+ * charset-checking every field: a request line and a checkpoint file
+ * both come from outside the process. @return false with the reason
+ * in @p errorOut (no prefix; the caller names the source).
+ */
+bool readCampaign(const json::Value &body, CampaignSpec &out,
+                  std::string &errorOut);
 
 /**
  * Parse and validate one request line. Every field is range- and

@@ -1,8 +1,11 @@
 #include "util/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+
+#include "util/logging.hh"
 
 namespace avf::json
 {
@@ -99,7 +102,7 @@ struct Parser
                             return fail("bad hex digit in \\u escape");
                     }
                     // UTF-8 encode (surrogate pairs are passed through
-                    // as two 3-byte sequences; the exporters only emit
+                    // as two 3-byte sequences; escape() only emits
                     // \u00XX control escapes, so this is ample).
                     if (code < 0x80) {
                         out += static_cast<char>(code);
@@ -330,6 +333,195 @@ parse(std::string_view input, Value &out, std::string &error)
     }
     error.clear();
     return true;
+}
+
+void
+escape(std::string &out, std::string_view text)
+{
+    static constexpr char hex[] = "0123456789abcdef";
+    // Copy each run of plain bytes in one append; most strings are
+    // one run.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const auto c = static_cast<unsigned char>(text[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(text.data() + run, i - run);
+        run = i + 1;
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            out += "\\u00";
+            out += hex[c >> 4];
+            out += hex[c & 0xf];
+        }
+    }
+    out.append(text.data() + run, text.size() - run);
+}
+
+Writer::Writer(std::FILE *out, Style style)
+    : buf(own), file(out), compact(style == Style::Compact)
+{
+    own.reserve(spillBytes + 1024);
+}
+
+Writer::~Writer()
+{
+    (void)finish();
+}
+
+bool
+Writer::finish()
+{
+    if (file && !buf.empty() &&
+        std::fwrite(buf.data(), 1, buf.size(), file) != buf.size())
+        failed = true;
+    if (file)
+        buf.clear();
+    return !failed;
+}
+
+void
+Writer::separate()
+{
+    Frame &f = frames[depth - 1];
+    if (f.any)
+        buf += (compact || f.lines) ? "," : ", ";
+    f.any = true;
+    if (f.lines) {
+        buf += '\n';
+        buf.append(2 * static_cast<std::size_t>(breaks), ' ');
+    }
+}
+
+void
+Writer::prefix()
+{
+    if (afterKey) {
+        afterKey = false;
+    } else if (depth > 0) {
+        avf_assert(!frames[depth - 1].object,
+                   "json::Writer: object value without member()");
+        separate();
+    }
+}
+
+Writer &
+Writer::member(std::string_view key)
+{
+    avf_assert(depth > 0 && frames[depth - 1].object && !afterKey,
+               "json::Writer: member() outside an object");
+    separate();
+    buf += '"';
+    escape(buf, key);
+    buf += compact ? "\":" : "\": ";
+    afterKey = true;
+    return *this;
+}
+
+Writer &
+Writer::nest(bool object, Layout layout)
+{
+    prefix();
+    avf_assert(depth < maxDepth, "json::Writer: nesting too deep");
+    const bool lines = layout == Layout::Lines;
+    frames[depth++] = Frame{lines, object, false};
+    breaks += lines ? 1 : 0;
+    buf += object ? '{' : '[';
+    return *this;
+}
+
+Writer &
+Writer::unnest(bool object)
+{
+    avf_assert(depth > 0 && frames[depth - 1].object == object &&
+                   !afterKey,
+               "json::Writer: unbalanced close");
+    const Frame f = frames[--depth];
+    if (f.lines) {
+        --breaks;
+        if (f.any) {
+            buf += '\n';
+            buf.append(2 * static_cast<std::size_t>(breaks), ' ');
+        }
+    }
+    buf += object ? '}' : ']';
+    spill();
+    return *this;
+}
+
+Writer &
+Writer::put(std::string_view token)
+{
+    prefix();
+    buf += token;
+    spill();
+    return *this;
+}
+
+Writer &
+Writer::text(std::string_view value)
+{
+    prefix();
+    buf += '"';
+    escape(buf, value);
+    buf += '"';
+    spill();
+    return *this;
+}
+
+Writer &
+Writer::uint(std::uint64_t value)
+{
+    char digits[24];
+    const char *end =
+        std::to_chars(digits, digits + sizeof digits, value).ptr;
+    return put({digits, static_cast<std::size_t>(end - digits)});
+}
+
+Writer &
+Writer::sint(std::int64_t value)
+{
+    char digits[24];
+    const char *end =
+        std::to_chars(digits, digits + sizeof digits, value).ptr;
+    return put({digits, static_cast<std::size_t>(end - digits)});
+}
+
+Writer &
+Writer::exact(double value)
+{
+    // %.17g round-trips every finite double through strtod exactly;
+    // non-finite values have no JSON spelling.
+    avf_assert(std::isfinite(value), "json::Writer: non-finite double");
+    char digits[32];
+    const int n = std::snprintf(digits, sizeof digits, "%.17g", value);
+    return put({digits, static_cast<std::size_t>(n)});
+}
+
+Writer &
+Writer::fixed(double value, int places)
+{
+    avf_assert(places >= 0 && places <= 17,
+               "json::Writer: fixed() takes 0..17 places");
+    // DBL_MAX prints 309 integer digits; room for that plus places.
+    char digits[352];
+    const int n =
+        std::snprintf(digits, sizeof digits, "%.*f", places, value);
+    return put({digits, static_cast<std::size_t>(n)});
+}
+
+Writer &
+Writer::newline()
+{
+    avf_assert(depth == 0, "json::Writer: newline() inside a value");
+    buf += '\n';
+    spill();
+    return *this;
 }
 
 } // namespace avf::json

@@ -1,23 +1,34 @@
 /**
  * @file
- * Minimal JSON document model and recursive-descent parser. The repo
- * *writes* JSON with hand-rolled fprintf emitters (export.cc,
- * obs/metrics.cc) so their byte layout stays deterministic; this is
- * the matching *read* side, used by tools/avf-report and the tests
- * that round-trip the exporters. It parses strict RFC 8259 JSON into
- * an ordered document tree — object keys keep file order, so reports
- * iterate deterministically — and reports the first error with its
- * byte offset instead of guessing.
+ * The repo's one JSON reader and one JSON writer.
  *
- * Deliberately small: no streaming, no writer (the emitters own the
- * byte layout), no number preservation beyond double + a lossless
- * uint64 fast path for counters.
+ * parse() reads strict RFC 8259 JSON into an ordered document tree:
+ * object keys keep file order, so reports iterate deterministically,
+ * and the first error is reported with its byte offset instead of
+ * guessed around. Numbers keep double precision plus a lossless
+ * uint64 path for counters.
+ *
+ * Writer emits every JSON document the repo produces: the task wire
+ * codec, serve requests, responses, feeds and checkpoints, and the
+ * METRICS / ROOTCAUSE / lifecycle / TRACE exports. It owns the four
+ * decisions that fix an export's bytes, so no emitter makes them on
+ * its own:
+ *   - strings pass through escape();
+ *   - numbers: exact() is %.17g (round-trips every finite double),
+ *     fixed() is %.Nf, integers print with std::to_chars;
+ *   - separators: Compact writes "," and ":", Spaced ", " and ": ";
+ *   - line breaks: a container is Inline or Lines. A Lines container
+ *     puts each member on its own line, indented two spaces per
+ *     enclosing Lines container, and closes on its own line unless
+ *     it is empty.
+ * Each format picks its style and layouts in code; none is a setting.
  */
 
 #ifndef AVF_UTIL_JSON_HH
 #define AVF_UTIL_JSON_HH
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -91,6 +102,130 @@ class Value
  * @return true on success.
  */
 bool parse(std::string_view input, Value &out, std::string &error);
+
+/**
+ * Append @p text to @p out as the body of a JSON string (no quotes):
+ * '"' and '\' get a backslash, \n \r \t their short escapes, and
+ * every other byte below 0x20 the \u00XX form. Other bytes, UTF-8
+ * included, pass through unchanged.
+ */
+void escape(std::string &out, std::string_view text);
+
+/**
+ * Streaming JSON writer over a caller-owned string or a stdio file.
+ * Calls nest like the document: startObject() ... endObject(), with
+ * member() naming each object member before its value. File-backed
+ * writers hold at most a small buffer, so an export of any size is
+ * never built in memory; call finish() to flush it and learn whether
+ * every write reached the file.
+ */
+class Writer
+{
+  public:
+    /** Separator spelling; see the file comment. */
+    enum class Style
+    {
+        Compact,
+        Spaced
+    };
+
+    /** Container layout; see the file comment. */
+    enum class Layout
+    {
+        Inline,
+        Lines
+    };
+
+    /** Append the document to @p out. */
+    Writer(std::string &out, Style style)
+        : buf(out), compact(style == Style::Compact)
+    {}
+    /** Write the document to @p file, which stays open and owned by
+     *  the caller. */
+    Writer(std::FILE *file, Style style);
+    /** Calls finish(); call it yourself to learn of write errors. */
+    ~Writer();
+
+    Writer(const Writer &) = delete;
+    Writer &operator=(const Writer &) = delete;
+
+    /** Open an object or array (as a value: at top level, as an
+     *  array item, or after member()); close it with its end*(). */
+    Writer &startObject(Layout layout = Layout::Inline)
+    {
+        return nest(true, layout);
+    }
+    Writer &startArray(Layout layout = Layout::Inline)
+    {
+        return nest(false, layout);
+    }
+    Writer &endObject() { return unnest(true); }
+    Writer &endArray() { return unnest(false); }
+
+    /** Name the next member of the innermost object. */
+    Writer &member(std::string_view key);
+
+    /** A string value, escaped. */
+    Writer &text(std::string_view value);
+    Writer &uint(std::uint64_t value);
+    Writer &sint(std::int64_t value);
+    /** A double as %.17g; @p value must be finite. */
+    Writer &exact(double value);
+    /** A double as %.<places>f (display formats, not round-trips). */
+    Writer &fixed(double value, int places);
+    Writer &boolean(bool value) { return put(value ? "true" : "false"); }
+
+    /** End a top-level line: a JSON Lines record or a file's last
+     *  line. Only valid between top-level values. */
+    Writer &newline();
+
+    /**
+     * Flush a file-backed writer's buffer. @return false when any
+     * write to the file failed (always true for a string writer).
+     */
+    bool finish();
+
+  private:
+    /** One open container. */
+    struct Frame
+    {
+        bool lines = false;
+        bool object = false;
+        bool any = false; ///< holds a member or item already
+    };
+
+    /** Deepest nesting any format needs, with headroom. */
+    static constexpr int maxDepth = 16;
+    /** File mode hands the buffer to the file past this size. */
+    static constexpr std::size_t spillBytes = 1 << 16;
+
+    /** Separator, line break and indent before a member or item. */
+    void separate();
+    /** What must precede a value: nothing after member(), else
+     *  separate(). */
+    void prefix();
+    /** prefix(), then @p token verbatim. */
+    Writer &put(std::string_view token);
+    Writer &nest(bool object, Layout layout);
+    Writer &unnest(bool object);
+    void spill()
+    {
+        if (file && buf.size() >= spillBytes)
+            (void)finish();
+    }
+
+    std::string own;
+    std::string &buf;
+    std::FILE *file = nullptr;
+    bool compact = false;
+    bool failed = false;
+    /** A member() name was written and awaits its value. */
+    bool afterKey = false;
+    int depth = 0;
+    /** Open Lines containers; members indent two spaces each. */
+    int breaks = 0;
+    Frame frames[maxDepth];
+};
 
 } // namespace avf::json
 

@@ -1,11 +1,7 @@
 #include "util/timing.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <ostream>
 
 namespace avf::timing
 {
@@ -156,198 +152,6 @@ PhaseAccumulator::merge(const PhaseAccumulator &other)
             slots.push_back(theirs);
         }
     }
-}
-
-namespace
-{
-
-/** Escape for a JSON string literal (phase names are identifiers in
- * practice, but stay safe for arbitrary input). */
-std::string
-jsonEscape(std::string_view text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** Minimal scanner for the writeJson() output format. */
-struct JsonScanner
-{
-    std::string_view text;
-    std::size_t pos = 0;
-
-    void
-    skipSpace()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipSpace();
-        if (pos < text.size() && text[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    peek(char c)
-    {
-        skipSpace();
-        return pos < text.size() && text[pos] == c;
-    }
-
-    bool
-    readString(std::string &out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos < text.size() && text[pos] != '"') {
-            char c = text[pos++];
-            if (c == '\\' && pos < text.size()) {
-                char esc = text[pos++];
-                switch (esc) {
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'r': out += '\r'; break;
-                  case 'u': {
-                    if (pos + 4 > text.size())
-                        return false;
-                    unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        char h = text[pos++];
-                        code <<= 4;
-                        if (h >= '0' && h <= '9')
-                            code |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            code |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            code |= static_cast<unsigned>(h - 'A' + 10);
-                        else
-                            return false;
-                    }
-                    out += static_cast<char>(code);
-                    break;
-                  }
-                  default: out += esc;
-                }
-            } else {
-                out += c;
-            }
-        }
-        return pos < text.size() && text[pos++] == '"';
-    }
-
-    bool
-    readNumber(double &out)
-    {
-        skipSpace();
-        std::size_t start = pos;
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '-' || text[pos] == '+' ||
-                text[pos] == '.' || text[pos] == 'e' ||
-                text[pos] == 'E'))
-            ++pos;
-        if (pos == start)
-            return false;
-        try {
-            out = std::stod(std::string(text.substr(start,
-                                                    pos - start)));
-        } catch (...) {
-            return false;
-        }
-        return std::isfinite(out);
-    }
-
-    bool
-    readKey(const char *expect)
-    {
-        std::string key;
-        return readString(key) && key == expect && consume(':');
-    }
-};
-
-} // namespace
-
-void
-PhaseAccumulator::writeJson(std::ostream &out) const
-{
-    out << "[";
-    bool first = true;
-    for (const auto &slot : slots) {
-        if (!first)
-            out << ",";
-        first = false;
-        out << "\n  {\"name\": \"" << jsonEscape(slot.name)
-            << "\", \"count\": " << slot.count
-            << ", \"total_ns\": " << slot.totalNs
-            << ", \"min_ns\": " << slot.minNs
-            << ", \"max_ns\": " << slot.maxNs
-            << ", \"mean_ns\": " << slot.meanNs() << "}";
-    }
-    out << (slots.empty() ? "]" : "\n]");
-}
-
-bool
-PhaseAccumulator::readJson(std::string_view json)
-{
-    JsonScanner scan{json};
-    std::vector<PhaseStats> parsed;
-    if (!scan.consume('['))
-        return false;
-    if (!scan.peek(']')) {
-        do {
-            PhaseStats stats;
-            double count = 0.0;
-            if (!scan.consume('{') || !scan.readKey("name") ||
-                !scan.readString(stats.name) || !scan.consume(',') ||
-                !scan.readKey("count") || !scan.readNumber(count) ||
-                !scan.consume(',') || !scan.readKey("total_ns") ||
-                !scan.readNumber(stats.totalNs) || !scan.consume(',') ||
-                !scan.readKey("min_ns") ||
-                !scan.readNumber(stats.minNs) || !scan.consume(',') ||
-                !scan.readKey("max_ns") ||
-                !scan.readNumber(stats.maxNs) || !scan.consume(','))
-                return false;
-            double mean = 0.0;
-            if (!scan.readKey("mean_ns") || !scan.readNumber(mean) ||
-                !scan.consume('}'))
-                return false;
-            if (count < 0.0)
-                return false;
-            stats.count = static_cast<std::uint64_t>(count);
-            parsed.push_back(std::move(stats));
-        } while (scan.consume(','));
-    }
-    if (!scan.consume(']'))
-        return false;
-    slots = std::move(parsed);
-    return true;
 }
 
 double

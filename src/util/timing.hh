@@ -18,7 +18,6 @@
 #define AVF_UTIL_TIMING_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -112,19 +111,6 @@ class PhaseAccumulator
      * are exact.
      */
     void merge(const PhaseAccumulator &other);
-
-    /**
-     * Serialize as a JSON array of phase objects with fixed key
-     * order: name, count, total_ns, min_ns, max_ns, mean_ns.
-     */
-    void writeJson(std::ostream &out) const;
-
-    /**
-     * Parse the writeJson() format back (round-trip support for
-     * persisted phase reports). @return false on malformed input,
-     * leaving the accumulator unchanged.
-     */
-    bool readJson(std::string_view json);
 
   private:
     std::vector<PhaseStats> slots;

@@ -46,9 +46,10 @@ slurp(const std::string &path)
 std::string
 snapshotBytes(const obs::AttributionSnapshot &snapshot)
 {
-    std::ostringstream out;
+    std::string text;
+    json::Writer out(text, json::Writer::Style::Spaced);
     snapshot.writeJson(out);
-    return out.str();
+    return text;
 }
 
 // ---------------------------------------------------------------- //

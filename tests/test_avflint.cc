@@ -504,6 +504,63 @@ TEST(AvflintForkSafety, SuppressionCommentIsHonored)
 }
 
 // ---------------------------------------------------------------- //
+// json-by-hand                                                      //
+// ---------------------------------------------------------------- //
+
+TEST(AvflintJsonByHand, FlagsEscapedKeysInSrcAndTools)
+{
+    const char *stream =
+        "void f() { out << \"{\\\"ipc\\\": \" << ipc; }\n";
+    const char *append =
+        "void f() {\n  s += \",\\\"l1d_miss\\\":\";\n}\n";
+    auto hits = withId(lintText("src/harness/export.cc", stream),
+                       "json-by-hand");
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_EQ(hits[0].line, 1);
+    EXPECT_EQ(hits[0].severity, Severity::Error);
+    hits = withId(lintText("tools/avf-report/report.cc", append),
+                  "json-by-hand");
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_EQ(hits[0].line, 2);
+}
+
+TEST(AvflintJsonByHand, AllowsTheWriterOtherTreesAndNonKeys)
+{
+    const char *stream =
+        "void f() { out << \"{\\\"ipc\\\": \" << ipc; }\n";
+    EXPECT_TRUE(withId(lintText("src/util/json.cc", stream),
+                       "json-by-hand")
+                    .empty());
+    EXPECT_TRUE(withId(lintText("bench/e2e/rep.cc", stream),
+                       "json-by-hand")
+                    .empty());
+    EXPECT_TRUE(withId(lintText("tests/test_serve.cc", stream),
+                       "json-by-hand")
+                    .empty());
+    // A quoted word that is no key, an escaped quote alone, and a
+    // member() call are all fine.
+    EXPECT_TRUE(
+        withId(lintText("src/serve/protocol.cc",
+                        "void f() {\n"
+                        "  err = \"missing \\\"schema\\\" string\";\n"
+                        "  q = \"\\\":\";\n"
+                        "  out.member(\"ipc\").exact(ipc);\n"
+                        "}\n"),
+               "json-by-hand")
+            .empty());
+}
+
+TEST(AvflintJsonByHand, SuppressionCommentIsHonored)
+{
+    EXPECT_TRUE(
+        withId(lintText("src/serve/daemon.cc",
+                        "// avflint: allow(json-by-hand): fixture\n"
+                        "const char *ok = \"{\\\"ok\\\":true}\";\n"),
+               "json-by-hand")
+            .empty());
+}
+
+// ---------------------------------------------------------------- //
 // include-guard                                                     //
 // ---------------------------------------------------------------- //
 

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -30,6 +29,7 @@
 #include "obs/coverage_probe.hh"
 #include "trace/spec_profiles.hh"
 #include "trace/synthetic.hh"
+#include "util/json.hh"
 #include "util/random.hh"
 
 namespace
@@ -67,7 +67,8 @@ observed(const AvfEstimator &est)
     out.name = est.name();
     out.lifetimeInjections = state.counterValue("lifetime_injections");
     out.estimates = state.estimates.size();
-    harness::codec::appendEstimatorState(out.bytes, state);
+    json::Writer bytes(out.bytes, json::Writer::Style::Compact);
+    harness::codec::writeEstimatorState(bytes, state);
     return out;
 }
 
@@ -290,11 +291,12 @@ TEST(CampaignCharacterization, CoverageProbesWithAttribution)
     EXPECT_EQ(probes[2]->killedWindows(),
               ests[7]->snapshotState().counterValue("killed"));
 
-    std::ostringstream table;
-    attribution.snapshot().writeJson(table);
-    EXPECT_EQ(hashString(table.str()), 0x1295b5322f2c8e92ull)
-        << "attribution digest 0x" << std::hex
-        << hashString(table.str()) << "\n" << table.str();
+    std::string table;
+    json::Writer out(table, json::Writer::Style::Spaced);
+    attribution.snapshot().writeJson(out);
+    EXPECT_EQ(hashString(table), 0x1295b5322f2c8e92ull)
+        << "attribution digest 0x" << std::hex << hashString(table)
+        << "\n" << table;
 }
 
 } // namespace

@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +27,7 @@
 #include "report.hh"
 #include "trace/spec_profiles.hh"
 #include "util/json.hh"
+#include "util/random.hh"
 #include "util/timing.hh"
 
 namespace
@@ -195,14 +200,16 @@ TEST(Metrics, WriteJsonIsDeterministicAndParses)
         shard.push(s, 0.5);
         return shard.snapshot();
     };
-    std::ostringstream first, second;
-    build().writeJson(first);
-    build().writeJson(second);
-    EXPECT_EQ(first.str(), second.str());
+    std::string first, second;
+    json::Writer firstOut(first, json::Writer::Style::Spaced);
+    json::Writer secondOut(second, json::Writer::Style::Spaced);
+    build().writeJson(firstOut);
+    build().writeJson(secondOut);
+    EXPECT_EQ(first, second);
 
     json::Value doc;
     std::string error;
-    ASSERT_TRUE(json::parse(first.str(), doc, error)) << error;
+    ASSERT_TRUE(json::parse(first, doc, error)) << error;
     const json::Value *counters =
         doc.find("counters", json::Value::Kind::Object);
     ASSERT_NE(counters, nullptr);
@@ -280,15 +287,18 @@ TEST(TraceExport, WritesLoadableTraceEventJson)
     phases.add("fetch", 500'000);
     phases.add("retire", 250'000);
     writer.addPhases(phases, 1, 1'000'000);
-    writer.addOtherData("thread_pool", "{\"workers\": 1}");
+    writer.addOtherData("thread_pool", [](json::Writer &out) {
+        out.startObject().member("workers").uint(1).endObject();
+    });
     EXPECT_EQ(writer.spanCount(), 4u);
 
-    std::ostringstream out;
+    std::string text;
+    json::Writer out(text, json::Writer::Style::Spaced);
     writer.writeJson(out);
 
     json::Value doc;
     std::string error;
-    ASSERT_TRUE(json::parse(out.str(), doc, error)) << error;
+    ASSERT_TRUE(json::parse(text, doc, error)) << error;
     const json::Value *events =
         doc.find("traceEvents", json::Value::Kind::Array);
     ASSERT_NE(events, nullptr);
@@ -535,6 +545,283 @@ TEST(JsonParser, RejectsMalformedInput)
     bomb += std::string(5000, ']');
     EXPECT_FALSE(json::parse(bomb, doc, error));
     EXPECT_NE(error.find("nest"), std::string::npos);
+}
+
+// ---------------------------------------------------------------- //
+// util/json writer: round trip through the parser, spelling, layout //
+// ---------------------------------------------------------------- //
+
+/** Write @p v; containers alternate Inline/Lines by depth. */
+void
+writeValue(json::Writer &out, const json::Value &v, int depth = 0)
+{
+    using Kind = json::Value::Kind;
+    const auto layout = depth % 2 ? json::Writer::Layout::Lines
+                                  : json::Writer::Layout::Inline;
+    switch (v.kind) {
+      case Kind::Bool: out.boolean(v.boolean); break;
+      case Kind::Uint: out.uint(v.uintValue); break;
+      case Kind::Double: out.exact(v.number); break;
+      case Kind::String: out.text(v.text); break;
+      case Kind::Array:
+        out.startArray(layout);
+        for (const json::Value &item : v.items)
+            writeValue(out, item, depth + 1);
+        out.endArray();
+        break;
+      case Kind::Object:
+        out.startObject(layout);
+        for (const auto &[name, member] : v.members)
+            writeValue(out.member(name), member, depth + 1);
+        out.endObject();
+        break;
+      case Kind::Null: ADD_FAILURE() << "no writer emits null"; break;
+    }
+}
+
+/** Equal trees; doubles must come back bit for bit. */
+bool
+sameValue(const json::Value &want, const json::Value &got)
+{
+    using Kind = json::Value::Kind;
+    if (want.kind == Kind::Double)
+        // exact() spells an integral double like an integer ("5"),
+        // which parses as Uint; the bits are what must survive.
+        return got.isNumber() &&
+               std::bit_cast<std::uint64_t>(got.asDouble()) ==
+                   std::bit_cast<std::uint64_t>(want.number);
+    if (want.kind != got.kind)
+        return false;
+    switch (want.kind) {
+      case Kind::Bool: return want.boolean == got.boolean;
+      case Kind::Uint: return want.uintValue == got.uintValue;
+      case Kind::String: return want.text == got.text;
+      case Kind::Array:
+        if (want.items.size() != got.items.size())
+            return false;
+        for (std::size_t i = 0; i < want.items.size(); ++i)
+            if (!sameValue(want.items[i], got.items[i]))
+                return false;
+        return true;
+      case Kind::Object:
+        if (want.members.size() != got.members.size())
+            return false;
+        for (std::size_t i = 0; i < want.members.size(); ++i)
+            if (want.members[i].first != got.members[i].first ||
+                !sameValue(want.members[i].second,
+                           got.members[i].second))
+                return false;
+        return true;
+      default: return true;
+    }
+}
+
+/** Strings every generated one draws from: the old jsonEscape()
+ *  cases, the escaped ASCII, and multi-byte UTF-8. */
+const std::vector<std::string> &
+stringPieces()
+{
+    static const std::vector<std::string> pieces = [] {
+        std::vector<std::string> p = {
+            "plain", "a\"b", "a\\b", "a\nb\tc", "\"", "\\", "/",
+            "\x7f", "\xc3\xa9", "\xe2\x82\xac", "\xf0\x9f\x98\x80",
+            std::string("\0", 1)};
+        for (char c = 1; c < 0x20; ++c)
+            p.emplace_back(1, c);
+        return p;
+    }();
+    return pieces;
+}
+
+std::string
+randomString(Rng &rng)
+{
+    std::string out;
+    const auto pieces = rng.below(6);
+    for (std::uint64_t i = 0; i < pieces; ++i)
+        out += stringPieces()[rng.below(stringPieces().size())];
+    return out;
+}
+
+double
+randomDouble(Rng &rng)
+{
+    static const double special[] = {
+        0.0, -0.0, 0.1, 1.0 / 3.0, -2.5e-300,
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max(),
+        static_cast<double>(std::numeric_limits<std::int64_t>::min()),
+        9007199254740993.0, 1e17, 123456789.0};
+    if (rng.chance(0.5))
+        return special[rng.below(std::size(special))];
+    for (;;) {
+        const double v = std::bit_cast<double>(rng.next());
+        if (std::isfinite(v))
+            return v;
+    }
+}
+
+json::Value
+randomValue(Rng &rng, int depth)
+{
+    using Kind = json::Value::Kind;
+    json::Value v;
+    switch (rng.below(depth >= 4 ? 4 : 6)) {
+      case 0:
+        v.kind = Kind::Bool;
+        v.boolean = rng.chance(0.5);
+        break;
+      case 1:
+        v.kind = Kind::Uint;
+        v.uintValue = rng.chance(0.3)
+                          ? std::numeric_limits<std::uint64_t>::max()
+                          : rng.next() >> rng.below(64);
+        break;
+      case 2:
+        v.kind = Kind::Double;
+        v.number = randomDouble(rng);
+        break;
+      case 3:
+        v.kind = Kind::String;
+        v.text = randomString(rng);
+        break;
+      case 4:
+        v.kind = Kind::Array;
+        for (std::uint64_t n = rng.below(5); n > 0; --n)
+            v.items.push_back(randomValue(rng, depth + 1));
+        break;
+      default:
+        v.kind = Kind::Object;
+        for (std::uint64_t n = rng.below(5); n > 0; --n)
+            v.members.emplace_back(randomString(rng),
+                                   randomValue(rng, depth + 1));
+        break;
+    }
+    return v;
+}
+
+TEST(JsonWriter, ParseOfWriteRoundTripsRandomDocuments)
+{
+    Rng rng(20261017);
+    for (int doc = 0; doc < 300; ++doc) {
+        json::Value want;
+        want.kind = json::Value::Kind::Array;
+        want.items.push_back(randomValue(rng, 1));
+        // Every piece at least once per document.
+        for (const std::string &piece : stringPieces()) {
+            json::Value text;
+            text.kind = json::Value::Kind::String;
+            text.text = piece;
+            want.items.push_back(text);
+        }
+        for (auto style : {json::Writer::Style::Compact,
+                           json::Writer::Style::Spaced}) {
+            std::string written;
+            json::Writer out(written, style);
+            writeValue(out, want);
+            json::Value got;
+            std::string error;
+            ASSERT_TRUE(json::parse(written, got, error))
+                << error << "\n" << written;
+            ASSERT_TRUE(sameValue(want, got)) << written;
+        }
+    }
+}
+
+TEST(JsonWriter, SpellsEscapesAndNumbersOneWay)
+{
+    std::string escaped;
+    json::escape(escaped, std::string("q\"b\\n\nr\rt\t\b\f\x01\x1f\0"
+                                      "\xc3\xa9",
+                                      17));
+    EXPECT_EQ(escaped, "q\\\"b\\\\n\\nr\\rt\\t\\u0008\\u000c"
+                       "\\u0001\\u001f\\u0000\xc3\xa9");
+
+    std::string text;
+    json::Writer(text, json::Writer::Style::Compact)
+        .startArray()
+        .uint(std::numeric_limits<std::uint64_t>::max())
+        .sint(std::numeric_limits<std::int64_t>::min())
+        .exact(0.1)
+        .exact(-0.0)
+        .exact(5.0)
+        .fixed(2.0 / 3.0, 6)
+        .fixed(0.25, 1)
+        .boolean(false)
+        .endArray();
+    EXPECT_EQ(text, "[18446744073709551615,-9223372036854775808,"
+                    "0.10000000000000001,-0,5,0.666667,0.2,false]");
+}
+
+TEST(JsonWriter, LayoutRuleBreaksOnlyLinesContainers)
+{
+    using Layout = json::Writer::Layout;
+    auto build = [](json::Writer &out) {
+        out.startObject(Layout::Lines)
+            .member("a").uint(1)
+            .member("b").startArray().uint(1).uint(2).endArray()
+            .member("c").startObject(Layout::Lines).endObject()
+            .member("d").startArray(Layout::Lines)
+            .startObject().member("x").startObject(Layout::Lines)
+            .member("y").boolean(true).endObject().endObject()
+            .endArray()
+            .endObject();
+    };
+    std::string spaced, compact;
+    json::Writer spacedOut(spaced, json::Writer::Style::Spaced);
+    json::Writer compactOut(compact, json::Writer::Style::Compact);
+    build(spacedOut);
+    build(compactOut);
+    // An inline container adds no indent level: "y" sits two spaces
+    // per enclosing Lines container (the root, "d", "x").
+    EXPECT_EQ(spaced, "{\n"
+                      "  \"a\": 1,\n"
+                      "  \"b\": [1, 2],\n"
+                      "  \"c\": {},\n"
+                      "  \"d\": [\n"
+                      "    {\"x\": {\n"
+                      "      \"y\": true\n"
+                      "    }}\n"
+                      "  ]\n"
+                      "}");
+    EXPECT_EQ(compact, "{\n"
+                       "  \"a\":1,\n"
+                       "  \"b\":[1,2],\n"
+                       "  \"c\":{},\n"
+                       "  \"d\":[\n"
+                       "    {\"x\":{\n"
+                       "      \"y\":true\n"
+                       "    }}\n"
+                       "  ]\n"
+                       "}");
+}
+
+TEST(JsonWriter, FileWriterMatchesStringWriterPastItsBuffer)
+{
+    auto build = [](json::Writer &out) {
+        out.startArray(json::Writer::Layout::Lines);
+        for (int i = 0; i < 20000; ++i)
+            out.text("record \"" + std::to_string(i) + "\"");
+        out.endArray().newline();
+    };
+    std::string want;
+    json::Writer stringOut(want, json::Writer::Style::Spaced);
+    build(stringOut);
+    ASSERT_GT(want.size(), std::size_t{1} << 17);
+
+    std::FILE *file = std::tmpfile();
+    ASSERT_NE(file, nullptr);
+    json::Writer fileOut(file, json::Writer::Style::Spaced);
+    build(fileOut);
+    ASSERT_TRUE(fileOut.finish());
+    std::rewind(file);
+    std::string got(want.size() + 1, '\0');
+    got.resize(std::fread(got.data(), 1, got.size(), file));
+    EXPECT_EQ(std::fclose(file), 0);
+    EXPECT_EQ(got, want);
 }
 
 } // namespace

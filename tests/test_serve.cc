@@ -37,6 +37,7 @@
 #include "serve/daemon.hh"
 #include "serve/protocol.hh"
 #include "serve/sharder.hh"
+#include "serve_report.hh"
 #include "trace/synthetic.hh"
 
 namespace
@@ -580,6 +581,77 @@ TEST(ServeCheckpoint, EncodeDecodeRoundTrip)
     EXPECT_EQ(decoded.slicesDone, 2u);
     EXPECT_EQ(decoded.lastStates.size(), 1u);
     EXPECT_EQ(decoded.lastStates[0].counterValue("failures"), 2u);
+}
+
+/** @p text with the first @p from replaced by @p to. */
+std::string
+withEdit(std::string text, const std::string &from, const std::string &to)
+{
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
+}
+
+TEST(ServeCheckpoint, DecodeValidatesTheCampaignLikeARequest)
+{
+    serve::Checkpoint checkpoint;
+    checkpoint.campaign = tinySpec("ckpt");
+    const std::string good = serve::encodeCheckpoint(checkpoint);
+    serve::Checkpoint decoded;
+    std::string error;
+    ASSERT_TRUE(serve::decodeCheckpoint(good, decoded, error)) << error;
+
+    // The campaign object comes first, so the first match of each
+    // key is the campaign's member, not the rollup's.
+    const std::pair<const char *, const char *> edits[] = {
+        {"\"intervals\":6", "\"intervals\":0"},
+        {"\"intervals\":6", "\"intervals\":1000001"},
+        {"\"slice_intervals\":2", "\"slice_intervals\":0"},
+        {"\"slice_intervals\":2", "\"slice_intervals\":7"},
+        {"\"m\":200", "\"m\":0"},
+        {"\"m\":200", "\"m\":100000001"},
+        {"\"n\":40", "\"n\":0"},
+        {"\"n\":40", "\"n\":1000001"},
+        {"\"lanes\":0", "\"lanes\":65"},
+        {"\"seed_salt\":7", "\"seed_salt\":0"},
+        {"\"checkpoint_every\":1", "\"checkpoint_every\":0"},
+        {"\"benchmark\":\"bzip2\"", "\"benchmark\":\"gcc\""},
+        {"\"name\":\"ckpt\"", "\"name\":\"../ckpt\""},
+    };
+    for (const auto &[from, to] : edits) {
+        EXPECT_FALSE(serve::decodeCheckpoint(withEdit(good, from, to),
+                                             decoded, error))
+            << "accepted " << to;
+        EXPECT_EQ(error.rfind("checkpoint: ", 0), 0u) << error;
+    }
+}
+
+TEST(ServeCheckpoint, StatusReportsAnInvalidCheckpointAsUnreadable)
+{
+    serve::StatePaths paths(::testing::TempDir() + "serve_bad_ckpt");
+    ASSERT_TRUE(::mkdir(paths.dir.c_str(), 0775) == 0 ||
+                errno == EEXIST);
+    serve::Checkpoint checkpoint;
+    checkpoint.campaign = tinySpec("zero");
+    {
+        // slice_intervals 0 would divide by zero in numSlices().
+        std::ofstream out(paths.checkpointPath("zero"),
+                          std::ios::binary | std::ios::trunc);
+        out << withEdit(serve::encodeCheckpoint(checkpoint),
+                        "\"slice_intervals\":2",
+                        "\"slice_intervals\":0")
+            << "\n";
+    }
+    std::ostringstream status;
+    std::string error;
+    ASSERT_TRUE(report::printServeStatus(status, paths.dir, error))
+        << error;
+    EXPECT_NE(status.str().find("zero  <unreadable: checkpoint: "
+                                "slice_intervals out of 1..intervals>"),
+              std::string::npos)
+        << status.str();
 }
 
 // ---------------------------------------------------------------- //

@@ -2,12 +2,10 @@
  * @file
  * Unit tests for the perf-subsystem timing utilities: stopwatch
  * monotonicity and accumulation, per-phase stats merging, and the
- * JSON round-trip used by BENCH_micro.json.
+ * throughput helpers.
  */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "util/timing.hh"
 
@@ -133,67 +131,6 @@ TEST(PhaseAccumulator, MergeFoldsWorkerAccumulators)
     EXPECT_EQ(a.get("fit").count, 1u);
     ASSERT_EQ(a.phases().size(), 3u);
     EXPECT_EQ(a.phases()[2].name, "fit"); // new phases append
-}
-
-TEST(PhaseAccumulator, JsonRoundTripPreservesEverything)
-{
-    PhaseAccumulator acc;
-    acc.add("simulate", 10.5);
-    acc.add("simulate", 2.25);
-    acc.add("name \"quoted\"\n", 7.0); // escaping stress
-
-    std::ostringstream out;
-    acc.writeJson(out);
-
-    PhaseAccumulator back;
-    ASSERT_TRUE(back.readJson(out.str()));
-    ASSERT_EQ(back.phases().size(), acc.phases().size());
-    for (std::size_t i = 0; i < acc.phases().size(); ++i) {
-        const auto &was = acc.phases()[i];
-        const auto &now = back.phases()[i];
-        EXPECT_EQ(now.name, was.name);
-        EXPECT_EQ(now.count, was.count);
-        EXPECT_DOUBLE_EQ(now.totalNs, was.totalNs);
-        EXPECT_DOUBLE_EQ(now.minNs, was.minNs);
-        EXPECT_DOUBLE_EQ(now.maxNs, was.maxNs);
-    }
-}
-
-TEST(PhaseAccumulator, JsonRoundTripOfEmptyAccumulator)
-{
-    PhaseAccumulator acc;
-    std::ostringstream out;
-    acc.writeJson(out);
-    EXPECT_EQ(out.str(), "[]");
-
-    PhaseAccumulator back;
-    back.add("stale", 1.0);
-    ASSERT_TRUE(back.readJson(out.str()));
-    EXPECT_TRUE(back.phases().empty());
-}
-
-TEST(PhaseAccumulator, MalformedJsonLeavesAccumulatorUntouched)
-{
-    PhaseAccumulator acc;
-    acc.add("keep", 3.0);
-
-    const char *bad[] = {
-        "",
-        "{",
-        "[{\"name\": \"x\"}]",
-        "[{\"count\": 1}]",
-        "[{\"name\": \"x\", \"count\": 1, \"total_ns\": 1, "
-        "\"min_ns\": 1, \"max_ns\": 1, \"mean_ns\": 1}", // no ']'
-        "[{\"name\": \"x\", \"count\": -1, \"total_ns\": 1, "
-        "\"min_ns\": 1, \"max_ns\": 1, \"mean_ns\": 1}]",
-        "[{\"name\": \"x\", \"count\": 1, \"total_ns\": nan, "
-        "\"min_ns\": 1, \"max_ns\": 1, \"mean_ns\": 1}]",
-    };
-    for (const char *json : bad) {
-        EXPECT_FALSE(acc.readJson(json)) << "accepted: " << json;
-        ASSERT_EQ(acc.phases().size(), 1u);
-        EXPECT_EQ(acc.phases()[0].name, "keep");
-    }
 }
 
 TEST(Rates, RatePerSecHandlesZeroAndScales)

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,6 +39,7 @@
 #include "softarch/ace_analyzer.hh"
 #include "trace/spec_profiles.hh"
 #include "trace/synthetic.hh"
+#include "util/json.hh"
 
 namespace
 {
@@ -130,7 +130,8 @@ record(Parts &parts, const core::AvfEstimator &est)
     appendDoubles(estimates, est.estimates());
     parts.emplace_back(est.name() + " estimates", estimates);
     std::string bytes;
-    harness::codec::appendEstimatorState(bytes, est.snapshotState());
+    json::Writer out(bytes, json::Writer::Style::Compact);
+    harness::codec::writeEstimatorState(out, est.snapshotState());
     parts.emplace_back(est.name() + " snapshot", bytes);
 }
 
@@ -334,9 +335,10 @@ TEST(WakeExactness, ProbesWithAttribution)
         Parts parts;
         for (const auto &est : ests)
             record(parts, *est);
-        std::ostringstream table;
-        attribution.snapshot().writeJson(table);
-        parts.emplace_back("attribution", table.str());
+        std::string table;
+        json::Writer out(table, json::Writer::Style::Spaced);
+        attribution.snapshot().writeJson(out);
+        parts.emplace_back("attribution", table);
         obs::LifecycleSummary summary = tracker.summary();
         parts.emplace_back(
             "lifecycle totals",
@@ -463,9 +465,10 @@ runControl(bool wrapped, Cycle latency, bool budget)
     parts.emplace_back("decision cycles", decided.bytes());
     parts.emplace_back("retired",
                        std::to_string(rig.pipe.stats().retired));
-    std::ostringstream metrics;
-    feed.shard().snapshot().writeJson(metrics);
-    parts.emplace_back("feed metrics", metrics.str());
+    std::string metrics;
+    json::Writer out(metrics, json::Writer::Style::Spaced);
+    feed.shard().snapshot().writeJson(out);
+    parts.emplace_back("feed metrics", metrics);
     return parts;
 }
 

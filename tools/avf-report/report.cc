@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "core/structures.hh"
-#include "harness/export.hh"
 #include "obs/metrics.hh"
 
 namespace avf::report
@@ -713,38 +712,35 @@ printRootCause(std::ostream &out, const json::Value &doc,
     if (jsonOut) {
         // Integer counts only — derived rates stay out so the bytes
         // are deterministic without a float-formatting contract.
-        out << "{\"schema\": \"avf-rootcause-report-v1\", "
-            << "\"campaign\": \"" << harness::jsonEscape(campaign)
-            << "\", \"by\": \"" << by
-            << "\", \"total_windows\": " << total.windows
-            << ", \"total_live\": " << total.live
-            << ", \"total_failures\": " << total.failures
-            << ", \"rows\": [";
-        for (std::size_t i = 0; i < ranked.size(); ++i) {
-            const auto &[key, agg] = ranked[i];
-            out << (i ? ", " : "") << "{";
+        std::string text;
+        json::Writer w(text, json::Writer::Style::Spaced);
+        w.startObject()
+            .member("schema").text("avf-rootcause-report-v1")
+            .member("campaign").text(campaign)
+            .member("by").text(by)
+            .member("total_windows").uint(total.windows)
+            .member("total_live").uint(total.live)
+            .member("total_failures").uint(total.failures)
+            .member("rows").startArray();
+        for (const auto &[key, agg] : ranked) {
+            w.startObject();
             if (by == "instruction")
-                out << "\"pc\": " << std::get<0>(key)
-                    << ", \"op\": \""
-                    << harness::jsonEscape(std::get<1>(key))
-                    << "\", \"unit\": \""
-                    << harness::jsonEscape(std::get<2>(key))
-                    << "\", ";
+                w.member("pc").uint(std::get<0>(key))
+                    .member("op").text(std::get<1>(key))
+                    .member("unit").text(std::get<2>(key));
             else if (by == "structure")
-                out << "\"unit\": \""
-                    << harness::jsonEscape(std::get<1>(key))
-                    << "\", ";
+                w.member("unit").text(std::get<1>(key));
             else if (by == "opcode")
-                out << "\"op\": \""
-                    << harness::jsonEscape(std::get<1>(key))
-                    << "\", ";
+                w.member("op").text(std::get<1>(key));
             else
-                out << "\"phase\": " << std::get<0>(key) << ", ";
-            out << "\"windows\": " << agg.windows
-                << ", \"live\": " << agg.live
-                << ", \"failures\": " << agg.failures << "}";
+                w.member("phase").uint(std::get<0>(key));
+            w.member("windows").uint(agg.windows)
+                .member("live").uint(agg.live)
+                .member("failures").uint(agg.failures)
+                .endObject();
         }
-        out << "]}\n";
+        w.endArray().endObject().newline();
+        out << text;
         return true;
     }
 

@@ -41,6 +41,7 @@
 #include "serve/campaign.hh"
 #include "serve/daemon.hh"
 #include "serve/protocol.hh"
+#include "util/json.hh"
 
 namespace
 {
@@ -166,7 +167,11 @@ roundTrip(const std::string &dir, const std::string &line)
     std::printf("%s\n", response.c_str());
     // The daemon answers errors as {"ok":false,...} on a clean
     // transport; reflect that in the exit status for scripts.
-    return response.rfind("{\"ok\":true", 0) == 0 ? 0 : 2;
+    json::Value doc;
+    const json::Value *ok = json::parse(response, doc, error)
+                                ? doc.find("ok", json::Value::Kind::Bool)
+                                : nullptr;
+    return ok && ok->boolean ? 0 : 2;
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 #include "avflint/checks.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -411,6 +412,48 @@ checkForkSafety(const SourceFile &src, const CheckContext &,
              "process fan-out lives in the sharder so every child "
              "inherits known state (single-threaded parent, owned "
              "pipe, _exit on every path)"});
+    }
+}
+
+// ---------------------------------------------------------------- //
+// json-by-hand: JSON keys spelled inside string literals.           //
+// ---------------------------------------------------------------- //
+
+/** True when @p literal holds an escaped-quote key and a colon. */
+bool
+spellsJsonKey(std::string_view literal)
+{
+    const std::string_view quote = "\\\"";
+    for (std::size_t i = literal.find(quote); i != std::string_view::npos;
+         i = literal.find(quote, i + 1)) {
+        std::size_t j = i + quote.size();
+        while (j < literal.size() &&
+               (std::isalnum(static_cast<unsigned char>(literal[j])) ||
+                literal[j] == '_'))
+            ++j;
+        if (j > i + quote.size() &&
+            literal.substr(j, quote.size() + 1) == "\\\":")
+            return true;
+    }
+    return false;
+}
+
+void
+checkJsonByHand(const SourceFile &src, const CheckContext &,
+                std::vector<Finding> &out)
+{
+    if (src.path == "src/util/json.cc" ||
+        !(startsWith(src.path, "src/") || startsWith(src.path, "tools/")))
+        return; // the writer itself; bench/ and tests/ may hand-roll
+
+    for (const Token &tok : src.tokens) {
+        if (tok.kind != TokKind::String || !spellsJsonKey(tok.text))
+            continue;
+        out.push_back(
+            {src.path, tok.line, "json-by-hand",
+             "string literal spells a JSON key; write JSON through "
+             "json::Writer (util/json.hh), which owns escaping, number "
+             "spelling and layout"});
     }
 }
 
@@ -925,6 +968,8 @@ checkRegistry()
         {"fork-safety",
          "fork()/vfork() outside the serve process sharder",
          Severity::Error, checkForkSafety},
+        {"json-by-hand", "JSON written by hand instead of json::Writer",
+         Severity::Error, checkJsonByHand},
         {"include-guard", "headers must carry an include guard",
          Severity::Error, checkIncludeGuard},
         {"naked-assert", "assert() where avf_assert is required",

@@ -31,6 +31,9 @@
  *                 `(void)` cast is an accepted explicit discard.
  *   exit-site     exit()/abort() family outside src/util/logging.cc,
  *                 the only sanctioned process-exit site.
+ *   json-by-hand  string literals in src/ or tools/ (outside
+ *                 src/util/json.cc) that spell an escaped-quote JSON
+ *                 key followed by ':'; JSON goes through json::Writer.
  *   include-guard .hh files must open with an #ifndef/#define guard
  *                 or #pragma once.
  *   naked-assert  assert() where avf_assert (on in release builds)

@@ -1,60 +1,9 @@
 #include "avflint/report.hh"
 
-#include <sstream>
+#include "util/json.hh"
 
 namespace avf::lint
 {
-
-namespace
-{
-
-/** RFC 8259 string escaping: quotes, backslash, control bytes. */
-std::string
-jsonEscape(std::string_view text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char hex[] = "0123456789abcdef";
-                out += "\\u00";
-                out += hex[(c >> 4) & 0xf];
-                out += hex[c & 0xf];
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-quoted(std::string_view text)
-{
-    std::string out = "\"";
-    out += jsonEscape(text);
-    out += '"';
-    return out;
-}
-
-} // namespace
 
 std::size_t
 Report::freshCount() const
@@ -75,61 +24,57 @@ Report::ok() const
 std::string
 formatJsonReport(const Report &report)
 {
-    std::ostringstream out;
-    out << "{\n";
-    out << "  \"schema\": \"avflint-v1\",\n";
-    out << "  \"root\": " << quoted(report.root) << ",\n";
-    out << "  \"filesScanned\": " << report.filesScanned << ",\n";
-    out << "  \"lexParseMicros\": " << report.lexParseMicros << ",\n";
+    using Layout = json::Writer::Layout;
+    std::string text;
+    json::Writer out(text, json::Writer::Style::Spaced);
+    out.startObject(Layout::Lines)
+        .member("schema").text("avflint-v1")
+        .member("root").text(report.root)
+        .member("filesScanned").uint(report.filesScanned)
+        .member("lexParseMicros").sint(report.lexParseMicros);
 
     // Per-check rollup, in registry order (stable for diffing).
     std::map<std::string, std::size_t> counts;
     for (const Finding &f : report.findings)
         ++counts[f.id];
-    out << "  \"checks\": [";
-    bool firstCheck = true;
+    out.member("checks").startArray(Layout::Lines);
     for (const CheckInfo &check : checkRegistry()) {
         const std::string id(check.id);
         auto micros = report.checkMicros.find(id);
-        out << (firstCheck ? "\n" : ",\n");
-        firstCheck = false;
-        out << "    {\"id\": " << quoted(check.id)
-            << ", \"severity\": " << quoted(severityName(check.severity))
-            << ", \"description\": " << quoted(check.description)
-            << ", \"findings\": " << counts[id] << ", \"micros\": "
-            << (micros == report.checkMicros.end() ? 0
-                                                   : micros->second)
-            << "}";
+        out.startObject()
+            .member("id").text(check.id)
+            .member("severity").text(severityName(check.severity))
+            .member("description").text(check.description)
+            .member("findings").uint(counts[id])
+            .member("micros")
+            .sint(micros == report.checkMicros.end() ? 0
+                                                     : micros->second)
+            .endObject();
     }
-    out << "\n  ],\n";
-
-    out << "  \"findings\": [";
+    out.endArray().member("findings").startArray(Layout::Lines);
     for (std::size_t i = 0; i < report.findings.size(); ++i) {
         const Finding &f = report.findings[i];
         const bool base = i < report.baselined.size() &&
                           report.baselined[i];
-        out << (i == 0 ? "\n" : ",\n");
-        out << "    {\"file\": " << quoted(f.file)
-            << ", \"line\": " << f.line
-            << ", \"check\": " << quoted(f.id)
-            << ", \"severity\": " << quoted(severityName(f.severity))
-            << ", \"baselined\": " << (base ? "true" : "false")
-            << ", \"message\": " << quoted(f.message) << "}";
+        out.startObject()
+            .member("file").text(f.file)
+            .member("line").sint(f.line)
+            .member("check").text(f.id)
+            .member("severity").text(severityName(f.severity))
+            .member("baselined").boolean(base)
+            .member("message").text(f.message)
+            .endObject();
     }
-    out << "\n  ],\n";
-
-    out << "  \"fresh\": " << report.freshCount() << ",\n";
-    out << "  \"baselined\": "
-        << (report.findings.size() - report.freshCount()) << ",\n";
-    out << "  \"staleBaseline\": [";
-    for (std::size_t i = 0; i < report.staleBaseline.size(); ++i) {
-        out << (i == 0 ? "\n" : ",\n");
-        out << "    " << quoted(report.staleBaseline[i]);
-    }
-    out << "\n  ],\n";
-    out << "  \"ok\": " << (report.ok() ? "true" : "false") << "\n";
-    out << "}\n";
-    return out.str();
+    out.endArray()
+        .member("fresh").uint(report.freshCount())
+        .member("baselined")
+        .uint(report.findings.size() - report.freshCount())
+        .member("staleBaseline").startArray(Layout::Lines);
+    for (const std::string &key : report.staleBaseline)
+        out.text(key);
+    out.endArray().member("ok").boolean(report.ok()).endObject();
+    out.newline();
+    return text;
 }
 
 } // namespace avf::lint
