@@ -50,23 +50,6 @@ writeNamed(json::Writer &out,
     out.endArray();
 }
 
-} // namespace
-
-void
-writeEstimatorState(json::Writer &out,
-                    const core::EstimatorState &state)
-{
-    out.startObject().member("name").text(state.name);
-    writeNamed(out.member("counters"), state.counters);
-    writeNamed(out.member("values"), state.values);
-    writeExactDoubles(out.member("estimates"), state.estimates.data(),
-                      state.estimates.size());
-    out.endObject();
-}
-
-namespace
-{
-
 void
 writeMetricsSnapshot(json::Writer &out,
                      const obs::MetricsSnapshot &metrics)
@@ -97,6 +80,18 @@ writeMetricsSnapshot(json::Writer &out,
 }
 
 } // namespace
+
+void
+writeEstimatorState(json::Writer &out,
+                    const core::EstimatorState &state)
+{
+    out.startObject().member("name").text(state.name);
+    writeNamed(out.member("counters"), state.counters);
+    writeNamed(out.member("values"), state.values);
+    writeExactDoubles(out.member("estimates"), state.estimates.data(),
+                      state.estimates.size());
+    out.endObject();
+}
 
 void
 writeAttributionSnapshot(json::Writer &out,

@@ -8,11 +8,11 @@
  * guessed around. Numbers keep double precision plus a lossless
  * uint64 path for counters.
  *
- * Writer emits every JSON document the repo produces: the task wire
- * codec, serve requests, responses, feeds and checkpoints, and the
- * METRICS / ROOTCAUSE / lifecycle / TRACE exports. It owns the four
- * decisions that fix an export's bytes, so no emitter makes them on
- * its own:
+ * Writer emits every JSON document src/ and tools/ produce: the task
+ * wire codec, serve requests, responses, feeds and checkpoints, the
+ * METRICS / ROOTCAUSE / lifecycle / TRACE exports and the reports.
+ * It owns the four decisions that fix an export's bytes, so no
+ * emitter makes them on its own:
  *   - strings pass through escape();
  *   - numbers: exact() is %.17g (round-trips every finite double),
  *     fixed() is %.Nf, integers print with std::to_chars;

@@ -1,10 +1,10 @@
 #include "avflint/checks.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 
@@ -419,25 +419,6 @@ checkForkSafety(const SourceFile &src, const CheckContext &,
 // json-by-hand: JSON keys spelled inside string literals.           //
 // ---------------------------------------------------------------- //
 
-/** True when @p literal holds an escaped-quote key and a colon. */
-bool
-spellsJsonKey(std::string_view literal)
-{
-    const std::string_view quote = "\\\"";
-    for (std::size_t i = literal.find(quote); i != std::string_view::npos;
-         i = literal.find(quote, i + 1)) {
-        std::size_t j = i + quote.size();
-        while (j < literal.size() &&
-               (std::isalnum(static_cast<unsigned char>(literal[j])) ||
-                literal[j] == '_'))
-            ++j;
-        if (j > i + quote.size() &&
-            literal.substr(j, quote.size() + 1) == "\\\":")
-            return true;
-    }
-    return false;
-}
-
 void
 checkJsonByHand(const SourceFile &src, const CheckContext &,
                 std::vector<Finding> &out)
@@ -446,8 +427,10 @@ checkJsonByHand(const SourceFile &src, const CheckContext &,
         !(startsWith(src.path, "src/") || startsWith(src.path, "tools/")))
         return; // the writer itself; bench/ and tests/ may hand-roll
 
+    // An escaped quote, a key, an escaped quote and a colon.
+    static const std::regex key(R"(\\"\w+\\":)");
     for (const Token &tok : src.tokens) {
-        if (tok.kind != TokKind::String || !spellsJsonKey(tok.text))
+        if (tok.kind != TokKind::String || !std::regex_search(tok.text, key))
             continue;
         out.push_back(
             {src.path, tok.line, "json-by-hand",

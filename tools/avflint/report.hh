@@ -1,10 +1,9 @@
 /**
  * @file
- * Machine-readable lint report (`avflint --format=json`). The write
- * side is hand-rolled, like every exporter in this repo; the read
- * side (avf-report lint, CI annotation emission) goes through the
- * strict util/json parser, so the emitter must produce strictly
- * valid RFC 8259 output — tests round-trip it.
+ * Machine-readable lint report (`avflint --format=json`), written
+ * with json::Writer like every exporter in this repo; the read side
+ * (avf-report lint, CI annotation emission) goes through the strict
+ * util/json parser — tests round-trip it.
  *
  * Schema "avflint-v1":
  *   schema         "avflint-v1"
