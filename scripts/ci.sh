@@ -156,13 +156,7 @@ run_tsan() {
 run_bench_smoke() {
     echo "=== bench-smoke: avf_micro --smoke (Release) ==="
     configure_and_build "$BUILD-bench" -DCMAKE_BUILD_TYPE=Release
-    # Two passes over the same binary: serial injection (lanes=1,
-    # the legacy baseline) and the full 64-lane plane, so the
-    # engine_campaign_* speedup is visible by diffing the two
-    # BENCH_micro.json variants side by side.
-    AVF_LANES=1 "$BUILD-bench/bench/micro/avf_micro" --smoke \
-        --out "$BUILD-bench/BENCH_micro_lanes1.json"
-    AVF_LANES=64 "$BUILD-bench/bench/micro/avf_micro" --smoke \
+    "$BUILD-bench/bench/micro/avf_micro" --smoke \
         --out "$BUILD-bench/BENCH_micro.json"
     echo "=== bench-smoke: metrics-enabled fig3_accuracy run ==="
     AVF_FAST=1 AVF_METRICS="$BUILD-bench/ci" \

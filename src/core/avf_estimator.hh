@@ -1,9 +1,10 @@
 /**
  * @file
  * Common interface for every AVF estimator in core/: the paper's
- * online error-bit estimator, the utilization and occupancy counter
- * baselines, the Walcott-style regression estimator, and the TLB
- * extension all expose the same three observables, so the harness and
+ * online error-bit estimator and the TLB extension (injection
+ * campaigns), and the utilization and occupancy counter baselines all
+ * expose the same three observables — a name, the per-interval
+ * estimates and a snapshot of the reporting state — so the harness and
  * benches can iterate estimator sets generically instead of
  * hard-coding each class.
  */
@@ -23,25 +24,28 @@ namespace avf::core
 {
 
 /**
- * Plain-data snapshot of one estimator's accumulated reporting state:
- * the per-interval estimates plus the named counters and values a
- * resumed service needs to keep reporting where the original left
- * off. Snapshots are taken at quiesce points (interval boundaries or
- * end of run); in-flight microarchitectural window state is
- * deliberately NOT captured — the serve layer's crash-resume
- * recomputes an interrupted slice from its config, which is both
- * cheaper and exactly deterministic (see DESIGN.md §13).
+ * Plain-data record of one estimator's accumulated reporting state:
+ * the per-interval estimates plus the named counters behind them.
+ * Snapshots are taken at quiesce points (interval boundaries or end
+ * of run) and travel in task results and serve checkpoints as a
+ * record; nothing restores an estimator from one — the serve layer's
+ * crash-resume recomputes an interrupted slice from its config, which
+ * is both cheaper and exactly deterministic (see DESIGN.md §13).
+ * In-flight microarchitectural window state is not captured.
  *
  * Entry order is fixed per family, so equal states serialize to equal
  * bytes through harness/task_codec.
  */
 struct EstimatorState
 {
-    /** Producing estimator's name(); restore requires a match. */
+    /** Producing estimator's name(). */
     std::string name;
     /** Monotonic counters (injections, failures, cursors, ...). */
     std::vector<std::pair<std::string, std::uint64_t>> counters;
-    /** Real-valued state (model weights, boundary snapshots, ...). */
+    /**
+     * Real-valued state. No estimator fills it; it stays because its
+     * (empty) encoding is part of every pinned checkpoint's bytes.
+     */
     std::vector<std::pair<std::string, double>> values;
     /** Completed per-interval estimates at snapshot time. */
     std::vector<double> estimates;
@@ -54,21 +58,11 @@ struct EstimatorState
                 return v;
         return 0;
     }
-
-    /** Value by name; 0.0 when absent. */
-    double valueOf(std::string_view key) const
-    {
-        for (const auto &[name_, v] : values)
-            if (name_ == key)
-                return v;
-        return 0.0;
-    }
 };
 
 /**
  * An AVF estimator attached to the pipeline as an observer. Estimates
- * accumulate one value per completed estimation interval; partialAvf()
- * reads the still-open interval.
+ * accumulate one value per completed estimation interval.
  */
 class AvfEstimator : public cpu::PipelineObserver
 {
@@ -81,21 +75,8 @@ class AvfEstimator : public cpu::PipelineObserver
     /** Completed per-interval AVF estimates, oldest first. */
     virtual const std::vector<double> &estimates() const = 0;
 
-    /** Best estimate over the current (incomplete) interval. */
-    virtual double partialAvf() const = 0;
-
     /** Copy the accumulated reporting state (see EstimatorState). */
     virtual EstimatorState snapshotState() const = 0;
-
-    /**
-     * Restore a state produced by the same family's snapshotState().
-     * Throws std::invalid_argument when @p state names a different
-     * estimator — restore consumes wire/checkpoint data, so a
-     * mismatch is an input error, not a programmer error. After a
-     * successful restore the accessors report the snapshot's numbers
-     * and new intervals accumulate on top.
-     */
-    virtual void restoreState(const EstimatorState &state) = 0;
 };
 
 } // namespace avf::core

@@ -1,8 +1,5 @@
 #include "core/injection_campaign.hh"
 
-#include <stdexcept>
-#include <string>
-
 #include "util/logging.hh"
 
 namespace avf::core
@@ -130,25 +127,6 @@ InjectionCampaign::snapshotState() const
         "cursor", static_cast<std::uint64_t>(siteSource.position()));
     state.estimates = results;
     return state;
-}
-
-void
-InjectionCampaign::restoreState(const EstimatorState &state)
-{
-    if (state.name != name())
-        throw std::invalid_argument(
-            "estimator state for '" + state.name +
-            "' cannot restore into '" + name() + "'");
-    const std::uint64_t cursor = state.counterValue("cursor");
-    if (cursor >= static_cast<std::uint64_t>(siteSource.numSlots()))
-        throw std::invalid_argument(
-            "estimator state for '" + name() + "' has cursor " +
-            std::to_string(cursor) + " past its " +
-            std::to_string(siteSource.numSlots()) + " sites");
-    for (const CounterKey &key : counterKeys())
-        count.*key.counter = state.counterValue(key.key);
-    siteSource.seek(static_cast<int>(cursor));
-    results = state.estimates;
 }
 
 void

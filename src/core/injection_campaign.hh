@@ -111,9 +111,6 @@ class SiteSource
     /** Slot the next call to next() returns. */
     int position() const { return cursor; }
 
-    /** Resume the walk at @p slot (snapshot restore). */
-    void seek(int slot) { cursor = slot; }
-
   private:
     Site::Kind siteKind;
     Structure target;
@@ -192,7 +189,7 @@ class InjectionCampaign : public AvfEstimator
     }
 
     /** AVF over the windows closed so far in the open interval. */
-    double partialAvf() const override;
+    double partialAvf() const;
 
     /**
      * The family's counters (counterKeys() order), then the
@@ -200,7 +197,6 @@ class InjectionCampaign : public AvfEstimator
      * lane windows are not captured (see EstimatorState).
      */
     EstimatorState snapshotState() const override;
-    void restoreState(const EstimatorState &state) override;
 
     /** Windows closed in the current (incomplete) interval. */
     std::uint64_t injectionsSoFar() const { return count.injections; }

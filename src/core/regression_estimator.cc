@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "trace/instruction.hh"
 #include "util/logging.hh"
@@ -145,105 +144,11 @@ std::vector<double>
 LinearAvfModel::predictSeries(
     const std::vector<FeatureVector> &rows) const
 {
-    // Runs once per estimation interval and reserves before filling.
-    // avflint: allow(hot-path-alloc)
     std::vector<double> out;
     out.reserve(rows.size());
     for (const auto &row : rows)
         out.push_back(predict(row));
     return out;
-}
-
-RegressionEstimator::RegressionEstimator(const cpu::Pipeline &pipe,
-                                         Cycle intervalCycles,
-                                         LinearAvfModel model)
-    : collector(pipe, intervalCycles), model(std::move(model))
-{
-}
-
-void
-RegressionEstimator::onRetire(const cpu::DynInstr &instr,
-                              const cpu::RetireInfo &info)
-{
-    collector.onRetire(instr, info);
-}
-
-void
-RegressionEstimator::onCycle(Cycle now)
-{
-    collector.onCycle(now);
-}
-
-std::string
-RegressionEstimator::name() const
-{
-    return "regression:iq";
-}
-
-const std::vector<double> &
-RegressionEstimator::estimates() const
-{
-    if (!model.trained()) {
-        cached.clear();
-        return cached;
-    }
-    if (cached.size() != collector.features().size())
-        cached = model.predictSeries(collector.features());
-    return cached;
-}
-
-double
-RegressionEstimator::partialAvf() const
-{
-    const auto &series = estimates();
-    return series.empty() ? 0.0 : series.back();
-}
-
-void
-RegressionEstimator::setModel(LinearAvfModel newModel)
-{
-    model = std::move(newModel);
-    cached.clear();
-}
-
-EstimatorState
-RegressionEstimator::snapshotState() const
-{
-    EstimatorState state;
-    state.name = name();
-    state.counters = {{"trained", model.trained() ? 1u : 0u}};
-    if (model.trained()) {
-        const FeatureVector &w = model.weights();
-        state.values.reserve(w.size());
-        for (int i = 0; i < numRegressionFeatures; ++i)
-            state.values.emplace_back(
-                "w" + std::to_string(i),
-                w[static_cast<std::size_t>(i)]);
-    }
-    state.estimates = estimates();
-    return state;
-}
-
-void
-RegressionEstimator::restoreState(const EstimatorState &state)
-{
-    if (state.name != name())
-        throw std::invalid_argument(
-            "estimator state for '" + state.name +
-            "' cannot restore into '" + name() + "'");
-    if (!state.counterValue("trained")) {
-        model = LinearAvfModel{};
-        cached.clear();
-        return;
-    }
-    FeatureVector w{};
-    for (int i = 0; i < numRegressionFeatures; ++i)
-        w[static_cast<std::size_t>(i)] =
-            state.valueOf("w" + std::to_string(i));
-    LinearAvfModel restored;
-    restored.setWeights(w);
-    model = restored;
-    cached.clear();
 }
 
 } // namespace avf::core

@@ -1,85 +1,35 @@
 #include "core/utilization_estimator.hh"
 
 #include <cctype>
-#include <stdexcept>
-
-#include "util/logging.hh"
+#include <string>
 
 namespace avf::core
 {
 
+namespace
+{
+
+/** "utilization:<lower-case unit class>". */
+std::string
+utilizationName(cpu::FuClass cls)
+{
+    std::string name = cpu::fuClassName(cls);
+    for (char &c : name)
+        c = static_cast<char>(std::tolower(
+            static_cast<unsigned char>(c)));
+    return "utilization:" + name;
+}
+
+} // namespace
+
 UtilizationEstimator::UtilizationEstimator(const cpu::Pipeline &pipe,
                                            cpu::FuClass cls,
                                            Cycle intervalCycles)
-    : pipeline(pipe), fuClass(cls), intervalLen(intervalCycles),
-      boundaryTick(intervalCycles, intervalCycles - 1)
+    : CounterBaseline(
+          pipe.stats().busyUnitCycles[static_cast<int>(cls)],
+          pipe.config().unitsIn(cls), intervalCycles,
+          utilizationName(cls), "last_busy")
 {
-    avf_assert(intervalLen > 0, "interval length must be positive");
-}
-
-void
-UtilizationEstimator::onCycle(Cycle now)
-{
-    // Interval k covers cycles [k * len, (k+1) * len); close it at
-    // the end of its last cycle.
-    if (!boundaryTick.tick(now))
-        return;
-    std::uint64_t busy = pipeline.stats().busyUnitCycles[
-        static_cast<int>(fuClass)];
-    std::uint64_t delta = busy - lastBusy;
-    lastBusy = busy;
-    auto units = static_cast<double>(
-        pipeline.config().unitsIn(fuClass));
-    // One sample per estimation interval; unbounded by design.
-    // avflint: allow(hot-path-alloc)
-    results.push_back(static_cast<double>(delta) /
-                      (static_cast<double>(intervalLen) * units));
-}
-
-std::string
-UtilizationEstimator::name() const
-{
-    std::string cls = cpu::fuClassName(fuClass);
-    for (char &c : cls)
-        c = static_cast<char>(std::tolower(
-            static_cast<unsigned char>(c)));
-    return "utilization:" + cls;
-}
-
-double
-UtilizationEstimator::partialAvf() const
-{
-    Cycle boundary = static_cast<Cycle>(results.size()) * intervalLen;
-    Cycle elapsed = pipeline.now() + 1 - boundary;
-    if (elapsed == 0 || pipeline.now() + 1 < boundary)
-        return 0.0;
-    std::uint64_t delta = pipeline.stats().busyUnitCycles[
-        static_cast<int>(fuClass)] - lastBusy;
-    auto units = static_cast<double>(
-        pipeline.config().unitsIn(fuClass));
-    return static_cast<double>(delta) /
-           (static_cast<double>(elapsed) * units);
-}
-
-EstimatorState
-UtilizationEstimator::snapshotState() const
-{
-    EstimatorState state;
-    state.name = name();
-    state.counters = {{"last_busy", lastBusy}};
-    state.estimates = results;
-    return state;
-}
-
-void
-UtilizationEstimator::restoreState(const EstimatorState &state)
-{
-    if (state.name != name())
-        throw std::invalid_argument(
-            "estimator state for '" + state.name +
-            "' cannot restore into '" + name() + "'");
-    lastBusy = state.counterValue("last_busy");
-    results = state.estimates;
 }
 
 } // namespace avf::core

@@ -85,10 +85,9 @@ class PipelineObserver
     /**
      * Error bits @p bits moved via @p hop at instruction @p instr.
      * Only delivered when the pipeline's hop events are enabled
-     * (Pipeline::setHopSink) and the build retains the hooks
-     * (cmake -DAVF_LIFECYCLE_HOOKS=ON, the default); bits is always
-     * nonzero. @p instr is the consumer for ReadCarry/OrMerge/
-     * FuTransit and the overwriting producer for OverwriteKill.
+     * (Pipeline::setHopSink); bits is always nonzero. @p instr is the
+     * consumer for ReadCarry/OrMerge/FuTransit and the overwriting
+     * producer for OverwriteKill.
      */
     virtual void onErrorHop(const DynInstr &, ErrorMask, ErrorHop) {}
 };

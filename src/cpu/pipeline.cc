@@ -4,12 +4,6 @@
 
 #include "util/logging.hh"
 
-// Lifecycle observability hooks (onErrorHop emission) compile out
-// entirely with -DAVF_LIFECYCLE_HOOKS=OFF; see the root CMakeLists.
-#ifndef AVF_LIFECYCLE_HOOKS
-#define AVF_LIFECYCLE_HOOKS 1
-#endif
-
 namespace avf::cpu
 {
 
@@ -209,7 +203,6 @@ Pipeline::completeStage()
         if (instr.destPhys >= 0) {
             auto dest = static_cast<std::size_t>(instr.destPhys);
             regReady[dest] = 1;
-#if AVF_LIFECYCLE_HOOKS
             if (hopSink) {
                 ErrorMask killed = regError.get(dest) &
                     static_cast<ErrorMask>(~instr.errorMask);
@@ -217,7 +210,6 @@ Pipeline::completeStage()
                     notifyErrorHop(instr, killed,
                                    ErrorHop::OverwriteKill);
             }
-#endif
             // Overwrite, not OR: writing a value replaces whatever
             // error state the register carried (dead-error kill).
             regError.setMask(dest, instr.errorMask);
@@ -324,7 +316,6 @@ Pipeline::issueOne(int robIdx, FuClass cls)
 
     // Read the source registers: error bits travel with the values
     // ("or" gates merge multi-input errors).
-#if AVF_LIFECYCLE_HOOKS
     // Hop accounting. hop_carried: bits acquired by reads this issue.
     // hop_once/hop_twice: per-channel origin tracking — a channel bit
     // contributed by two or more origins (prior mask, each erroneous
@@ -332,19 +323,16 @@ Pipeline::issueOne(int robIdx, FuClass cls)
     ErrorMask hop_carried = 0;
     ErrorMask hop_once = hopSink ? instr.errorMask : 0;
     ErrorMask hop_twice = 0;
-#endif
     for (auto phys : instr.srcPhys) {
         if (phys >= 0) {
             ErrorMask src_bits =
                 regError.get(static_cast<std::size_t>(phys));
             instr.errorMask |= src_bits;
-#if AVF_LIFECYCLE_HOOKS
             if (hopSink && src_bits) {
                 hop_carried |= src_bits;
                 hop_twice |= hop_once & src_bits;
                 hop_once |= src_bits;
             }
-#endif
         }
     }
 
@@ -357,13 +345,11 @@ Pipeline::issueOne(int robIdx, FuClass cls)
             ErrorMask fwd_bits =
                 storeQueue[static_cast<std::size_t>(fwd)].error;
             instr.errorMask |= fwd_bits;
-#if AVF_LIFECYCLE_HOOKS
             if (hopSink && fwd_bits) {
                 hop_carried |= fwd_bits;
                 hop_twice |= hop_once & fwd_bits;
                 hop_once |= fwd_bits;
             }
-#endif
         }
     }
 
@@ -395,17 +381,14 @@ Pipeline::issueOne(int robIdx, FuClass cls)
             hierarchy.dataAccess(instr.in.effAddr, currentCycle,
                                  &tlb_error));
         instr.errorMask |= tlb_error;
-#if AVF_LIFECYCLE_HOOKS
         if (hopSink && tlb_error) {
             hop_carried |= tlb_error;
             hop_twice |= hop_once & tlb_error;
             hop_once |= tlb_error;
         }
-#endif
     } else {
         latency = latencyFor(instr, forwarded);
     }
-#if AVF_LIFECYCLE_HOOKS
     if (hopSink) {
         if (hop_carried)
             notifyErrorHop(instr, hop_carried, ErrorHop::ReadCarry);
@@ -414,7 +397,6 @@ Pipeline::issueOne(int robIdx, FuClass cls)
         if (instr.errorMask)
             notifyErrorHop(instr, instr.errorMask, ErrorHop::FuTransit);
     }
-#endif
     // The instruction now carries every channel it will hold while in
     // the ROB (later additions — FU injections, retire-time dTLB
     // reads — maintain the mask at their own sites).

@@ -158,13 +158,9 @@ class Pipeline
      * sink rather than the whole observer list because the emission
      * checks sit on the issue/writeback hot paths — fanning every
      * hop out through N virtual no-ops would tax runs that do not
-     * trace. No-op (events never fire) when the build was configured
-     * with -DAVF_LIFECYCLE_HOOKS=OFF.
+     * trace.
      */
     void setHopSink(PipelineObserver *sink) { hopSink = sink; }
-
-    /** True when onErrorHop events are being delivered. */
-    bool hopEventsEnabled() const { return hopSink != nullptr; }
 
     /**
      * Inject an error into dTLB entry slot @p slot (the TLB-AVF

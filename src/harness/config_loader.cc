@@ -100,8 +100,7 @@ envPrefixStrict(const char *name)
     return val;
 }
 
-} // namespace
-
+/** AVF_LANES: 1..64, default 64; fatal() outside that range. */
 int
 lanesFromEnv()
 {
@@ -111,6 +110,8 @@ lanesFromEnv()
               lanes);
     return lanes;
 }
+
+} // namespace
 
 int
 tailPollMsFromEnv()

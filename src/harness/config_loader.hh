@@ -94,13 +94,6 @@ ExperimentConfig loadExperimentConfig(const KeyValueFile &file);
 RunOptions loadRunOptions(int paperDefaultIntervals = 100);
 
 /**
- * Resolve AVF_LANES alone (1..64, default 64; fatal() outside that
- * range or non-numeric) — for benches that build RunOptions by hand
- * instead of through loadRunOptions().
- */
-int lanesFromEnv();
-
-/**
  * Resolve AVF_TAIL_POLL_MS: the `avf-report tail --follow` poll
  * period in milliseconds (strict positive integer, 1..60000; junk is
  * fatal()). Default 200 ms. Lives here so every env knob flows

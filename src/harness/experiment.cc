@@ -534,19 +534,12 @@ runExperimentDirect(const ExperimentConfig &config)
 ExperimentResult
 runExperiment(const ExperimentConfig &config)
 {
-    RunOptions options;
-    options.threads = 1;
-    ExperimentEngine engine(options);
-    engine.submit(config.profile.name, config);
-    auto tasks = engine.collect();
-    auto &task = tasks.front();
-    if (!task.ok()) {
-        if (task.exception)
-            std::rethrow_exception(task.exception);
-        fatal("experiment '%s' failed: %s",
-              config.profile.name.c_str(), task.errorText.c_str());
-    }
-    return std::move(task.result);
+    // lanes = 0 inherits the default lane count, exactly as
+    // ExperimentEngine::submit resolves it.
+    ExperimentConfig resolved = config;
+    if (resolved.online.lanes == 0)
+        resolved.online.lanes = RunOptions{}.lanes;
+    return detail::runExperimentDirect(resolved);
 }
 
 int

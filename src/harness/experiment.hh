@@ -248,9 +248,10 @@ struct ExperimentResult
  * intervals (plus lookahead), collecting online, SoftArch,
  * utilization, occupancy, and regression-feature data per interval.
  *
- * This is a thin single-task wrapper over the ExperimentEngine
- * (engine.hh); multi-experiment campaigns should use the engine
- * directly and get the worker pool for free.
+ * Runs on the calling thread, resolving online.lanes = 0 to the
+ * default lane count as ExperimentEngine::submit does; a bad config
+ * throws std::invalid_argument. Multi-experiment campaigns should use
+ * the engine (engine.hh) and get the worker pool for free.
  */
 ExperimentResult runExperiment(const ExperimentConfig &config);
 

@@ -56,17 +56,12 @@ class FakeEstimator : public core::AvfEstimator
     {
         return values;
     }
-    double partialAvf() const override { return 0.0; }
     core::EstimatorState snapshotState() const override
     {
         core::EstimatorState state;
         state.name = name();
         state.estimates = values;
         return state;
-    }
-    void restoreState(const core::EstimatorState &state) override
-    {
-        values = state.estimates;
     }
 
     std::vector<double> values;

@@ -297,18 +297,15 @@ TEST(AvfEstimatorInterface, NamesIdentifyMethodAndTarget)
     core::OnlineAvfEstimator online(pipe, Structure::IQ);
     core::UtilizationEstimator util(pipe, cpu::FuClass::Fxu, 10'000);
     core::OccupancyEstimator occ(pipe, 10'000);
-    core::RegressionEstimator reg(pipe, 10'000);
     core::TlbAvfEstimator tlb(pipe);
 
     std::vector<core::AvfEstimator *> all = {&online, &util, &occ,
-                                             &reg, &tlb};
+                                             &tlb};
     std::vector<std::string> expected = {
-        "online:iq", "utilization:fxu", "occupancy:iq",
-        "regression:iq", "online:dtlb"};
+        "online:iq", "utilization:fxu", "occupancy:iq", "online:dtlb"};
     for (std::size_t i = 0; i < all.size(); ++i) {
         EXPECT_EQ(all[i]->name(), expected[i]);
         EXPECT_TRUE(all[i]->estimates().empty());
-        EXPECT_DOUBLE_EQ(all[i]->partialAvf(), 0.0);
     }
 }
 

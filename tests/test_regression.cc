@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the Walcott-style regression baseline: feature
- * extraction sanity, least-squares correctness on synthetic data,
+ * extraction sanity (and its exact agreement with the counter
+ * baselines), least-squares correctness on synthetic data,
  * ridge behaviour, and the cross-workload degradation the paper
  * predicts.
  */
@@ -9,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "core/occupancy_estimator.hh"
 #include "core/regression_estimator.hh"
+#include "core/utilization_estimator.hh"
 #include "cpu/pipeline.hh"
 #include "softarch/ace_analyzer.hh"
 #include "stats/error_metrics.hh"
@@ -60,6 +64,38 @@ TEST(FeatureCollector, MixFeaturesTrackWorkload)
     auto branchy = collect("perlbmk");
     EXPECT_GT(fp_heavy[4], branchy[4]); // FPU utilization feature
     EXPECT_GT(branchy[7], fp_heavy[7]); // branch-fraction feature
+}
+
+TEST(FeatureCollector, CounterBaselinesEqualTheirColumnsBitForBit)
+{
+    // Two independent implementations of one ratio: the counter
+    // baselines and the collector's utilization and occupancy
+    // columns must agree exactly, not just closely.
+    trace::SyntheticTraceGenerator gen(trace::specProfile("swim"));
+    Pipeline pipe(CpuConfig{}, gen);
+    const Cycle interval = 7'000;
+    UtilizationEstimator fxu(pipe, FuClass::Fxu, interval);
+    UtilizationEstimator fpu(pipe, FuClass::Fpu, interval);
+    OccupancyEstimator occupancy(pipe, interval);
+    FeatureCollector collector(pipe, interval);
+    for (PipelineObserver *obs : std::vector<PipelineObserver *>{
+             &fxu, &fpu, &occupancy, &collector})
+        pipe.addObserver(obs);
+    pipe.run(interval * 6 + 123);
+
+    const auto &rows = collector.features();
+    ASSERT_EQ(rows.size(), 6u);
+    for (const CounterBaseline *est :
+         std::vector<const CounterBaseline *>{&fxu, &fpu, &occupancy})
+        ASSERT_EQ(est->estimates().size(), rows.size()) << est->name();
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        EXPECT_GT(rows[k][1], 0.0);
+        EXPECT_GT(rows[k][3], 0.0);
+        EXPECT_GT(rows[k][4], 0.0);
+        EXPECT_EQ(occupancy.estimates()[k], rows[k][1]) << k;
+        EXPECT_EQ(fxu.estimates()[k], rows[k][3]) << k;
+        EXPECT_EQ(fpu.estimates()[k], rows[k][4]) << k;
+    }
 }
 
 TEST(LinearAvfModel, RecoversKnownLinearRelation)

@@ -1,11 +1,11 @@
 /**
  * @file
- * The serve layer's contracts, bottom up: estimator snapshot/restore
- * round-trips per family, the wire codec's byte-exactness, protocol
- * validation (hostile lines must never reach fatal()), feed
- * byte-identity across shard counts, crash-resume byte-identity
- * (including a torn trailing line and a mid-campaign checkpoint),
- * and the daemon's malformed-request rejection over a real socket.
+ * The serve layer's contracts, bottom up: estimator snapshots per
+ * family, the wire codec's byte-exactness, protocol validation
+ * (hostile lines must never reach fatal()), feed byte-identity across
+ * shard counts, crash-resume byte-identity (including a torn trailing
+ * line and a mid-campaign checkpoint), and the daemon's
+ * malformed-request rejection over a real socket.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include <ctime>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
 
 #include <sys/stat.h>
@@ -23,8 +22,6 @@
 #include "core/injection_port.hh"
 #include "core/occupancy_estimator.hh"
 #include "core/online_estimator.hh"
-#include "core/regression_estimator.hh"
-#include "core/tlb_estimator.hh"
 #include "core/utilization_estimator.hh"
 #include "cpu/pipeline.hh"
 #include "harness/experiment.hh"
@@ -62,13 +59,6 @@ intProfile(double deadFrac, const char *name)
     return prof;
 }
 
-bool
-sameState(const EstimatorState &a, const EstimatorState &b)
-{
-    return a.name == b.name && a.counters == b.counters &&
-           a.values == b.values && a.estimates == b.estimates;
-}
-
 /** Small but multi-slice campaign used by the identity tests. */
 serve::CampaignSpec
 tinySpec(const char *name)
@@ -95,7 +85,7 @@ slurp(const std::string &path)
 }
 
 // ---------------------------------------------------------------- //
-// Estimator snapshot/restore round-trips                            //
+// Estimator snapshots                                               //
 // ---------------------------------------------------------------- //
 
 TEST(EstimatorSnapshot, OnlineRoundTrip)
@@ -113,13 +103,6 @@ TEST(EstimatorSnapshot, OnlineRoundTrip)
     EXPECT_EQ(state.name, est.name());
     EXPECT_GT(state.counterValue("lifetime_injections"), 0u);
     EXPECT_EQ(state.estimates.size(), 3u);
-
-    trace::SyntheticTraceGenerator gen2(intProfile(0.2, "snap"));
-    cpu::Pipeline pipe2(cpu::CpuConfig{}, gen2);
-    OnlineAvfEstimator fresh(pipe2, Structure::REG, conf);
-    fresh.restoreState(state);
-    EXPECT_TRUE(sameState(fresh.snapshotState(), state));
-    EXPECT_EQ(fresh.estimates(), est.estimates());
 }
 
 TEST(EstimatorSnapshot, UtilizationAndOccupancyRoundTrip)
@@ -139,32 +122,6 @@ TEST(EstimatorSnapshot, UtilizationAndOccupancyRoundTrip)
         EXPECT_EQ(state.name, est->name());
         EXPECT_FALSE(state.estimates.empty());
     }
-
-    trace::SyntheticTraceGenerator gen2(intProfile(0.1, "util"));
-    cpu::Pipeline pipe2(cpu::CpuConfig{}, gen2);
-    UtilizationEstimator util2(pipe2, cpu::FuClass::Fxu, 150);
-    util2.restoreState(util.snapshotState());
-    EXPECT_TRUE(
-        sameState(util2.snapshotState(), util.snapshotState()));
-    OccupancyEstimator occ2(pipe2, 150);
-    occ2.restoreState(occ.snapshotState());
-    EXPECT_TRUE(sameState(occ2.snapshotState(), occ.snapshotState()));
-}
-
-TEST(EstimatorSnapshot, TlbRoundTrip)
-{
-    trace::SyntheticTraceGenerator gen(intProfile(0.2, "tlb"));
-    cpu::Pipeline pipe(cpu::CpuConfig{}, gen);
-    TlbAvfEstimator est(pipe);
-    pipe.addObserver(&est);
-    pipe.run(3000);
-
-    EstimatorState state = est.snapshotState();
-    trace::SyntheticTraceGenerator gen2(intProfile(0.2, "tlb"));
-    cpu::Pipeline pipe2(cpu::CpuConfig{}, gen2);
-    TlbAvfEstimator fresh(pipe2);
-    fresh.restoreState(state);
-    EXPECT_TRUE(sameState(fresh.snapshotState(), state));
 }
 
 TEST(EstimatorSnapshot, CoverageProbeRoundTrip)
@@ -190,68 +147,6 @@ TEST(EstimatorSnapshot, CoverageProbeRoundTrip)
     EXPECT_EQ(state.name, "probe:rename_map");
     EXPECT_EQ(state.counterValue("lifetime_injections"), 30u);
     EXPECT_EQ(state.estimates.size(), 3u);
-
-    trace::SyntheticTraceGenerator gen2(intProfile(0.2, "probe"));
-    cpu::Pipeline pipe2(cpu::CpuConfig{}, gen2);
-    InjectionPort port2(pipe2);
-    obs::AttributionTracker tracker2(at);
-    obs::CoverageProbe fresh(pipe2, port2, tracker2,
-                             obs::CoverageTarget::RenameMap, conf);
-    fresh.restoreState(state);
-    EXPECT_TRUE(sameState(fresh.snapshotState(), state));
-    EXPECT_EQ(fresh.estimates(), probe.estimates());
-
-    obs::CoverageProbe other(pipe2, port2, tracker2,
-                             obs::CoverageTarget::BranchPred, conf);
-    EXPECT_THROW(other.restoreState(state), std::invalid_argument);
-
-    // A cursor past the target's slots is malformed input, not a site.
-    EstimatorState corrupt = state;
-    for (auto &[key, value] : corrupt.counters)
-        if (key == "cursor")
-            value = 1u << 20;
-    EXPECT_THROW(fresh.restoreState(corrupt), std::invalid_argument);
-}
-
-TEST(EstimatorSnapshot, RegressionRoundTripKeepsCalibration)
-{
-    trace::SyntheticTraceGenerator gen(intProfile(0.2, "reg"));
-    cpu::Pipeline pipe(cpu::CpuConfig{}, gen);
-
-    LinearAvfModel model;
-    FeatureVector weights{};
-    for (std::size_t i = 0; i < weights.size(); ++i)
-        weights[i] = 0.125 * static_cast<double>(i) - 0.25;
-    model.setWeights(weights);
-    RegressionEstimator trained(pipe, 100, model);
-
-    EstimatorState state = trained.snapshotState();
-    EXPECT_EQ(state.counterValue("trained"), 1u);
-
-    RegressionEstimator fresh(pipe, 100);
-    EXPECT_EQ(fresh.snapshotState().counterValue("trained"), 0u);
-    fresh.restoreState(state);
-    EstimatorState restored = fresh.snapshotState();
-    EXPECT_TRUE(sameState(restored, state));
-    for (std::size_t i = 0; i < weights.size(); ++i)
-        EXPECT_EQ(restored.valueOf("w" + std::to_string(i)),
-                  weights[i]);
-}
-
-TEST(EstimatorSnapshot, NameMismatchThrows)
-{
-    trace::SyntheticTraceGenerator gen(intProfile(0.2, "mismatch"));
-    cpu::Pipeline pipe(cpu::CpuConfig{}, gen);
-    OnlineConfig conf;
-    OnlineAvfEstimator iq(pipe, Structure::IQ, conf);
-    OnlineAvfEstimator reg(pipe, Structure::REG, conf);
-    EXPECT_THROW(reg.restoreState(iq.snapshotState()),
-                 std::invalid_argument);
-
-    UtilizationEstimator util(pipe, cpu::FuClass::Fxu, 100);
-    OccupancyEstimator occ(pipe, 100);
-    EXPECT_THROW(util.restoreState(occ.snapshotState()),
-                 std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- //

@@ -350,7 +350,7 @@ TEST(WakeExactness, ProbesWithAttribution)
     });
 }
 
-/** The counter baselines, the regression estimator, SoftArch. */
+/** The counter baselines, the regression features, SoftArch. */
 TEST(WakeExactness, BaselinesRegressionAndSoftArch)
 {
     constexpr Cycle interval = 2000;
@@ -361,10 +361,6 @@ TEST(WakeExactness, BaselinesRegressionAndSoftArch)
         core::UtilizationEstimator fpu(rig.pipe, cpu::FuClass::Fpu,
                                        interval);
         core::OccupancyEstimator occupancy(rig.pipe, interval);
-        core::LinearAvfModel model;
-        model.setWeights({0.01, 0.5, 0.2, 0.1, 0.05, 0.1, 0.1, 0.1,
-                          0.05});
-        core::RegressionEstimator regression(rig.pipe, interval, model);
         core::FeatureCollector features(rig.pipe, interval);
         softarch::SoftArchConfig sa;
         sa.intervalCycles = interval;
@@ -372,8 +368,7 @@ TEST(WakeExactness, BaselinesRegressionAndSoftArch)
         softarch::AceAnalyzer reference(rig.pipe, sa);
         for (cpu::PipelineObserver *obs :
              std::vector<cpu::PipelineObserver *>{
-                 &fxu, &fpu, &occupancy, &regression, &features,
-                 &reference})
+                 &fxu, &fpu, &occupancy, &features, &reference})
             rig.attach(*obs);
         GrowthCycles finalized(
             [&] { return reference.results().size(); });
@@ -383,7 +378,7 @@ TEST(WakeExactness, BaselinesRegressionAndSoftArch)
         Parts parts;
         for (const core::AvfEstimator *est :
              std::vector<const core::AvfEstimator *>{
-                 &fxu, &fpu, &occupancy, &regression})
+                 &fxu, &fpu, &occupancy})
             record(parts, *est);
         std::string rows;
         for (const auto &row : features.features())
