@@ -7,8 +7,7 @@
 #
 # Stages (default: all):
 #   tier1        configure + build + full test suite
-#   lint         avflint unit tests + repo scan vs the baseline
-#                ratchet (ctest -L lint)
+#   lint         avflint unit tests + repo scan (ctest -L lint)
 #   tidy         clang-tidy over src/ and tools/ (skips when absent)
 #   ubsan        engine tests under -DAVF_SANITIZE=undefined
 #   tsan         engine + obs tests under -DAVF_SANITIZE=thread (the
@@ -20,7 +19,10 @@
 #                a closed-loop scenario_budget_storm run whose
 #                decision trail `avf-report budget` renders back,
 #                and a scenario_root_cause run whose ci_ROOTCAUSE.json
-#                every `avf-report root-cause` grouping renders back
+#                every `avf-report root-cause` grouping renders back;
+#                then `bench/e2e/avfbench.py --smoke`, which builds the
+#                end-to-end benchmark (build-e2e/) and must report
+#                every workload correct
 #   serve-smoke  the kill-and-resume gate: start avf-serve, submit a
 #                campaign over the socket, kill -9 the daemon
 #                mid-campaign, restart with --resume, and diff the
@@ -38,10 +40,8 @@
 #                serve-smoke and golden are opt-in: each has its own
 #                CI job)
 #
-# The avflint_repo test fails on any finding that is neither fixed,
-# suppressed inline with a justification, nor already recorded in
-# tools/avflint/baseline.txt — so new debt cannot land, and the
-# baseline can only shrink.
+# The avflint_repo test fails on any finding that is neither fixed
+# nor suppressed inline with a justified `// avflint: allow(id)`.
 set -eu
 
 usage() {
@@ -106,7 +106,7 @@ run_tier1() {
 }
 
 run_lint() {
-    echo "=== lint: avflint (unit tests + repo scan vs baseline) ==="
+    echo "=== lint: avflint (unit tests + repo scan) ==="
     configure_and_build "$BUILD"
     # The repo scan runs twice: once as JSON for the CI annotations
     # and artifact, once human-readable via the avflint_repo ctest
@@ -115,16 +115,15 @@ run_lint() {
     # workflow uploads it with `if: always()`; any other exit is a
     # crash and fails right here.
     rc=0
-    "$BUILD/tools/avflint/avflint" --root . \
-        --baseline tools/avflint/baseline.txt --format=json \
+    "$BUILD/tools/avflint/avflint" --root . --format=json \
         src tools bench tests > "$BUILD/LINT.json" || rc=$?
     if [ "$rc" -gt 1 ]; then
         echo "ci.sh: avflint --format=json failed (rc=$rc)" >&2
         exit "$rc"
     fi
     # Strict read side: rejects malformed JSON (exit 2) and gates on
-    # the report's ok flag (exit 3 on fresh findings or stale
-    # baseline entries), so the emitter cannot drift from the parser.
+    # the report's ok flag (exit 3 on any finding), so the emitter
+    # cannot drift from the parser.
     "$BUILD/tools/avf-report/avf-report" lint "$BUILD/LINT.json"
     # Unit fixtures + the human-readable repo gate.
     ctest --test-dir "$BUILD" -L lint --output-on-failure
@@ -191,6 +190,12 @@ run_bench_smoke() {
     "$BUILD-bench/tools/avf-report/avf-report" root-cause \
         "$BUILD-bench/ci_ROOTCAUSE.json" --json > /dev/null
     echo "bench-smoke: ci_ROOTCAUSE.json round-trip ok"
+    echo "=== bench-smoke: end-to-end benchmark (avfbench.py --smoke) ==="
+    # Builds bench/e2e against this tree and replays every workload
+    # once; exits nonzero unless each one reports correct (run ok,
+    # digest matched), so a library change that breaks the ladder or
+    # a digest fails here rather than at landing.
+    python3 bench/e2e/avfbench.py --smoke
 }
 
 # Poll a status round-trip until the daemon in $1 answers (up to

@@ -9,7 +9,7 @@ CounterBaseline::CounterBaseline(const std::uint64_t &source,
                                  int units, Cycle intervalCycles,
                                  std::string estimatorName,
                                  const char *snapshotKey)
-    : counter(source), capacity(units), intervalLen(intervalCycles),
+    : sampler(source, units, intervalCycles),
       boundaryTick(intervalCycles, intervalCycles - 1),
       label(std::move(estimatorName)), sampleKey(snapshotKey)
 {
@@ -22,13 +22,9 @@ CounterBaseline::onCycle(Cycle now)
     // the end of its last cycle.
     if (!boundaryTick.tick(now))
         return;
-    std::uint64_t delta = counter - lastSample;
-    lastSample = counter;
     // One sample per estimation interval; unbounded by design.
     // avflint: allow(hot-path-alloc)
-    results.push_back(static_cast<double>(delta) /
-                      (static_cast<double>(intervalLen) *
-                       static_cast<double>(capacity)));
+    results.push_back(sampler.sample());
 }
 
 EstimatorState
@@ -36,7 +32,7 @@ CounterBaseline::snapshotState() const
 {
     EstimatorState state;
     state.name = label;
-    state.counters = {{sampleKey, lastSample}};
+    state.counters = {{sampleKey, sampler.last()}};
     state.estimates = results;
     return state;
 }

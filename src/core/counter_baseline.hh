@@ -8,7 +8,9 @@
  * interval divided by (interval length * capacity) — pointed at a
  * different counter. Cheap to count in hardware, but blind to dead
  * values and un-ACE instructions, so both upper-bound the real AVF,
- * often badly.
+ * often badly. The ratio itself is CounterSampler, which the
+ * regression's FeatureCollector shares for its occupancy and
+ * utilization columns.
  */
 
 #ifndef AVF_CORE_COUNTER_BASELINE_HH
@@ -24,6 +26,46 @@
 
 namespace avf::core
 {
+
+/**
+ * One monotonic counter sampled at interval boundaries: each sample
+ * is its growth since the previous one over (interval length *
+ * capacity).
+ */
+class CounterSampler
+{
+  public:
+    /**
+     * @param source monotonic counter that grows by up to @p units
+     *        per cycle (the caller keeps it alive).
+     * @param units capacity: units or entries the counter spans.
+     * @param intervalCycles cycles between samples.
+     */
+    CounterSampler(const std::uint64_t &source, int units,
+                   Cycle intervalCycles)
+        : counter(source), capacity(units), intervalLen(intervalCycles)
+    {}
+
+    /** The fraction over the interval just ended; advances last(). */
+    double
+    sample()
+    {
+        std::uint64_t delta = counter - lastSample;
+        lastSample = counter;
+        return static_cast<double>(delta) /
+               (static_cast<double>(intervalLen) *
+                static_cast<double>(capacity));
+    }
+
+    /** The counter's value at the last sample (0 before any). */
+    std::uint64_t last() const { return lastSample; }
+
+  private:
+    const std::uint64_t &counter;
+    int capacity;
+    Cycle intervalLen;
+    std::uint64_t lastSample = 0;
+};
 
 /** Per-interval counter growth / (interval length * capacity). */
 class CounterBaseline : public AvfEstimator
@@ -60,14 +102,11 @@ class CounterBaseline : public AvfEstimator
     EstimatorState snapshotState() const override;
 
   private:
-    const std::uint64_t &counter;
-    int capacity;
-    Cycle intervalLen;
+    CounterSampler sampler;
     /** Fires on interval-closing cycles ((now + 1) % len == 0). */
     IntervalTicker boundaryTick;
     std::string label;
     const char *sampleKey;
-    std::uint64_t lastSample = 0;
     std::vector<double> results;
 };
 

@@ -59,12 +59,6 @@ InjectionPort::reserveLanes(int count)
     return out;
 }
 
-int
-InjectionPort::freeLanes() const
-{
-    return numErrorChannels - std::popcount(reservedLanes);
-}
-
 InjectOutcome
 InjectionPort::fire(const Site &site, ErrorMask bit)
 {

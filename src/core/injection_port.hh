@@ -153,9 +153,6 @@ class InjectionPort : public cpu::PipelineObserver
     /** Reserve @p count lowest free lanes, in ascending order. */
     std::vector<LaneId> reserveLanes(int count);
 
-    /** Lanes still unreserved. */
-    int freeLanes() const;
-
     // ---- the injection surface ----
 
     /**

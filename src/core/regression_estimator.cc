@@ -12,7 +12,17 @@ namespace avf::core
 FeatureCollector::FeatureCollector(const cpu::Pipeline &pipe,
                                    Cycle intervalCycles)
     : pipeline(pipe), intervalLen(intervalCycles),
-      boundaryTick(intervalCycles, intervalCycles - 1)
+      boundaryTick(intervalCycles, intervalCycles - 1),
+      iqOccupancy(pipe.stats().iqOccupancySum,
+                  pipe.config().totalIqEntries(), intervalCycles),
+      robOccupancy(pipe.stats().robOccupancySum,
+                   pipe.config().robEntries, intervalCycles),
+      fxuBusy(pipe.stats().busyUnitCycles[static_cast<int>(
+                  cpu::FuClass::Fxu)],
+              pipe.config().unitsIn(cpu::FuClass::Fxu), intervalCycles),
+      fpuBusy(pipe.stats().busyUnitCycles[static_cast<int>(
+                  cpu::FuClass::Fpu)],
+              pipe.config().unitsIn(cpu::FuClass::Fpu), intervalCycles)
 {
     avf_assert(intervalLen > 0, "interval length must be positive");
 }
@@ -40,23 +50,14 @@ FeatureCollector::onCycle(Cycle now)
         return;
 
     const auto &stats = pipeline.stats();
-    const auto &conf = pipeline.config();
     auto cycles = static_cast<double>(intervalLen);
 
     FeatureVector row{};
     row[0] = 1.0; // intercept
-    row[1] = static_cast<double>(stats.iqOccupancySum - lastIqOcc) /
-             (cycles * conf.totalIqEntries());
-    row[2] = static_cast<double>(stats.robOccupancySum - lastRobOcc) /
-             (cycles * conf.robEntries);
-    auto busy = [&](cpu::FuClass cls) {
-        int idx = static_cast<int>(cls);
-        double delta = static_cast<double>(
-            stats.busyUnitCycles[idx] - lastBusy[idx]);
-        return delta / (cycles * conf.unitsIn(cls));
-    };
-    row[3] = busy(cpu::FuClass::Fxu);
-    row[4] = busy(cpu::FuClass::Fpu);
+    row[1] = iqOccupancy.sample();
+    row[2] = robOccupancy.sample();
+    row[3] = fxuBusy.sample();
+    row[4] = fpuBusy.sample();
     std::uint64_t retired = stats.retired - lastRetired;
     double instrs = std::max<double>(1.0,
                                      static_cast<double>(retired));
@@ -68,10 +69,6 @@ FeatureCollector::onCycle(Cycle now)
     // avflint: allow(hot-path-alloc)
     rows.push_back(row);
 
-    lastIqOcc = stats.iqOccupancySum;
-    lastRobOcc = stats.robOccupancySum;
-    for (int c = 0; c < 4; ++c)
-        lastBusy[c] = stats.busyUnitCycles[c];
     lastRetired = stats.retired;
     loads = stores = branches = 0;
 }

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/counter_baseline.hh"
 #include "cpu/observer.hh"
 #include "cpu/pipeline.hh"
 #include "util/interval_ticker.hh"
@@ -70,10 +71,13 @@ class FeatureCollector : public cpu::PipelineObserver
     /** Fires on interval-closing cycles ((now + 1) % len == 0). */
     IntervalTicker boundaryTick;
 
-    // counter snapshots at the last interval boundary
-    std::uint64_t lastIqOcc = 0;
-    std::uint64_t lastRobOcc = 0;
-    std::uint64_t lastBusy[4] = {0, 0, 0, 0};
+    // columns 1-4: occupancies and utilizations, the counter
+    // baselines' ratio
+    CounterSampler iqOccupancy;
+    CounterSampler robOccupancy;
+    CounterSampler fxuBusy;
+    CounterSampler fpuBusy;
+    // retired count at the last interval boundary
     std::uint64_t lastRetired = 0;
     std::uint64_t loads = 0;
     std::uint64_t stores = 0;

@@ -61,14 +61,6 @@ BranchPredictor::injectError(int slot, ErrorMask mask)
     return InjectOutcome::Occupied;
 }
 
-ErrorMask
-BranchPredictor::errorAt(int slot) const
-{
-    if (slot < 0 || slot >= numSlots())
-        return 0;
-    return tableError[static_cast<std::size_t>(slot)];
-}
-
 void
 BranchPredictor::clearErrors(ErrorMask mask)
 {

@@ -81,9 +81,6 @@ class BranchPredictor
      */
     InjectOutcome injectError(int slot, ErrorMask mask);
 
-    /** Error bits currently resident on @p slot. */
-    ErrorMask errorAt(int slot) const;
-
     /**
      * Lanes whose injected bits were overwritten by a counter update
      * since the last clearErrors() of those lanes.

@@ -897,12 +897,6 @@ Pipeline::numBranchPredSlots() const
 }
 
 ErrorMask
-Pipeline::branchPredErrorAt(int slot) const
-{
-    return predictor.errorAt(slot);
-}
-
-ErrorMask
 Pipeline::branchPredKilledMask() const
 {
     return predictor.killedMask();

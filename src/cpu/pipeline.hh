@@ -219,9 +219,6 @@ class Pipeline
     /** Predictor counter slots available for injection. */
     int numBranchPredSlots() const;
 
-    /** Error bits resident on predictor slot @p slot. */
-    ErrorMask branchPredErrorAt(int slot) const;
-
     /** Lanes whose predictor bits were overwritten by updates. */
     ErrorMask branchPredKilledMask() const;
 

@@ -542,10 +542,4 @@ runExperiment(const ExperimentConfig &config)
     return detail::runExperimentDirect(resolved);
 }
 
-int
-defaultIntervals(int paperDefault)
-{
-    return loadRunOptions(paperDefault).intervals;
-}
-
 } // namespace avf::harness

@@ -255,14 +255,6 @@ struct ExperimentResult
  */
 ExperimentResult runExperiment(const ExperimentConfig &config);
 
-/**
- * Resolve the default interval count for benches: the paper uses
- * 100-200 intervals; the environment variable AVF_INTERVALS overrides
- * (and AVF_FAST=1 shrinks to 12 for smoke runs). Thin wrapper over
- * config_loader.hh:loadRunOptions(), kept for compatibility.
- */
-int defaultIntervals(int paperDefault = 100);
-
 namespace detail
 {
 

@@ -33,14 +33,4 @@ MemoryHierarchy::instrAccess(Addr addr, Cycle now)
     return latency + conf.memLatency;
 }
 
-void
-MemoryHierarchy::flushAll()
-{
-    l1dCache.flush();
-    l1iCache.flush();
-    l2Cache.flush();
-    dataTlb.flush();
-    instrTlb.flush();
-}
-
 } // namespace avf::mem

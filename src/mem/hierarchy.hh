@@ -78,9 +78,6 @@ class MemoryHierarchy
     const HierarchyStats &stats() const { return statsData; }
     const MemConfig &config() const { return conf; }
 
-    /** Drop all cached state (not statistics). */
-    void flushAll();
-
   private:
     MemConfig conf;
     Cache l1dCache;

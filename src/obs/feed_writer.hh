@@ -64,9 +64,6 @@ class FeedWriter
     /** Bytes appended so far (durable only after flushSync()). */
     std::uint64_t bytesWritten() const { return written; }
 
-    /** True between a successful create()/resume() and close(). */
-    bool isOpen() const { return stream != nullptr; }
-
     /** Close the file (idempotent; does not sync). */
     void close();
 

@@ -88,9 +88,6 @@ class BudgetArbiter
     /** The budget, in hours. */
     double budgetHours() const { return goalHours; }
 
-    /** Failure rate the budget allows (FIT). */
-    double goalFit() const { return goalRate; }
-
     /** Intervals decided while the budget was exceeded. */
     std::uint64_t exceededIntervals() const { return overBudget; }
 

@@ -104,14 +104,6 @@ PhaseAccumulator::add(std::string_view phase, double ns)
     slots.push_back(std::move(fresh));
 }
 
-void
-PhaseAccumulator::addWatch(std::string_view phase, Stopwatch &watch)
-{
-    watch.stop();
-    add(phase, watch.elapsedNs());
-    watch.reset();
-}
-
 PhaseStats
 PhaseAccumulator::get(std::string_view phase) const
 {

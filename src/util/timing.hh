@@ -55,9 +55,6 @@ class Stopwatch
      */
     double elapsedNs() const;
 
-    /** elapsedNs() scaled to seconds. */
-    double elapsedSec() const { return elapsedNs() * 1e-9; }
-
   private:
     double accumulatedNs = 0.0;
     std::uint64_t startTick = 0;
@@ -91,9 +88,6 @@ class PhaseAccumulator
   public:
     /** Record one lap of @p ns nanoseconds against @p phase. */
     void add(std::string_view phase, double ns);
-
-    /** Record a stopped stopwatch and reset it. */
-    void addWatch(std::string_view phase, Stopwatch &watch);
 
     /** Stats of one phase; zeroed stats if never recorded. */
     PhaseStats get(std::string_view phase) const;

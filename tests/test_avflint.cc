@@ -2,7 +2,7 @@
  * @file
  * Unit tests for avflint: the lexer, every domain check (positive and
  * negative fixtures), the suppression comment machinery, and the
- * baseline ratchet. Fixtures are in-memory snippets passed through
+ * JSON report. Fixtures are in-memory snippets passed through
  * lintText() with a path chosen to exercise the per-path scoping
  * rules (sanctioned files, header-only checks).
  */
@@ -25,7 +25,6 @@
 namespace
 {
 
-using avf::lint::Baseline;
 using avf::lint::collectFiles;
 using avf::lint::Finding;
 using avf::lint::formatJsonReport;
@@ -1124,35 +1123,6 @@ TEST(AvflintSuppression, AllowAllSuppressesEverything)
 }
 
 // ---------------------------------------------------------------- //
-// Baseline ratchet                                                  //
-// ---------------------------------------------------------------- //
-
-TEST(AvflintBaseline, MatchesConsumesAndReportsStale)
-{
-    Finding f{"src/foo.cc", 10, "checked-io", "result discarded"};
-    Baseline base = Baseline::fromString(
-        "# comment\n"
-        "\n" +
-        f.key() + "\n" +
-        "src/gone.cc: [exit-site] stale entry\n");
-    EXPECT_EQ(base.size(), 2u);
-    EXPECT_TRUE(base.matches(f));
-    // Each entry covers exactly one occurrence.
-    EXPECT_FALSE(base.matches(f));
-    auto stale = base.unmatched();
-    ASSERT_EQ(stale.size(), 1u);
-    EXPECT_EQ(stale[0], "src/gone.cc: [exit-site] stale entry");
-}
-
-TEST(AvflintBaseline, KeyIgnoresLineNumbers)
-{
-    Finding early{"src/foo.cc", 10, "checked-io", "msg"};
-    Finding late{"src/foo.cc", 99, "checked-io", "msg"};
-    EXPECT_EQ(early.key(), late.key());
-    EXPECT_NE(early.format(), late.format());
-}
-
-// ---------------------------------------------------------------- //
 // collectFiles                                                      //
 // ---------------------------------------------------------------- //
 
@@ -1225,14 +1195,12 @@ sampleReport()
     r.lexParseMicros = 1234;
     r.checkMicros["determinism"] = 56;
     r.checkMicros["hot-path-alloc"] = 78;
-    Finding fresh{"src/a.cc", 3, "determinism",
-                  "rand() with \"quotes\" and a \\ backslash",
-                  Severity::Error};
-    Finding old{"src/b.cc", 9, "hot-path-alloc",
-                "push_back in the hot path", Severity::Warn};
-    r.findings = {fresh, old};
-    r.baselined = {false, true};
-    r.staleBaseline = {"src/gone.cc: [exit-site] stale"};
+    Finding entropy{"src/a.cc", 3, "determinism",
+                    "rand() with \"quotes\" and a \\ backslash",
+                    Severity::Error};
+    Finding alloc{"src/b.cc", 9, "hot-path-alloc",
+                  "push_back in the hot path", Severity::Warn};
+    r.findings = {entropy, alloc};
     return r;
 }
 
@@ -1245,10 +1213,10 @@ TEST(AvflintJsonReport, RoundTripsThroughStrictParser)
 
     const auto *schema = doc.find("schema");
     ASSERT_NE(schema, nullptr);
-    EXPECT_EQ(schema->text, "avflint-v1");
+    EXPECT_EQ(schema->text, "avflint-v2");
+    EXPECT_EQ(doc.find("root")->text, ".");
     EXPECT_EQ(doc.find("filesScanned")->asUint(), 2u);
-    EXPECT_EQ(doc.find("fresh")->asUint(), 1u);
-    EXPECT_EQ(doc.find("baselined")->asUint(), 1u);
+    EXPECT_EQ(doc.find("lexParseMicros")->asUint(), 1234u);
     ASSERT_NE(doc.find("ok"), nullptr);
     EXPECT_FALSE(doc.find("ok")->boolean);
 
@@ -1260,18 +1228,24 @@ TEST(AvflintJsonReport, RoundTripsThroughStrictParser)
     EXPECT_EQ(first.find("line")->asUint(), 3u);
     EXPECT_EQ(first.find("check")->text, "determinism");
     EXPECT_EQ(first.find("severity")->text, "error");
-    EXPECT_FALSE(first.find("baselined")->boolean);
     // Escapes decode back to the original message bytes.
     EXPECT_EQ(first.find("message")->text,
               "rand() with \"quotes\" and a \\ backslash");
     EXPECT_EQ(findings->items[1].find("severity")->text, "warn");
-    EXPECT_TRUE(findings->items[1].find("baselined")->boolean);
 
-    const auto *stale = doc.find("staleBaseline");
-    ASSERT_NE(stale, nullptr);
-    ASSERT_EQ(stale->items.size(), 1u);
-    EXPECT_EQ(stale->items[0].text,
-              "src/gone.cc: [exit-site] stale");
+    // Exactly the v2 members, in order.
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : doc.members)
+        keys.push_back(key);
+    EXPECT_EQ(keys, (std::vector<std::string>{
+                        "schema", "root", "filesScanned",
+                        "lexParseMicros", "checks", "findings", "ok"}));
+    std::vector<std::string> findingKeys;
+    for (const auto &[key, value] : first.members)
+        findingKeys.push_back(key);
+    EXPECT_EQ(findingKeys,
+              (std::vector<std::string>{"file", "line", "check",
+                                        "severity", "message"}));
 }
 
 TEST(AvflintJsonReport, EveryRegisteredCheckAppearsWithTiming)
@@ -1304,22 +1278,20 @@ TEST(AvflintJsonReport, EveryRegisteredCheckAppearsWithTiming)
     EXPECT_EQ(micros("hot-path-alloc"), 78u);
 }
 
-TEST(AvflintJsonReport, OkReflectsFreshAndStale)
+TEST(AvflintJsonReport, OkMeansNoFindings)
 {
     Report clean;
     clean.root = ".";
     EXPECT_TRUE(clean.ok());
 
-    Report stale;
-    stale.staleBaseline = {"src/x.cc: [determinism] gone"};
-    EXPECT_FALSE(stale.ok()); // the ratchet turns both ways
-
-    Report absorbed = sampleReport();
-    absorbed.baselined = {true, true};
-    EXPECT_EQ(absorbed.freshCount(), 0u);
-    EXPECT_FALSE(absorbed.ok()); // still stale
-    absorbed.staleBaseline.clear();
-    EXPECT_TRUE(absorbed.ok());
+    // Any finding fails the run, a warn-severity one included.
+    Report report = sampleReport();
+    EXPECT_FALSE(report.ok());
+    report.findings.erase(report.findings.begin());
+    ASSERT_EQ(report.findings[0].severity, Severity::Warn);
+    EXPECT_FALSE(report.ok());
+    report.findings.clear();
+    EXPECT_TRUE(report.ok());
 }
 
 // ---------------------------------------------------------------- //

@@ -134,19 +134,6 @@ TEST(Integration, SummaryStatisticsAreSane)
     EXPECT_GT(result.summary.cycles, 0u);
 }
 
-TEST(Integration, DefaultIntervalsHonorsEnvironment)
-{
-    ::unsetenv("AVF_FAST");
-    ::unsetenv("AVF_INTERVALS");
-    EXPECT_EQ(defaultIntervals(100), 100);
-    ::setenv("AVF_INTERVALS", "37", 1);
-    EXPECT_EQ(defaultIntervals(100), 37);
-    ::setenv("AVF_FAST", "1", 1);
-    EXPECT_EQ(defaultIntervals(100), 12);
-    ::unsetenv("AVF_FAST");
-    ::unsetenv("AVF_INTERVALS");
-}
-
 TEST(Integration, AllBenchmarksRunOneInterval)
 {
     for (const auto &name : trace::specBenchmarkNames()) {

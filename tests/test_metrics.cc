@@ -366,19 +366,18 @@ TEST(Report, RejectsMalformedMetricsDocuments)
 
 TEST(Report, LoadsAndGatesLintReports)
 {
-    // A minimal but complete avflint-v1 document, as the emitter
+    // A minimal but complete avflint-v2 document, as the emitter
     // writes it (test_avflint.cc round-trips the real emitter; this
     // covers the read side's validation and the ok gate).
     const std::string text =
-        "{\"schema\": \"avflint-v1\", \"root\": \".\", "
+        "{\"schema\": \"avflint-v2\", \"root\": \".\", "
         "\"filesScanned\": 1, \"lexParseMicros\": 10, "
         "\"checks\": [{\"id\": \"determinism\", \"severity\": "
         "\"error\", \"description\": \"d\", \"findings\": 1, "
         "\"micros\": 5}], "
         "\"findings\": [{\"file\": \"src/a.cc\", \"line\": 3, "
         "\"check\": \"determinism\", \"severity\": \"error\", "
-        "\"baselined\": false, \"message\": \"rand()\"}], "
-        "\"fresh\": 1, \"baselined\": 0, \"staleBaseline\": [], "
+        "\"message\": \"rand()\"}], "
         "\"ok\": false}";
     json::Value doc;
     std::string error;
@@ -389,8 +388,10 @@ TEST(Report, LoadsAndGatesLintReports)
     EXPECT_NE(plain.str().find("src/a.cc:3: [determinism] rand()"),
               std::string::npos);
     EXPECT_EQ(plain.str().find("::error"), std::string::npos);
+    EXPECT_NE(plain.str().find("avflint: 1 finding(s) — FAIL"),
+              std::string::npos);
 
-    // --github adds workflow-command annotations for fresh findings.
+    // --github adds a workflow-command annotation for every finding.
     std::ostringstream github;
     EXPECT_FALSE(report::printLintReport(github, doc, true));
     EXPECT_NE(github.str().find("::error file=src/a.cc,line=3::"
@@ -406,30 +407,32 @@ TEST(Report, RejectsMalformedLintDocuments)
     EXPECT_FALSE(report::loadLintDoc("not json", doc, error));
     EXPECT_NE(error.find("offset"), std::string::npos);
 
+    // A report in the older v1 schema.
     EXPECT_FALSE(report::loadLintDoc(
-        "{\"schema\": \"avflint-v0\", \"checks\": [], "
-        "\"findings\": [], \"staleBaseline\": [], \"ok\": true}",
+        "{\"schema\": \"avflint-v1\", \"checks\": [], "
+        "\"findings\": [], \"ok\": true}",
         doc, error));
-    EXPECT_NE(error.find("schema"), std::string::npos);
+    EXPECT_NE(error.find("unsupported schema"), std::string::npos);
 
     EXPECT_FALSE(report::loadLintDoc(
-        "{\"schema\": \"avflint-v1\", \"findings\": [], "
-        "\"staleBaseline\": [], \"ok\": true}",
+        "{\"schema\": \"avflint-v2\", \"findings\": [], "
+        "\"ok\": true}",
         doc, error));
     EXPECT_NE(error.find("checks"), std::string::npos);
 
-    // A finding missing its baselined flag.
+    // A finding missing its line number.
     EXPECT_FALSE(report::loadLintDoc(
-        "{\"schema\": \"avflint-v1\", \"checks\": [], "
-        "\"findings\": [{\"file\": \"a\", \"line\": 1, \"check\": "
-        "\"c\", \"severity\": \"error\", \"message\": \"m\"}], "
-        "\"staleBaseline\": [], \"ok\": true}",
+        "{\"schema\": \"avflint-v2\", \"checks\": [], "
+        "\"findings\": [{\"file\": \"a\", \"check\": \"c\", "
+        "\"severity\": \"error\", \"message\": \"m\"}], "
+        "\"ok\": true}",
         doc, error));
-    EXPECT_NE(error.find("baselined"), std::string::npos);
+    EXPECT_NE(error.find("finding 0: missing numeric \"line\""),
+              std::string::npos);
 
     EXPECT_FALSE(report::loadLintDoc(
-        "{\"schema\": \"avflint-v1\", \"checks\": [], "
-        "\"findings\": [], \"staleBaseline\": [], \"ok\": 1}",
+        "{\"schema\": \"avflint-v2\", \"checks\": [], "
+        "\"findings\": [], \"ok\": 1}",
         doc, error));
     EXPECT_NE(error.find("ok"), std::string::npos);
 }

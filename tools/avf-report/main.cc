@@ -37,7 +37,7 @@
  *
  * Exit status: 0 = report printed, 1 = usage error, 2 = unreadable
  * or malformed input. `lint` additionally exits 3 when the report
- * itself is not ok (fresh findings or stale baseline entries), so CI
+ * itself is not ok (any finding), so CI
  * can distinguish "lint failed" from "report unreadable".
  */
 

@@ -810,9 +810,9 @@ loadLintDoc(const std::string &text, json::Value &doc,
         error = "missing \"schema\" string";
         return false;
     }
-    if (schema->text != "avflint-v1") {
+    if (schema->text != "avflint-v2") {
         error = "unsupported schema '" + schema->text +
-                "' (expected 'avflint-v1')";
+                "' (expected 'avflint-v2')";
         return false;
     }
     const auto *checks = doc.find("checks", json::Value::Kind::Array);
@@ -867,22 +867,6 @@ loadLintDoc(const std::string &text, json::Value &doc,
             error = where + ": missing numeric \"line\"";
             return false;
         }
-        if (!f.find("baselined", json::Value::Kind::Bool)) {
-            error = where + ": missing boolean \"baselined\"";
-            return false;
-        }
-    }
-    const auto *stale = doc.find("staleBaseline",
-                                 json::Value::Kind::Array);
-    if (!stale) {
-        error = "missing \"staleBaseline\" array";
-        return false;
-    }
-    for (const auto &entry : stale->items) {
-        if (!entry.isString()) {
-            error = "staleBaseline: non-string entry";
-            return false;
-        }
     }
     if (!doc.find("ok", json::Value::Kind::Bool)) {
         error = "missing boolean \"ok\"";
@@ -917,15 +901,13 @@ printLintReport(std::ostream &out, const json::Value &doc,
 
     const auto *findings = doc.find("findings");
     for (const auto &f : findings->items) {
-        bool baselined = f.find("baselined")->boolean;
         const std::string &file = f.find("file")->text;
         unsigned long long lineNo = f.find("line")->asUint();
         const std::string &check = f.find("check")->text;
         const std::string &message = f.find("message")->text;
-        line(out, "%s%s:%llu: [%s] %s\n",
-             baselined ? "(baselined) " : "", file.c_str(), lineNo,
+        line(out, "%s:%llu: [%s] %s\n", file.c_str(), lineNo,
              check.c_str(), message.c_str());
-        if (github && !baselined) {
+        if (github) {
             // Workflow-command annotations; the runner renders them
             // inline on the PR diff. Severity maps directly.
             bool isError = f.find("severity")->text == "error";
@@ -935,25 +917,8 @@ printLintReport(std::ostream &out, const json::Value &doc,
         }
     }
 
-    const auto *stale = doc.find("staleBaseline");
-    for (const auto &entry : stale->items) {
-        line(out, "stale baseline entry: %s\n", entry.text.c_str());
-        if (github) {
-            line(out,
-                 "::error file=tools/avflint/baseline.txt::stale "
-                 "baseline entry (run --update-baseline): %s\n",
-                 entry.text.c_str());
-        }
-    }
-
     bool ok = doc.find("ok")->boolean;
-    std::size_t fresh = 0;
-    for (const auto &f : findings->items) {
-        if (!f.find("baselined")->boolean)
-            ++fresh;
-    }
-    line(out, "avflint: %zu fresh, %zu baselined, %zu stale — %s\n",
-         fresh, findings->items.size() - fresh, stale->items.size(),
+    line(out, "avflint: %zu finding(s) — %s\n", findings->items.size(),
          ok ? "ok" : "FAIL");
     return ok;
 }

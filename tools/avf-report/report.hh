@@ -155,19 +155,18 @@ bool printRootCause(std::ostream &out, const json::Value &doc,
 
 /**
  * Parse and validate one `avflint --format=json` report: must be
- * strict JSON carrying `"schema": "avflint-v1"`, a "checks" array
+ * strict JSON carrying `"schema": "avflint-v2"`, a "checks" array
  * whose entries have string "id"/"severity" and numeric
  * "findings"/"micros", a "findings" array whose entries carry
- * file/line/check/severity/baselined/message, a "staleBaseline"
- * string array, and a boolean "ok". Anything else is rejected with a
- * message naming the offending part.
+ * file/line/check/severity/message, and a boolean "ok". Anything
+ * else is rejected with a message naming the offending part.
  */
 bool loadLintDoc(const std::string &text, json::Value &doc,
                  std::string &error);
 
 /**
  * Render a validated lint report: the per-check summary with
- * timings, every fresh finding, and the stale-baseline list. With
+ * timings, then every finding. With
  * @p github true, each finding is additionally emitted as a GitHub
  * workflow annotation command (`::error`/`::warning
  * file=F,line=N::...`), which the Actions runner turns into inline

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <regex>
 #include <set>
-#include <sstream>
 
 namespace avf::lint
 {
@@ -918,12 +916,6 @@ severityName(Severity s)
 }
 
 std::string
-Finding::key() const
-{
-    return file + ": [" + id + "] " + message;
-}
-
-std::string
 Finding::format() const
 {
     return file + ":" + std::to_string(line) + ": [" + id + "] " +
@@ -1024,60 +1016,6 @@ lintText(const std::string &path, std::string_view text)
     Linter linter;
     linter.addFile(lex(path, text));
     return linter.run();
-}
-
-Baseline
-Baseline::fromString(std::string_view text)
-{
-    Baseline out;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        std::size_t eol = text.find('\n', pos);
-        if (eol == std::string_view::npos)
-            eol = text.size();
-        std::string_view line = text.substr(pos, eol - pos);
-        pos = eol + 1;
-        std::size_t b = line.find_first_not_of(" \t\r");
-        if (b == std::string_view::npos || line[b] == '#')
-            continue;
-        std::size_t e = line.find_last_not_of(" \t\r");
-        ++out.entries[std::string(line.substr(b, e - b + 1))];
-        ++out.total;
-        if (pos > text.size())
-            break;
-    }
-    return out;
-}
-
-Baseline
-Baseline::fromFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        return Baseline{};
-    std::ostringstream text;
-    text << in.rdbuf();
-    return fromString(text.str());
-}
-
-bool
-Baseline::matches(const Finding &f)
-{
-    auto it = entries.find(f.key());
-    if (it == entries.end() || it->second == 0)
-        return false;
-    --it->second;
-    return true;
-}
-
-std::vector<std::string>
-Baseline::unmatched() const
-{
-    std::vector<std::string> out;
-    for (const auto &[key, count] : entries)
-        if (count > 0)
-            out.push_back(key);
-    return out;
 }
 
 std::vector<std::string>

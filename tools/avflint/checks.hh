@@ -4,11 +4,9 @@
  * lexes and parses every input into a FileModel and merges them into
  * a RepoIndex (cross-file symbol table + call graph); pass 2 runs the
  * registry over each file with that context and drops findings
- * covered by `avflint: allow(id)` suppressions. A Baseline ratchets
- * pre-existing debt: findings whose (file, check, message) key
- * appears in the baseline are reported as baselined and do not fail
- * the run, but new findings always do — and entries no longer matched
- * by any finding are stale and fail the run too.
+ * covered by `avflint: allow(id)` suppressions. Every finding that
+ * no allow() covers fails the run: an inline, justified allow() is
+ * the only way to accept one.
  *
  * Severity: every check is `error` (a contract: fix or carry a
  * justified allow) except those marked `warn`, whose analysis is a
@@ -111,8 +109,6 @@ struct Finding
     std::string message;
     Severity severity = Severity::Error; ///< stamped from registry
 
-    /** Baseline key: stable across line-number churn. */
-    std::string key() const;
     /** Human/CI form: `file:line: [id] message`. */
     std::string format() const;
 };
@@ -172,38 +168,6 @@ class Linter
 /** Convenience for tests: lex + single-file two-pass lint. */
 std::vector<Finding> lintText(const std::string &path,
                               std::string_view text);
-
-/**
- * Committed debt ledger. Lines are Finding::key() strings; `#`
- * comments and blank lines are ignored. Matching consumes an entry,
- * so duplicate findings need duplicate lines and entries left over
- * after a run are reported as stale — and fail the run, so the
- * ratchet turns both ways.
- */
-class Baseline
-{
-  public:
-    Baseline() = default;
-
-    /** Parse from text (tests). */
-    static Baseline fromString(std::string_view text);
-
-    /** Load from disk; a missing file yields an empty baseline. */
-    static Baseline fromFile(const std::string &path);
-
-    /** True (and one entry consumed) if @p f is baselined. */
-    bool matches(const Finding &f);
-
-    /** Keys with unconsumed occurrences (stale debt). */
-    std::vector<std::string> unmatched() const;
-
-    /** Total entries loaded. */
-    std::size_t size() const { return total; }
-
-  private:
-    std::map<std::string, int> entries;
-    std::size_t total = 0;
-};
 
 /**
  * Recursively collect lintable sources (.cc/.hh/.cpp/.hpp) under each

@@ -5,16 +5,13 @@
  * parse every file and build the cross-file RepoIndex; pass 2: run
  * the registry with that context).
  *
- *   avflint [--root DIR] [--baseline FILE] [--update-baseline]
- *           [--format=text|json] [--list-checks] [--quiet] <path>...
+ *   avflint [--root DIR] [--format=text|json] [--list-checks] <path>...
  *
- * Exit status: 0 when every finding is suppressed or baselined and
- * no baseline entry is stale, 1 when new findings exist OR the
- * baseline has stale entries (the ratchet turns both ways — debt
- * that is paid off must leave the ledger), 2 on usage errors.
- * `--update-baseline` rewrites the ledger from the current findings;
+ * Exit status: 0 with no findings, 1 with any finding (an inline
+ * allow() comment is the only suppression), 2 on usage errors.
  * `--format=json` emits the machine-readable report (schema
- * "avflint-v1", see report.hh) on stdout for CI.
+ * "avflint-v2", see report.hh) on stdout for CI. A one-line summary
+ * always goes to stderr.
  */
 
 #include <chrono>
@@ -32,16 +29,12 @@
 namespace
 {
 
-using avf::lint::Baseline;
-using avf::lint::Finding;
-
 int
 usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--root DIR] [--baseline FILE] [--update-baseline]\n"
-        "          [--format=text|json] [--list-checks] [--quiet]\n"
+        "usage: %s [--root DIR] [--format=text|json] [--list-checks]\n"
         "          <path>...\n"
         "Paths are files or directories, relative to --root (default:\n"
         "current directory).\n",
@@ -55,20 +48,13 @@ int
 main(int argc, char **argv)
 {
     std::string root = ".";
-    std::string baselinePath;
     std::string format = "text";
-    bool updateBaseline = false;
-    bool quiet = false;
     std::vector<std::string> paths;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--root" && i + 1 < argc) {
             root = argv[++i];
-        } else if (arg == "--baseline" && i + 1 < argc) {
-            baselinePath = argv[++i];
-        } else if (arg == "--update-baseline") {
-            updateBaseline = true;
         } else if (arg.compare(0, 9, "--format=") == 0) {
             format = arg.substr(9);
             if (format != "text" && format != "json") {
@@ -77,8 +63,6 @@ main(int argc, char **argv)
                              argv[0], format.c_str());
                 return 2;
             }
-        } else if (arg == "--quiet") {
-            quiet = true;
         } else if (arg == "--list-checks") {
             for (const auto &check : avf::lint::checkRegistry())
                 std::printf(
@@ -112,12 +96,6 @@ main(int argc, char **argv)
         }
     }
 
-    Baseline baseline;
-    if (!baselinePath.empty() && !updateBaseline)
-        baseline = Baseline::fromFile(baselinePath);
-
-    const bool json = format == "json";
-
     // Pass 1: lex + parse everything. Wall time is recorded only
     // for the report's perf fields, never results.
     avf::lint::Linter linter;
@@ -149,71 +127,15 @@ main(int argc, char **argv)
     report.findings = linter.run();
     report.checkMicros = linter.checkMicros();
 
-    std::vector<Finding> fresh;
-    std::size_t baselined = 0;
-    report.baselined.reserve(report.findings.size());
-    for (const Finding &f : report.findings) {
-        const bool absorbed = baseline.matches(f);
-        report.baselined.push_back(absorbed);
-        if (absorbed) {
-            ++baselined;
-            if (!quiet && !json)
-                std::printf("%s (baselined)\n", f.format().c_str());
-        } else {
-            fresh.push_back(f);
-        }
-    }
-    report.staleBaseline = baseline.unmatched();
-
-    if (!json)
-        for (const Finding &f : fresh)
-            std::printf("%s\n", f.format().c_str());
-
-    for (const std::string &stale : report.staleBaseline)
-        std::fprintf(stderr,
-                     "avflint: stale baseline entry (fixed? remove "
-                     "it, or run --update-baseline): %s\n",
-                     stale.c_str());
-
-    if (updateBaseline) {
-        if (baselinePath.empty()) {
-            std::fprintf(stderr,
-                         "avflint: --update-baseline needs "
-                         "--baseline FILE\n");
-            return 2;
-        }
-        std::ofstream outFile(baselinePath, std::ios::trunc);
-        outFile << "# avflint baseline — committed debt ledger.\n"
-                   "# One `file: [check-id] message` key per line; "
-                   "regenerate with\n"
-                   "#   avflint --root . --baseline "
-                   "tools/avflint/baseline.txt --update-baseline "
-                   "src tools bench tests\n"
-                   "# This file may only ever shrink.\n";
-        for (const Finding &f : fresh)
-            outFile << f.key() << "\n";
-        if (!outFile.flush()) {
-            std::fprintf(stderr, "avflint: cannot write %s\n",
-                         baselinePath.c_str());
-            return 2;
-        }
-        std::fprintf(stderr, "avflint: wrote %zu entries to %s\n",
-                     fresh.size(), baselinePath.c_str());
-        return 0;
-    }
-
-    if (json)
+    if (format == "json")
         std::fputs(avf::lint::formatJsonReport(report).c_str(),
                    stdout);
+    else
+        for (const avf::lint::Finding &f : report.findings)
+            std::printf("%s\n", f.format().c_str());
 
-    if (!quiet || !fresh.empty() || !report.staleBaseline.empty())
-        std::fprintf(stderr,
-                     "avflint: %zu new finding%s, %zu baselined, "
-                     "%zu stale baseline entr%s (%zu files "
-                     "scanned)\n",
-                     fresh.size(), fresh.size() == 1 ? "" : "s",
-                     baselined, report.staleBaseline.size(),
-                     report.staleBaseline.size() == 1 ? "y" : "ies",
-                     files.size());
+    std::fprintf(stderr, "avflint: %zu finding%s (%zu files scanned)\n",
+                 report.findings.size(),
+                 report.findings.size() == 1 ? "" : "s", files.size());
     return report.ok() ? 0 : 1;
 }

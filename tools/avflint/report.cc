@@ -5,22 +5,6 @@
 namespace avf::lint
 {
 
-std::size_t
-Report::freshCount() const
-{
-    std::size_t fresh = 0;
-    for (std::size_t i = 0; i < findings.size(); ++i)
-        if (i >= baselined.size() || !baselined[i])
-            ++fresh;
-    return fresh;
-}
-
-bool
-Report::ok() const
-{
-    return freshCount() == 0 && staleBaseline.empty();
-}
-
 std::string
 formatJsonReport(const Report &report)
 {
@@ -28,7 +12,7 @@ formatJsonReport(const Report &report)
     std::string text;
     json::Writer out(text, json::Writer::Style::Spaced);
     out.startObject(Layout::Lines)
-        .member("schema").text("avflint-v1")
+        .member("schema").text("avflint-v2")
         .member("root").text(report.root)
         .member("filesScanned").uint(report.filesScanned)
         .member("lexParseMicros").sint(report.lexParseMicros);
@@ -52,26 +36,15 @@ formatJsonReport(const Report &report)
             .endObject();
     }
     out.endArray().member("findings").startArray(Layout::Lines);
-    for (std::size_t i = 0; i < report.findings.size(); ++i) {
-        const Finding &f = report.findings[i];
-        const bool base = i < report.baselined.size() &&
-                          report.baselined[i];
+    for (const Finding &f : report.findings) {
         out.startObject()
             .member("file").text(f.file)
             .member("line").sint(f.line)
             .member("check").text(f.id)
             .member("severity").text(severityName(f.severity))
-            .member("baselined").boolean(base)
             .member("message").text(f.message)
             .endObject();
     }
-    out.endArray()
-        .member("fresh").uint(report.freshCount())
-        .member("baselined")
-        .uint(report.findings.size() - report.freshCount())
-        .member("staleBaseline").startArray(Layout::Lines);
-    for (const std::string &key : report.staleBaseline)
-        out.text(key);
     out.endArray().member("ok").boolean(report.ok()).endObject();
     out.newline();
     return text;

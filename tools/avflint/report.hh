@@ -5,21 +5,18 @@
  * (avf-report lint, CI annotation emission) goes through the strict
  * util/json parser — tests round-trip it.
  *
- * Schema "avflint-v1":
- *   schema         "avflint-v1"
+ * Schema "avflint-v2":
+ *   schema         "avflint-v2"
  *   root           scan root as given on the command line
  *   filesScanned   number of files lexed and parsed
  *   lexParseMicros wall micros spent in pass 1 (lex + parse + index)
  *   checks[]       per registry entry, in registry order:
  *                    id, severity ("error"/"warn"), description,
- *                    findings (count, baselined included), micros
+ *                    findings (count), micros
  *   findings[]     every unsuppressed finding, sorted (file, line):
- *                    file, line, check, severity, baselined, message
- *   fresh          count of findings not covered by the baseline
- *   baselined      count of findings the baseline absorbed
- *   staleBaseline[] baseline keys no current finding matches
- *   ok             fresh == 0 and staleBaseline empty — the gate CI
- *                  (and avf-report lint) keys off
+ *                    file, line, check, severity, message
+ *   ok             findings[] is empty — the gate CI (and
+ *                  avf-report lint) keys off
  */
 
 #ifndef AVF_TOOLS_AVFLINT_REPORT_HH
@@ -43,13 +40,10 @@ struct Report
     std::int64_t lexParseMicros = 0;
     /** check id -> accumulated micros (Linter::checkMicros). */
     std::map<std::string, std::int64_t> checkMicros;
-    /** All findings, sorted; `baselined` marks absorbed ones. */
+    /** All unsuppressed findings, sorted. */
     std::vector<Finding> findings;
-    std::vector<bool> baselined; ///< parallel to findings
-    std::vector<std::string> staleBaseline;
 
-    std::size_t freshCount() const;
-    bool ok() const;
+    bool ok() const { return findings.empty(); }
 };
 
 /** Serialize @p report as strict RFC 8259 JSON, trailing newline. */
