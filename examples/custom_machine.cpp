@@ -1,11 +1,18 @@
 /**
  * @file
  * AVF is a property of the machine as much as of the workload: run
- * the same benchmark on two machine configurations loaded from INI
+ * the same benchmark on two machine configurations loaded from JSON
  * files and compare the structures' vulnerability. Demonstrates the
- * config-file front end (configs/table1.ini, configs/lowpower.ini).
+ * config-file front end (harness/config_loader.hh):
  *
- *   Usage: custom_machine <config-a.ini> <config-b.ini> [intervals]
+ *   configs/table1.json    the paper's machine, Table 1 of Li et al.,
+ *                          ISCA 2008 (POWER4-like). Every value matches
+ *                          the built-in defaults; the file exists as a
+ *                          template to copy and edit.
+ *   configs/lowpower.json  a narrow low-power core: half the width, a
+ *                          quarter of the window, smaller caches.
+ *
+ *   Usage: custom_machine <config-a.json> <config-b.json> [intervals]
  */
 
 #include <cstdio>
@@ -54,8 +61,8 @@ main(int argc, char **argv)
 {
     if (argc < 3) {
         std::fprintf(stderr,
-                     "usage: custom_machine <config-a.ini> "
-                     "<config-b.ini> [intervals]\n");
+                     "usage: custom_machine <config-a.json> "
+                     "<config-b.json> [intervals]\n");
         return 1;
     }
     int intervals = argc > 3 ? std::atoi(argv[3]) : 8;

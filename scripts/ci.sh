@@ -18,11 +18,12 @@
 #                and sanity-parses ci_METRICS.json / ci_TRACE.json,
 #                a closed-loop scenario_budget_storm run whose
 #                decision trail `avf-report budget` renders back,
-#                and a scenario_root_cause run whose ci_ROOTCAUSE.json
-#                every `avf-report root-cause` grouping renders back;
-#                then `bench/e2e/avfbench.py --smoke`, which builds the
-#                end-to-end benchmark (build-e2e/) and must report
-#                every workload correct
+#                a scenario_root_cause run whose ci_ROOTCAUSE.json
+#                every `avf-report root-cause` grouping renders back,
+#                and a custom_machine run over the shipped
+#                configs/*.json; then `bench/e2e/avfbench.py --smoke`,
+#                which builds the end-to-end benchmark (build-e2e/)
+#                and must report every workload correct
 #   serve-smoke  the kill-and-resume gate: start avf-serve, submit a
 #                campaign over the socket, kill -9 the daemon
 #                mid-campaign, restart with --resume, and diff the
@@ -190,6 +191,11 @@ run_bench_smoke() {
     "$BUILD-bench/tools/avf-report/avf-report" root-cause \
         "$BUILD-bench/ci_ROOTCAUSE.json" --json > /dev/null
     echo "bench-smoke: ci_ROOTCAUSE.json round-trip ok"
+    echo "=== bench-smoke: custom_machine on the shipped configs ==="
+    # Loads both configs/*.json through the config loader and runs
+    # one interval on each; any load error exits nonzero.
+    "$BUILD-bench/examples/custom_machine" configs/table1.json \
+        configs/lowpower.json 1 > /dev/null
     echo "=== bench-smoke: end-to-end benchmark (avfbench.py --smoke) ==="
     # Builds bench/e2e against this tree and replays every workload
     # once; exits nonzero unless each one reports correct (run ok,

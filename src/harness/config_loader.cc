@@ -1,11 +1,12 @@
 #include "harness/config_loader.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <set>
+#include <iterator>
+#include <limits>
 #include <string>
-#include <vector>
 
 #include "trace/spec_profiles.hh"
 #include "util/logging.hh"
@@ -16,16 +17,92 @@ namespace avf::harness
 namespace
 {
 
-void
-warnUnknownKeys(const KeyValueFile &file, const std::string &section,
-                const std::set<std::string> &known)
+/**
+ * One section of a config document. Each getter leaves its field
+ * unchanged when the key is absent and fatal()s on a value of the
+ * wrong JSON kind or outside the field's range; an absent section
+ * reads as empty.
+ */
+class Section
 {
-    for (const auto &key : file.keysIn(section)) {
-        if (!known.count(key))
-            warn("config: unknown key '%s' in section [%s]",
-                 key.c_str(), section.c_str());
+  public:
+    Section(const json::Value &doc, const char *name,
+            std::initializer_list<std::string_view> known)
+        : name(name), body(doc.find(name))
+    {
+        if (body && !body->isObject())
+            fatal("config: section '%s' is not an object", name);
+        if (!body)
+            return;
+        for (const auto &member : body->members)
+            if (std::find(known.begin(), known.end(), member.first) ==
+                known.end())
+                warn("config: unknown key '%s' in section '%s'",
+                     member.first.c_str(), name);
     }
-}
+
+    /** A non-negative integer, times @p scale, that fits @p field. */
+    template <typename T>
+    void
+    integer(const char *key, T &field, std::uint64_t scale = 1) const
+    {
+        const json::Value *value = find(key);
+        if (!value)
+            return;
+        if (value->kind != json::Value::Kind::Uint)
+            fatal("config: %s.%s must be a non-negative integer", name,
+                  key);
+        const std::uint64_t max =
+            static_cast<std::uint64_t>(std::numeric_limits<T>::max()) /
+            scale;
+        if (value->uintValue > max)
+            fatal("config: %s.%s = %llu is out of range (max %llu)",
+                  name, key,
+                  static_cast<unsigned long long>(value->uintValue),
+                  static_cast<unsigned long long>(max));
+        field = static_cast<T>(value->uintValue * scale);
+    }
+
+    void
+    flag(const char *key, bool &field) const
+    {
+        if (const json::Value *value = find(key)) {
+            if (!value->isBool())
+                fatal("config: %s.%s must be true or false", name, key);
+            field = value->boolean;
+        }
+    }
+
+    void
+    number(const char *key, double &field) const
+    {
+        if (const json::Value *value = find(key)) {
+            if (!value->isNumber())
+                fatal("config: %s.%s must be a number", name, key);
+            field = value->asDouble();
+        }
+    }
+
+    void
+    text(const char *key, std::string &field) const
+    {
+        if (const json::Value *value = find(key)) {
+            if (!value->isString())
+                fatal("config: %s.%s must be a string", name, key);
+            field = value->text;
+        }
+    }
+
+  private:
+    const json::Value *
+    find(const char *key) const
+    {
+        return body ? body->find(key) : nullptr;
+    }
+
+    const char *name;
+    const json::Value *body;
+};
 
 /** Strict boolean env var: unset/empty = false, junk = fatal(). */
 bool
@@ -113,18 +190,6 @@ lanesFromEnv()
 
 } // namespace
 
-int
-tailPollMsFromEnv()
-{
-    // 200 ms default: fast enough to feel live on a terminal, slow
-    // enough to cost nothing. 1..60000 keeps typos (0, ms-vs-s
-    // confusions) from spinning a core or freezing the tail.
-    int ms = envPositiveIntStrict("AVF_TAIL_POLL_MS", 200);
-    if (ms > 60'000)
-        fatal("AVF_TAIL_POLL_MS=%d exceeds 60000 (one minute)", ms);
-    return ms;
-}
-
 RunOptions
 loadRunOptions(int paperDefaultIntervals)
 {
@@ -148,19 +213,43 @@ loadRunOptions(int paperDefaultIntervals)
 ExperimentConfig
 loadExperimentConfig(const std::string &path)
 {
-    return loadExperimentConfig(KeyValueFile::fromFile(path));
+    std::FILE *file = std::fopen(path.c_str(), "rb");
+    if (!file)
+        fatal("cannot open config file '%s'", path.c_str());
+    std::string text;
+    char buf[4096];
+    std::size_t got;
+    while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0)
+        text.append(buf, got);
+    bool truncated = std::ferror(file) != 0;
+    if (std::fclose(file) != 0 || truncated)
+        fatal("error reading config file '%s'", path.c_str());
+
+    json::Value doc;
+    std::string error;
+    if (!json::parse(text, doc, error))
+        fatal("config file '%s': %s", path.c_str(), error.c_str());
+    return loadExperimentConfig(doc);
 }
 
 ExperimentConfig
-loadExperimentConfig(const KeyValueFile &file)
+loadExperimentConfig(const json::Value &doc)
 {
+    static constexpr std::string_view sections[] = {
+        "experiment", "online", "cpu", "mem", "lifecycle", "workload"};
+    if (!doc.isObject())
+        fatal("config: top level is not an object");
+    for (const auto &member : doc.members)
+        if (std::find(std::begin(sections), std::end(sections),
+                      member.first) == std::end(sections))
+            warn("config: unknown section '%s'", member.first.c_str());
+
     ExperimentConfig conf;
 
-    // ---- [experiment] ----
-    warnUnknownKeys(file, "experiment",
-                    {"benchmark", "intervals", "lookahead"});
-    std::string bench = file.getString("experiment", "benchmark",
-                                       "mesa");
+    const Section experiment(doc, "experiment",
+                             {"benchmark", "intervals", "lookahead"});
+    std::string bench = "mesa";
+    experiment.text("benchmark", bench);
     const auto &names = trace::specBenchmarkNames();
     if (std::find(names.begin(), names.end(), bench) != names.end())
         conf.profile = trace::specProfile(bench);
@@ -168,160 +257,107 @@ loadExperimentConfig(const KeyValueFile &file)
         conf.profile = trace::WorkloadProfile{};
     else
         fatal("config: unknown benchmark '%s'", bench.c_str());
-    conf.numIntervals = static_cast<int>(
-        file.getInt("experiment", "intervals", conf.numIntervals));
-    conf.lookahead = static_cast<Cycle>(
-        file.getInt("experiment", "lookahead",
-                    static_cast<std::int64_t>(conf.lookahead)));
+    experiment.integer("intervals", conf.numIntervals);
+    experiment.integer("lookahead", conf.lookahead);
     if (conf.numIntervals <= 0)
         fatal("config: intervals must be positive");
 
-    // ---- [online] ----
-    warnUnknownKeys(file, "online", {"m", "n", "randomize", "seed"});
-    conf.online.m = static_cast<Cycle>(
-        file.getInt("online", "m",
-                    static_cast<std::int64_t>(conf.online.m)));
-    conf.online.n = static_cast<std::uint32_t>(
-        file.getInt("online", "n", conf.online.n));
-    conf.online.randomizeInjectionTiming =
-        file.getBool("online", "randomize",
-                     conf.online.randomizeInjectionTiming);
-    conf.online.seed = static_cast<std::uint64_t>(
-        file.getInt("online", "seed",
-                    static_cast<std::int64_t>(conf.online.seed)));
+    const Section online(doc, "online", {"m", "n", "randomize", "seed"});
+    online.integer("m", conf.online.m);
+    online.integer("n", conf.online.n);
+    online.flag("randomize", conf.online.randomizeInjectionTiming);
+    online.integer("seed", conf.online.seed);
     if (conf.online.m == 0 || conf.online.n == 0)
         fatal("config: online m and n must be positive");
 
-    // ---- [cpu] ----
-    warnUnknownKeys(
-        file, "cpu",
+    const Section cpuSection(
+        doc, "cpu",
         {"fetch_width", "dispatch_width", "retire_width",
          "rob_entries", "intls_iq", "fp_iq", "br_iq", "fxu", "fpu",
          "lsu", "bru", "int_regs", "fp_regs", "store_queue",
          "fetch_buffer", "redirect_penalty", "predictor_bits",
          "history_bits"});
     auto &cpu = conf.cpu;
-    auto cpu_int = [&](const char *key, int current) {
-        return static_cast<int>(file.getInt("cpu", key, current));
-    };
-    cpu.fetchWidth = cpu_int("fetch_width", cpu.fetchWidth);
-    cpu.dispatchWidth = cpu_int("dispatch_width", cpu.dispatchWidth);
-    cpu.retireWidth = cpu_int("retire_width", cpu.retireWidth);
-    cpu.robEntries = cpu_int("rob_entries", cpu.robEntries);
-    cpu.intLsIqEntries = cpu_int("intls_iq", cpu.intLsIqEntries);
-    cpu.fpIqEntries = cpu_int("fp_iq", cpu.fpIqEntries);
-    cpu.brIqEntries = cpu_int("br_iq", cpu.brIqEntries);
-    cpu.numFxu = cpu_int("fxu", cpu.numFxu);
-    cpu.numFpu = cpu_int("fpu", cpu.numFpu);
-    cpu.numLsu = cpu_int("lsu", cpu.numLsu);
-    cpu.numBru = cpu_int("bru", cpu.numBru);
-    cpu.intPhysRegs = cpu_int("int_regs", cpu.intPhysRegs);
-    cpu.fpPhysRegs = cpu_int("fp_regs", cpu.fpPhysRegs);
-    cpu.storeQueueEntries = cpu_int("store_queue",
-                                    cpu.storeQueueEntries);
-    cpu.fetchBufferEntries = cpu_int("fetch_buffer",
-                                     cpu.fetchBufferEntries);
-    cpu.redirectPenalty = cpu_int("redirect_penalty",
-                                  cpu.redirectPenalty);
-    cpu.predictorBits = cpu_int("predictor_bits", cpu.predictorBits);
-    cpu.historyBits = cpu_int("history_bits", cpu.historyBits);
+    cpuSection.integer("fetch_width", cpu.fetchWidth);
+    cpuSection.integer("dispatch_width", cpu.dispatchWidth);
+    cpuSection.integer("retire_width", cpu.retireWidth);
+    cpuSection.integer("rob_entries", cpu.robEntries);
+    cpuSection.integer("intls_iq", cpu.intLsIqEntries);
+    cpuSection.integer("fp_iq", cpu.fpIqEntries);
+    cpuSection.integer("br_iq", cpu.brIqEntries);
+    cpuSection.integer("fxu", cpu.numFxu);
+    cpuSection.integer("fpu", cpu.numFpu);
+    cpuSection.integer("lsu", cpu.numLsu);
+    cpuSection.integer("bru", cpu.numBru);
+    cpuSection.integer("int_regs", cpu.intPhysRegs);
+    cpuSection.integer("fp_regs", cpu.fpPhysRegs);
+    cpuSection.integer("store_queue", cpu.storeQueueEntries);
+    cpuSection.integer("fetch_buffer", cpu.fetchBufferEntries);
+    cpuSection.integer("redirect_penalty", cpu.redirectPenalty);
+    cpuSection.integer("predictor_bits", cpu.predictorBits);
+    cpuSection.integer("history_bits", cpu.historyBits);
 
-    // ---- [mem] ----
-    warnUnknownKeys(file, "mem",
-                    {"l1d_kb", "l1d_ways", "l1i_kb", "l1i_ways",
-                     "l2_kb", "l2_ways", "line_bytes", "l1_lat",
-                     "l2_lat", "mem_lat", "tlb_entries",
-                     "tlb_penalty"});
+    const Section memSection(doc, "mem",
+                             {"l1d_kb", "l1d_ways", "l1i_kb",
+                              "l1i_ways", "l2_kb", "l2_ways",
+                              "line_bytes", "l1_lat", "l2_lat",
+                              "mem_lat", "tlb_entries",
+                              "tlb_penalty"});
     auto &mem = conf.cpu.mem;
-    auto mem_u64 = [&](const char *key, std::uint64_t current) {
-        return static_cast<std::uint64_t>(
-            file.getInt("mem", key,
-                        static_cast<std::int64_t>(current)));
-    };
-    mem.l1d.sizeBytes = mem_u64("l1d_kb",
-                                mem.l1d.sizeBytes / 1024) * 1024;
-    mem.l1d.ways = static_cast<std::uint32_t>(
-        mem_u64("l1d_ways", mem.l1d.ways));
-    mem.l1i.sizeBytes = mem_u64("l1i_kb",
-                                mem.l1i.sizeBytes / 1024) * 1024;
-    mem.l1i.ways = static_cast<std::uint32_t>(
-        mem_u64("l1i_ways", mem.l1i.ways));
-    mem.l2.sizeBytes = mem_u64("l2_kb", mem.l2.sizeBytes / 1024) *
-                       1024;
-    mem.l2.ways = static_cast<std::uint32_t>(
-        mem_u64("l2_ways", mem.l2.ways));
-    std::uint32_t line = static_cast<std::uint32_t>(
-        mem_u64("line_bytes", mem.l1d.lineBytes));
+    memSection.integer("l1d_kb", mem.l1d.sizeBytes, 1024);
+    memSection.integer("l1d_ways", mem.l1d.ways);
+    memSection.integer("l1i_kb", mem.l1i.sizeBytes, 1024);
+    memSection.integer("l1i_ways", mem.l1i.ways);
+    memSection.integer("l2_kb", mem.l2.sizeBytes, 1024);
+    memSection.integer("l2_ways", mem.l2.ways);
+    std::uint32_t line = mem.l1d.lineBytes;
+    memSection.integer("line_bytes", line);
     mem.l1d.lineBytes = line;
     mem.l1i.lineBytes = line;
     mem.l2.lineBytes = line;
-    mem.l1Latency = static_cast<std::uint32_t>(
-        mem_u64("l1_lat", mem.l1Latency));
-    mem.l2Latency = static_cast<std::uint32_t>(
-        mem_u64("l2_lat", mem.l2Latency));
-    mem.memLatency = static_cast<std::uint32_t>(
-        mem_u64("mem_lat", mem.memLatency));
-    std::uint32_t tlb_entries = static_cast<std::uint32_t>(
-        mem_u64("tlb_entries", mem.dtlb.entries));
+    memSection.integer("l1_lat", mem.l1Latency);
+    memSection.integer("l2_lat", mem.l2Latency);
+    memSection.integer("mem_lat", mem.memLatency);
+    std::uint32_t tlb_entries = mem.dtlb.entries;
+    memSection.integer("tlb_entries", tlb_entries);
     mem.dtlb.entries = tlb_entries;
     mem.itlb.entries = tlb_entries;
-    std::uint32_t tlb_penalty = static_cast<std::uint32_t>(
-        mem_u64("tlb_penalty", mem.dtlb.missPenalty));
+    std::uint32_t tlb_penalty = mem.dtlb.missPenalty;
+    memSection.integer("tlb_penalty", tlb_penalty);
     mem.dtlb.missPenalty = tlb_penalty;
     mem.itlb.missPenalty = tlb_penalty;
 
-    // ---- [lifecycle] ----
-    warnUnknownKeys(file, "lifecycle",
-                    {"enabled", "max_records", "latency_bins",
-                     "hop_bins"});
+    const Section lifecycle(doc, "lifecycle",
+                            {"enabled", "max_records", "latency_bins",
+                             "hop_bins"});
     auto &lc = conf.lifecycle;
-    lc.enabled = file.getBool("lifecycle", "enabled", lc.enabled);
-    lc.maxRecordsPerStructure = static_cast<std::size_t>(
-        file.getInt("lifecycle", "max_records",
-                    static_cast<std::int64_t>(
-                        lc.maxRecordsPerStructure)));
-    lc.latencyBins = static_cast<std::size_t>(
-        file.getInt("lifecycle", "latency_bins",
-                    static_cast<std::int64_t>(lc.latencyBins)));
-    lc.hopCountBins = static_cast<std::size_t>(
-        file.getInt("lifecycle", "hop_bins",
-                    static_cast<std::int64_t>(lc.hopCountBins)));
+    lifecycle.flag("enabled", lc.enabled);
+    lifecycle.integer("max_records", lc.maxRecordsPerStructure);
+    lifecycle.integer("latency_bins", lc.latencyBins);
+    lifecycle.integer("hop_bins", lc.hopCountBins);
     if (lc.latencyBins == 0 || lc.hopCountBins == 0)
         fatal("config: lifecycle histogram bins must be positive");
 
-    // ---- [workload] overrides ----
-    warnUnknownKeys(file, "workload",
-                    {"load_frac", "store_frac", "branch_frac",
-                     "fp_frac", "dead_frac", "dep_recency",
-                     "footprint_kb", "stream_frac", "branch_noise",
-                     "seed"});
+    const Section workload(doc, "workload",
+                           {"load_frac", "store_frac", "branch_frac",
+                            "fp_frac", "dead_frac", "dep_recency",
+                            "footprint_kb", "stream_frac",
+                            "branch_noise", "seed"});
     auto apply = [&](trace::PhaseParams &p) {
-        p.loadFrac = file.getDouble("workload", "load_frac",
-                                    p.loadFrac);
-        p.storeFrac = file.getDouble("workload", "store_frac",
-                                     p.storeFrac);
-        p.branchFrac = file.getDouble("workload", "branch_frac",
-                                      p.branchFrac);
-        p.fpFrac = file.getDouble("workload", "fp_frac", p.fpFrac);
-        p.deadFrac = file.getDouble("workload", "dead_frac",
-                                    p.deadFrac);
-        p.depRecency = file.getDouble("workload", "dep_recency",
-                                      p.depRecency);
-        p.footprint = static_cast<std::uint64_t>(
-            file.getInt("workload", "footprint_kb",
-                        static_cast<std::int64_t>(
-                            p.footprint / 1024))) * 1024;
-        p.streamFrac = file.getDouble("workload", "stream_frac",
-                                      p.streamFrac);
-        p.branchNoise = file.getDouble("workload", "branch_noise",
-                                       p.branchNoise);
+        workload.number("load_frac", p.loadFrac);
+        workload.number("store_frac", p.storeFrac);
+        workload.number("branch_frac", p.branchFrac);
+        workload.number("fp_frac", p.fpFrac);
+        workload.number("dead_frac", p.deadFrac);
+        workload.number("dep_recency", p.depRecency);
+        workload.integer("footprint_kb", p.footprint, 1024);
+        workload.number("stream_frac", p.streamFrac);
+        workload.number("branch_noise", p.branchNoise);
     };
     apply(conf.profile.base);
     for (auto &phase : conf.profile.phases)
         apply(phase.params);
-    conf.profile.seed = static_cast<std::uint64_t>(
-        file.getInt("workload", "seed",
-                    static_cast<std::int64_t>(conf.profile.seed)));
+    workload.integer("seed", conf.profile.seed);
 
     conf.cpu.validate();
     return conf;

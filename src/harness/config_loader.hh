@@ -1,28 +1,34 @@
 /**
  * @file
- * Build an ExperimentConfig from an INI-style file, so machines and
- * workloads can be explored without recompiling. Recognized sections
- * and keys (all optional; defaults = Table 1 and M = N = 1000):
+ * Build an ExperimentConfig from a JSON file, so machines and
+ * workloads can be explored without recompiling. The document is one
+ * object whose members are sections; every section and key is
+ * optional (defaults = Table 1 and M = N = 1000):
  *
- *   [experiment] benchmark=mesa intervals=100 lookahead=32768
- *   [online]     m=1000 n=1000 randomize=false seed=12345
- *   [cpu]        fetch_width, dispatch_width, retire_width,
+ *   "experiment" benchmark="mesa" intervals=100 lookahead=32768
+ *   "online"     m=1000 n=1000 randomize=false seed=12345
+ *   "cpu"        fetch_width, dispatch_width, retire_width,
  *                rob_entries, intls_iq, fp_iq, br_iq, fxu, fpu, lsu,
  *                bru, int_regs, fp_regs, store_queue, fetch_buffer,
  *                redirect_penalty, predictor_bits, history_bits
- *   [mem]        l1d_kb, l1d_ways, l1i_kb, l1i_ways, l2_kb, l2_ways,
+ *   "mem"        l1d_kb, l1d_ways, l1i_kb, l1i_ways, l2_kb, l2_ways,
  *                line_bytes, l1_lat, l2_lat, mem_lat, tlb_entries,
  *                tlb_penalty
- *   [lifecycle]  enabled=false max_records=2048 latency_bins=50
+ *   "lifecycle"  enabled=false max_records=2048 latency_bins=50
  *                hop_bins=32 (injection-lifecycle tracing; see
  *                obs/lifecycle.hh)
- *   [workload]   (overrides applied on top of the named benchmark's
+ *   "workload"   (overrides applied on top of the named benchmark's
  *                profile) load_frac, store_frac, branch_frac,
  *                fp_frac, dead_frac, dep_recency, footprint_kb,
  *                stream_frac, branch_noise, seed
  *
- * Unknown keys are reported via warn() so typos do not silently do
- * nothing.
+ * For example {"cpu": {"fxu": 2}, "mem": {"l2_kb": 1024}}. Integers
+ * must be JSON non-negative integers that fit the field they fill
+ * (after the x1024 of the *_kb keys), booleans true or false, the
+ * benchmark a string and the workload fractions numbers; anything
+ * else is fatal(). Unknown sections and keys are reported via warn()
+ * so typos do not silently do nothing. configs/table1.json and
+ * configs/lowpower.json are worked examples.
  */
 
 #ifndef AVF_HARNESS_CONFIG_LOADER_HH
@@ -32,16 +38,17 @@
 
 #include "harness/engine.hh"
 #include "harness/experiment.hh"
-#include "util/keyvalue.hh"
+#include "util/json.hh"
 
 namespace avf::harness
 {
 
-/** Parse @p path into an ExperimentConfig; fatal() on bad values. */
+/** Read and parse the JSON file @p path into an ExperimentConfig;
+ *  fatal() when it cannot be read, is not JSON, or holds bad values. */
 ExperimentConfig loadExperimentConfig(const std::string &path);
 
-/** Same, from already-parsed key/values (tests). */
-ExperimentConfig loadExperimentConfig(const KeyValueFile &file);
+/** Same, from an already-parsed document (tests). */
+ExperimentConfig loadExperimentConfig(const json::Value &doc);
 
 /**
  * Resolve campaign RunOptions once, here, instead of scattering
@@ -77,11 +84,6 @@ ExperimentConfig loadExperimentConfig(const KeyValueFile &file);
  *                      zero, or negative is fatal()). Unset keeps
  *                      the control loop fully disabled and campaign
  *                      stdout byte-identical to uncontrolled runs.
- *   AVF_TAIL_POLL_MS=<ms>
- *                      `avf-report tail --follow` poll period in
- *                      milliseconds (1..60000, default 200; see
- *                      tailPollMsFromEnv()). Display-side only:
- *                      never touches simulation output.
  *
  * Malformed values — non-numeric, negative, or zero AVF_INTERVALS,
  * unrecognized AVF_FAST / AVF_LIFECYCLE, malformed AVF_METRICS — are
@@ -92,14 +94,6 @@ ExperimentConfig loadExperimentConfig(const KeyValueFile &file);
  *        present (the paper uses 100-200 depending on the figure).
  */
 RunOptions loadRunOptions(int paperDefaultIntervals = 100);
-
-/**
- * Resolve AVF_TAIL_POLL_MS: the `avf-report tail --follow` poll
- * period in milliseconds (strict positive integer, 1..60000; junk is
- * fatal()). Default 200 ms. Lives here so every env knob flows
- * through the same strict loader (avflint's env-knob discipline).
- */
-int tailPollMsFromEnv();
 
 } // namespace avf::harness
 

@@ -222,10 +222,11 @@ runExperimentDirect(const ExperimentConfig &config)
     // interval closes in ceil(N/L) window boundaries, so the interval
     // length every fixed-period observer (utilization, occupancy,
     // SoftArch reference) must march to compresses accordingly.
-    // lanes <= 1 keeps the historical serial interval exactly.
+    // lanes = 1 keeps the historical serial interval exactly; lanes
+    // = 0 is the default lane count, RunOptions{}.lanes.
     const int requested = config.online.lanes > 0
                               ? config.online.lanes
-                              : 1;
+                              : RunOptions{}.lanes;
     const int per_est = std::max(
         1, std::min(requested,
                     numErrorChannels / core::numStructures));
@@ -534,12 +535,7 @@ runExperimentDirect(const ExperimentConfig &config)
 ExperimentResult
 runExperiment(const ExperimentConfig &config)
 {
-    // lanes = 0 inherits the default lane count, exactly as
-    // ExperimentEngine::submit resolves it.
-    ExperimentConfig resolved = config;
-    if (resolved.online.lanes == 0)
-        resolved.online.lanes = RunOptions{}.lanes;
-    return detail::runExperimentDirect(resolved);
+    return detail::runExperimentDirect(config);
 }
 
 } // namespace avf::harness

@@ -260,8 +260,9 @@ namespace detail
 
 /**
  * The experiment body: runs on the calling thread, no engine
- * involved. Throws std::invalid_argument on a bad config so the
- * engine can report per-task errors without aborting the campaign.
+ * involved, and resolves online.lanes = 0 to RunOptions{}.lanes.
+ * Throws std::invalid_argument on a bad config so the engine can
+ * report per-task errors without aborting the campaign.
  */
 ExperimentResult runExperimentDirect(const ExperimentConfig &config);
 

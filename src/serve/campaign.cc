@@ -1,5 +1,10 @@
 #include "serve/campaign.hh"
 
+#include <algorithm>
+#include <string_view>
+
+#include <dirent.h>
+
 #include "serve/sharder.hh"
 
 namespace avf::serve
@@ -68,6 +73,29 @@ runFromCheckpoint(Checkpoint &checkpoint, const StatePaths &paths,
 }
 
 } // namespace
+
+bool
+listCampaigns(const std::string &dir, std::vector<std::string> &names,
+              std::string &error)
+{
+    const std::string_view suffix = StatePaths::checkpointSuffix;
+    names.clear();
+    DIR *handle = ::opendir(dir.c_str());
+    if (!handle) {
+        error = "cannot open directory " + dir;
+        return false;
+    }
+    while (const dirent *entry = ::readdir(handle)) {
+        std::string_view file = entry->d_name;
+        if (file.size() > suffix.size() &&
+            file.substr(file.size() - suffix.size()) == suffix)
+            names.emplace_back(
+                file.substr(0, file.size() - suffix.size()));
+    }
+    ::closedir(handle);
+    std::sort(names.begin(), names.end());
+    return true;
+}
 
 bool
 foldSlice(Checkpoint &checkpoint, obs::FeedWriter &feed,

@@ -14,6 +14,7 @@
 #define AVF_SERVE_CAMPAIGN_HH
 
 #include <string>
+#include <vector>
 
 #include "obs/feed_writer.hh"
 #include "serve/checkpoint.hh"
@@ -42,9 +43,19 @@ struct StatePaths
     /** Campaign checkpoint (atomic JSON document). */
     std::string checkpointPath(const std::string &name) const
     {
-        return dir + "/" + name + ".ckpt.json";
+        return dir + "/" + name + checkpointSuffix;
     }
+
+    static constexpr const char *checkpointSuffix = ".ckpt.json";
 };
+
+/**
+ * Set @p names to the campaign of every checkpoint in @p dir, sorted
+ * so status and resume order are deterministic. @return false with
+ * @p error set when @p dir cannot be opened.
+ */
+bool listCampaigns(const std::string &dir,
+                   std::vector<std::string> &names, std::string &error);
 
 /**
  * Fold one merged slice into a campaign: append its interval rows to

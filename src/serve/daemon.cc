@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include <dirent.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -25,31 +24,14 @@ namespace
 /** Longest request line the daemon will buffer before rejecting. */
 constexpr std::size_t maxRequestBytes = 1 << 16;
 
-/** Checkpoint file suffix used to discover campaigns in stateDir. */
-constexpr std::string_view checkpointSuffix = ".ckpt.json";
-
-/**
- * Campaign names found in @p stateDir, by checkpoint file, sorted so
- * status and resume order are deterministic.
- */
+/** Campaigns with a checkpoint in @p stateDir; none when it cannot
+ *  be read. */
 std::vector<std::string>
-listCampaigns(const std::string &stateDir)
+campaignsIn(const std::string &stateDir)
 {
     std::vector<std::string> names;
-    DIR *dir = ::opendir(stateDir.c_str());
-    if (!dir)
-        return names;
-    while (const dirent *entry = ::readdir(dir)) {
-        std::string_view file = entry->d_name;
-        if (file.size() <= checkpointSuffix.size() ||
-            file.substr(file.size() - checkpointSuffix.size()) !=
-                checkpointSuffix)
-            continue;
-        names.emplace_back(
-            file.substr(0, file.size() - checkpointSuffix.size()));
-    }
-    ::closedir(dir);
-    std::sort(names.begin(), names.end());
+    std::string error;
+    (void)listCampaigns(stateDir, names, error);
     return names;
 }
 
@@ -62,7 +44,7 @@ statusResponse(const StatePaths &paths)
     json::Writer out(line, json::Writer::Style::Compact);
     out.startObject().member("ok").boolean(true)
         .member("campaigns").startArray();
-    for (const std::string &name : listCampaigns(paths.dir)) {
+    for (const std::string &name : campaignsIn(paths.dir)) {
         Checkpoint checkpoint;
         std::string error;
         if (!loadCheckpoint(paths.checkpointPath(name), checkpoint,
@@ -156,7 +138,7 @@ writeResponseLine(int fd, std::string_view line)
 bool
 resumeIncomplete(const StatePaths &paths, int workers)
 {
-    for (const std::string &name : listCampaigns(paths.dir)) {
+    for (const std::string &name : campaignsIn(paths.dir)) {
         std::string error;
         Checkpoint checkpoint;
         if (!loadCheckpoint(paths.checkpointPath(name), checkpoint,

@@ -24,7 +24,7 @@ run_bench() {
         exit 2
     fi
     env -u AVF_LANES -u AVF_INTERVALS -u AVF_METRICS -u AVF_LIFECYCLE \
-        -u AVF_MTTF_BUDGET_HOURS -u AVF_LOG_LEVEL -u AVF_TAIL_POLL_MS \
+        -u AVF_MTTF_BUDGET_HOURS -u AVF_LOG_LEVEL \
         AVF_FAST=1 ${lanes:+AVF_LANES=$lanes} "$1" 2>/dev/null
 }
 

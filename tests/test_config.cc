@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the key/value parser, the experiment-config loader, and
- * the CSV/JSON/gnuplot exporters.
+ * Tests for the experiment-config loader and the CSV/JSON/gnuplot
+ * exporters.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,7 @@
 
 #include "harness/config_loader.hh"
 #include "harness/export.hh"
-#include "util/keyvalue.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace
@@ -23,73 +23,43 @@ using namespace avf;
 using namespace avf::harness;
 
 // ---------------------------------------------------------------------
-// KeyValueFile
-// ---------------------------------------------------------------------
-
-TEST(KeyValue, ParsesSectionsAndTypes)
-{
-    auto kv = KeyValueFile::fromString(
-        "# comment\n"
-        "[alpha]\n"
-        "number = 42\n"
-        "ratio = 0.5\n"
-        "flag = yes\n"
-        "name = hello world\n"
-        "; another comment\n"
-        "[beta]\n"
-        "number = -7\n");
-    EXPECT_TRUE(kv.has("alpha", "number"));
-    EXPECT_FALSE(kv.has("alpha", "missing"));
-    EXPECT_EQ(kv.getInt("alpha", "number", 0), 42);
-    EXPECT_EQ(kv.getInt("beta", "number", 0), -7);
-    EXPECT_DOUBLE_EQ(kv.getDouble("alpha", "ratio", 0.0), 0.5);
-    EXPECT_TRUE(kv.getBool("alpha", "flag", false));
-    EXPECT_EQ(kv.getString("alpha", "name", ""), "hello world");
-    EXPECT_EQ(kv.getInt("alpha", "missing", 99), 99);
-}
-
-TEST(KeyValue, SectionlessKeysLiveInEmptySection)
-{
-    auto kv = KeyValueFile::fromString("top = 1\n[sec]\ninner = 2\n");
-    EXPECT_EQ(kv.getInt("", "top", 0), 1);
-    EXPECT_EQ(kv.getInt("sec", "inner", 0), 2);
-}
-
-TEST(KeyValue, KeysInAndSections)
-{
-    auto kv = KeyValueFile::fromString(
-        "[a]\nx = 1\ny = 2\n[b]\nz = 3\n");
-    auto keys = kv.keysIn("a");
-    EXPECT_EQ(keys.size(), 2u);
-    auto sections = kv.sections();
-    EXPECT_EQ(sections.size(), 2u);
-}
-
-TEST(KeyValue, MalformedInputIsFatal)
-{
-    EXPECT_DEATH(KeyValueFile::fromString("[unclosed\n"),
-                 "malformed section");
-    EXPECT_DEATH(KeyValueFile::fromString("novalue\n"),
-                 "expected 'key = value'");
-    EXPECT_DEATH(KeyValueFile::fromString("= 3\n"), "empty key");
-    auto kv = KeyValueFile::fromString("[a]\nx = notanumber\n");
-    EXPECT_DEATH(kv.getInt("a", "x", 0), "not an integer");
-    EXPECT_DEATH(kv.getBool("a", "x", false), "not a boolean");
-}
-
-TEST(KeyValue, MissingFileIsFatal)
-{
-    EXPECT_DEATH(KeyValueFile::fromFile("/nonexistent/file.ini"),
-                 "cannot open");
-}
-
-// ---------------------------------------------------------------------
 // Config loader
 // ---------------------------------------------------------------------
 
+/** @p text parsed as JSON; a parse failure fails the test. */
+json::Value
+doc(const std::string &text)
+{
+    json::Value out;
+    std::string error;
+    EXPECT_TRUE(json::parse(text, out, error)) << error;
+    return out;
+}
+
+/** Load @p text through the file entry point, as a user's file. */
+ExperimentConfig
+loadText(const std::string &text)
+{
+    const std::string path = ::testing::TempDir() + "config.json";
+    std::ofstream(path) << text;
+    return loadExperimentConfig(path);
+}
+
+/** stderr of loading @p text, with warnings enabled. */
+std::string
+warningsOf(const std::string &text)
+{
+    setLogLevel(LogLevel::Info);
+    ::testing::internal::CaptureStderr();
+    (void)loadExperimentConfig(doc(text));
+    std::string err = ::testing::internal::GetCapturedStderr();
+    setQuiet(false); // restore the suite default
+    return err;
+}
+
 TEST(ConfigLoader, DefaultsAreTable1)
 {
-    auto conf = loadExperimentConfig(KeyValueFile::fromString(""));
+    auto conf = loadExperimentConfig(doc("{}"));
     EXPECT_EQ(conf.profile.name, "mesa");
     EXPECT_EQ(conf.cpu.intPhysRegs, 80);
     EXPECT_EQ(conf.cpu.fpPhysRegs, 72);
@@ -100,22 +70,13 @@ TEST(ConfigLoader, DefaultsAreTable1)
 
 TEST(ConfigLoader, OverridesApply)
 {
-    auto conf = loadExperimentConfig(KeyValueFile::fromString(
-        "[experiment]\n"
-        "benchmark = swim\n"
-        "intervals = 7\n"
-        "[online]\n"
-        "m = 500\n"
-        "n = 200\n"
-        "randomize = true\n"
-        "[cpu]\n"
-        "fxu = 3\n"
-        "rob_entries = 64\n"
-        "[mem]\n"
-        "l2_kb = 512\n"
-        "mem_lat = 300\n"
-        "[workload]\n"
-        "dead_frac = 0.42\n"));
+    auto conf = loadExperimentConfig(doc(R"({
+        "experiment": {"benchmark": "swim", "intervals": 7},
+        "online": {"m": 500, "n": 200, "randomize": true},
+        "cpu": {"fxu": 3, "rob_entries": 64},
+        "mem": {"l2_kb": 512, "mem_lat": 300},
+        "workload": {"dead_frac": 0.42}
+    })"));
     EXPECT_EQ(conf.profile.name, "swim");
     EXPECT_EQ(conf.numIntervals, 7);
     EXPECT_EQ(conf.online.m, 500u);
@@ -133,24 +94,153 @@ TEST(ConfigLoader, OverridesApply)
 
 TEST(ConfigLoader, RejectsBadValues)
 {
-    EXPECT_DEATH(loadExperimentConfig(KeyValueFile::fromString(
-                     "[experiment]\nbenchmark = doom\n")),
+    EXPECT_DEATH(loadExperimentConfig(
+                     doc(R"({"experiment": {"benchmark": "doom"}})")),
                  "unknown benchmark");
-    EXPECT_DEATH(loadExperimentConfig(KeyValueFile::fromString(
-                     "[experiment]\nintervals = 0\n")),
+    EXPECT_DEATH(loadExperimentConfig(
+                     doc(R"({"experiment": {"intervals": 0}})")),
                  "intervals");
-    EXPECT_DEATH(loadExperimentConfig(KeyValueFile::fromString(
-                     "[cpu]\nint_regs = 8\n")),
+    EXPECT_DEATH(loadExperimentConfig(doc(R"({"cpu": {"int_regs": 8}})")),
                  "physical registers");
 }
 
 TEST(ConfigLoader, GenericProfileSupported)
 {
-    auto conf = loadExperimentConfig(KeyValueFile::fromString(
-        "[experiment]\nbenchmark = generic\n"
-        "[workload]\nfp_frac = 0.9\n"));
+    auto conf = loadExperimentConfig(doc(R"({
+        "experiment": {"benchmark": "generic"},
+        "workload": {"fp_frac": 0.9}
+    })"));
     EXPECT_EQ(conf.profile.name, "generic");
     EXPECT_DOUBLE_EQ(conf.profile.base.fpFrac, 0.9);
+}
+
+// An integer that does not fit its field is rejected, not wrapped
+// (4294967297 would otherwise truncate to 1).
+TEST(ConfigLoader, RejectsIntegersOutOfTheFieldsRange)
+{
+    EXPECT_DEATH(loadExperimentConfig(
+                     doc(R"({"experiment": {"intervals": 4294967297}})")),
+                 "experiment.intervals = 4294967297 is out of range");
+    EXPECT_DEATH(loadExperimentConfig(
+                     doc(R"({"online": {"n": 4294967296}})")),
+                 "online.n = 4294967296 is out of range");
+    // The x1024 of a *_kb key counts against the field's range.
+    EXPECT_DEATH(loadExperimentConfig(doc(
+                     R"({"mem": {"l2_kb": 18014398509481984}})")),
+                 "mem.l2_kb = 18014398509481984 is out of range");
+}
+
+// A negative number would otherwise wrap to 2^32-1 or 2^64-1.
+TEST(ConfigLoader, RejectsNegativeAndFractionalIntegers)
+{
+    EXPECT_DEATH(loadExperimentConfig(doc(R"({"online": {"n": -1}})")),
+                 "online.n must be a non-negative integer");
+    EXPECT_DEATH(loadExperimentConfig(doc(R"({"online": {"m": -1}})")),
+                 "online.m must be a non-negative integer");
+    EXPECT_DEATH(loadExperimentConfig(doc(R"({"cpu": {"fxu": 2.5}})")),
+                 "cpu.fxu must be a non-negative integer");
+    EXPECT_DEATH(loadExperimentConfig(doc(R"({"cpu": {"fxu": "2"}})")),
+                 "cpu.fxu must be a non-negative integer");
+}
+
+// Octal and hex spellings are not JSON numbers, so they never load
+// as a different value (020 would otherwise read as 16).
+TEST(ConfigLoader, RejectsOctalAndHexSpellings)
+{
+    EXPECT_DEATH(loadText(R"({"mem": {"l2_lat": 020}})"),
+                 "config file '.*config.json': offset .*leading zero");
+    EXPECT_DEATH(loadText(R"({"cpu": {"fxu": 0x3}})"),
+                 "config file '.*config.json': offset");
+}
+
+TEST(ConfigLoader, RejectsValuesOfTheWrongKind)
+{
+    EXPECT_DEATH(loadExperimentConfig(doc(R"({"cpu": [1, 2]})")),
+                 "section 'cpu' is not an object");
+    EXPECT_DEATH(loadExperimentConfig(
+                     doc(R"({"online": {"randomize": 1}})")),
+                 "online.randomize must be true or false");
+    EXPECT_DEATH(loadExperimentConfig(
+                     doc(R"({"experiment": {"benchmark": 7}})")),
+                 "experiment.benchmark must be a string");
+    EXPECT_DEATH(loadExperimentConfig(
+                     doc(R"({"workload": {"dead_frac": "0.4"}})")),
+                 "workload.dead_frac must be a number");
+    EXPECT_DEATH(loadExperimentConfig(doc("[]")),
+                 "top level is not an object");
+}
+
+TEST(ConfigLoader, WarnsOnUnknownSectionsAndKeys)
+{
+    std::string err = warningsOf(R"({"CPU": {"fxu": 3}})");
+    EXPECT_NE(err.find("unknown section 'CPU'"), std::string::npos)
+        << err;
+    err = warningsOf(R"({"cpu": {"fxus": 3}})");
+    EXPECT_NE(err.find("unknown key 'fxus' in section 'cpu'"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(warningsOf(R"({"cpu": {"fxu": 3}})"), "");
+}
+
+TEST(ConfigLoader, MalformedOrMissingFileIsFatal)
+{
+    EXPECT_DEATH(loadText(R"({"cpu": {"fxu": 3})"),
+                 "config file '.*config.json': offset");
+    EXPECT_DEATH(loadText(""), "config file '.*config.json': offset");
+    EXPECT_DEATH(loadExperimentConfig("/nonexistent/config.json"),
+                 "cannot open config file");
+}
+
+// The shipped configs load from the source tree: table1.json is the
+// built-in Table 1 machine in every field the loader sets, and
+// lowpower.json is a machine validate() accepts.
+TEST(ConfigLoader, ShippedConfigsLoad)
+{
+    const std::string dir = std::string(AVF_SOURCE_DIR) + "/configs/";
+    const cpu::CpuConfig table1 = cpu::CpuConfig{};
+    const cpu::CpuConfig got =
+        loadExperimentConfig(dir + "table1.json").cpu;
+    EXPECT_EQ(got.fetchWidth, table1.fetchWidth);
+    EXPECT_EQ(got.dispatchWidth, table1.dispatchWidth);
+    EXPECT_EQ(got.retireWidth, table1.retireWidth);
+    EXPECT_EQ(got.robEntries, table1.robEntries);
+    EXPECT_EQ(got.intLsIqEntries, table1.intLsIqEntries);
+    EXPECT_EQ(got.fpIqEntries, table1.fpIqEntries);
+    EXPECT_EQ(got.brIqEntries, table1.brIqEntries);
+    EXPECT_EQ(got.numFxu, table1.numFxu);
+    EXPECT_EQ(got.numFpu, table1.numFpu);
+    EXPECT_EQ(got.numLsu, table1.numLsu);
+    EXPECT_EQ(got.numBru, table1.numBru);
+    EXPECT_EQ(got.intPhysRegs, table1.intPhysRegs);
+    EXPECT_EQ(got.fpPhysRegs, table1.fpPhysRegs);
+    EXPECT_EQ(got.storeQueueEntries, table1.storeQueueEntries);
+    EXPECT_EQ(got.fetchBufferEntries, table1.fetchBufferEntries);
+    EXPECT_EQ(got.redirectPenalty, table1.redirectPenalty);
+    EXPECT_EQ(got.predictorBits, table1.predictorBits);
+    EXPECT_EQ(got.historyBits, table1.historyBits);
+    const mem::MemConfig &m = got.mem;
+    const mem::MemConfig &want = table1.mem;
+    EXPECT_EQ(m.l1d.sizeBytes, want.l1d.sizeBytes);
+    EXPECT_EQ(m.l1d.ways, want.l1d.ways);
+    EXPECT_EQ(m.l1i.sizeBytes, want.l1i.sizeBytes);
+    EXPECT_EQ(m.l1i.ways, want.l1i.ways);
+    EXPECT_EQ(m.l2.sizeBytes, want.l2.sizeBytes);
+    EXPECT_EQ(m.l2.ways, want.l2.ways);
+    EXPECT_EQ(m.l1d.lineBytes, want.l1d.lineBytes);
+    EXPECT_EQ(m.l1i.lineBytes, want.l1i.lineBytes);
+    EXPECT_EQ(m.l2.lineBytes, want.l2.lineBytes);
+    EXPECT_EQ(m.l1Latency, want.l1Latency);
+    EXPECT_EQ(m.l2Latency, want.l2Latency);
+    EXPECT_EQ(m.memLatency, want.memLatency);
+    EXPECT_EQ(m.dtlb.entries, want.dtlb.entries);
+    EXPECT_EQ(m.itlb.entries, want.itlb.entries);
+    EXPECT_EQ(m.dtlb.missPenalty, want.dtlb.missPenalty);
+    EXPECT_EQ(m.itlb.missPenalty, want.itlb.missPenalty);
+
+    // validate() fatal()s, failing the test, on a bad machine.
+    const auto lowpower = loadExperimentConfig(dir + "lowpower.json");
+    lowpower.cpu.validate();
+    EXPECT_EQ(lowpower.cpu.dispatchWidth, 2);
 }
 
 // ---------------------------------------------------------------------

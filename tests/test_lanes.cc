@@ -203,8 +203,8 @@ TEST(LaneEquivalence, WindowOutcomeUnaffectedByOtherLanes)
 // Campaign level: lanes=64 agrees with the serial estimator         //
 // ---------------------------------------------------------------- //
 
-ExperimentResult
-runWithLanes(int lanes)
+ExperimentConfig
+laneConfig(int lanes)
 {
     ExperimentConfig conf;
     conf.profile = trace::specProfile("bzip2");
@@ -213,7 +213,30 @@ runWithLanes(int lanes)
     conf.online.lanes = lanes;
     conf.numIntervals = 2;
     conf.lookahead = 8'192;
-    return runExperiment(conf);
+    return conf;
+}
+
+ExperimentResult
+runWithLanes(int lanes)
+{
+    return runExperiment(laneConfig(lanes));
+}
+
+// lanes = 0 is the default lane count on every path, the experiment
+// body included, not the serial one lane.
+TEST(LaneEquivalence, DirectLanesZeroIsTheDefaultLaneCount)
+{
+    const auto inherited = detail::runExperimentDirect(laneConfig(0));
+    const auto explicitDefault =
+        detail::runExperimentDirect(laneConfig(RunOptions{}.lanes));
+    EXPECT_EQ(inherited.summary.cycles, explicitDefault.summary.cycles);
+    ASSERT_EQ(inherited.intervals.size(),
+              explicitDefault.intervals.size());
+    for (std::size_t k = 0; k < inherited.intervals.size(); ++k)
+        for (int s = 0; s < core::numStructures; ++s)
+            EXPECT_EQ(inherited.intervals[k].online[s],
+                      explicitDefault.intervals[k].online[s])
+                << "interval " << k << " structure " << s;
 }
 
 TEST(LaneEquivalence, LaneParallelAvfMatchesSerialStatistically)

@@ -30,8 +30,7 @@
  *                                  --follow keeps polling a feed that
  *                                  is still being written until the
  *                                  summary row lands (or N empty
- *                                  polls pass; poll period =
- *                                  AVF_TAIL_POLL_MS, default 200 ms)
+ *                                  200 ms polls pass)
  *   serve-status DIR               per-campaign checkpoint progress
  *                                  of a serve state directory
  *

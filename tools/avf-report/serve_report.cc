@@ -1,17 +1,12 @@
 #include "serve_report.hh"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
 #include <ostream>
-#include <string_view>
 #include <vector>
 
-#include <dirent.h>
-
 #include "core/structures.hh"
-#include "harness/config_loader.hh"
 #include "serve/campaign.hh"
 #include "serve/checkpoint.hh"
 #include "serve/protocol.hh"
@@ -22,6 +17,10 @@ namespace avf::report
 
 namespace
 {
+
+/** Follow-mode poll period: fast enough to feel live on a terminal,
+ *  slow enough to cost nothing. */
+constexpr long pollMillis = 200;
 
 /** One formatted double cell. */
 std::string
@@ -197,7 +196,6 @@ printFeedTail(std::ostream &out, const std::string &path, bool follow,
         return false;
     }
 
-    const long pollMillis = harness::tailPollMsFromEnv();
     bool sawHeader = false;
     bool done = false;
     bool ok = true;
@@ -252,10 +250,7 @@ printFeedTail(std::ostream &out, const std::string &path, bool follow,
             break;
         }
         std::clearerr(feed);
-        // Split the period: tv_nsec must stay under a second and
-        // AVF_TAIL_POLL_MS allows up to 60000.
-        timespec pause{pollMillis / 1000,
-                       (pollMillis % 1000) * 1000000L};
+        timespec pause{0, pollMillis * 1000000L};
         (void)::nanosleep(&pause, nullptr);
     }
 
@@ -271,22 +266,9 @@ bool
 printServeStatus(std::ostream &out, const std::string &stateDir,
                  std::string &error)
 {
-    constexpr std::string_view suffix = ".ckpt.json";
     std::vector<std::string> names;
-    DIR *dir = ::opendir(stateDir.c_str());
-    if (!dir) {
-        error = "cannot open directory " + stateDir;
+    if (!serve::listCampaigns(stateDir, names, error))
         return false;
-    }
-    while (const dirent *entry = ::readdir(dir)) {
-        std::string_view file = entry->d_name;
-        if (file.size() > suffix.size() &&
-            file.substr(file.size() - suffix.size()) == suffix)
-            names.emplace_back(
-                file.substr(0, file.size() - suffix.size()));
-    }
-    ::closedir(dir);
-    std::sort(names.begin(), names.end());
 
     out << "campaign             slices complete feed_bytes"
            " benchmark\n";

@@ -6,12 +6,10 @@
  * directory. Library (not main.cc) so tests can drive the feed
  * parser and malformed-row rejection directly.
  *
- * Follow mode reads no clocks: it polls with a fixed nanosleep
- * cadence (AVF_TAIL_POLL_MS, default 200 ms — resolved through
- * harness::tailPollMsFromEnv() like every other env knob) and gives
- * up after a bounded number of empty polls, so the tool stays
- * deterministic-by-construction like the rest of the repo (see the
- * avflint clock-discipline check).
+ * Follow mode reads no clocks: it polls with a fixed 200 ms
+ * nanosleep cadence and gives up after a bounded number of empty
+ * polls, so the tool stays deterministic-by-construction like the
+ * rest of the repo (see the avflint clock-discipline check).
  */
 
 #ifndef AVF_REPORT_SERVE_REPORT_HH
@@ -29,9 +27,9 @@ namespace avf::report
  * AVF plus occupancy), and the summary row's means and totals.
  *
  * With @p follow true, an EOF before the summary row is not the end:
- * the reader re-polls the file (AVF_TAIL_POLL_MS nanosleeps between
- * polls) until the summary lands or @p maxEmptyPolls consecutive
- * polls bring no new complete line. Torn trailing lines (no '\n'
+ * the reader re-polls the file (200 ms nanosleeps between polls)
+ * until the summary lands or @p maxEmptyPolls consecutive polls
+ * bring no new complete line. Torn trailing lines (no '\n'
  * yet) are left for the next poll — exactly the state a feed is in
  * while avf-serve is mid-append.
  *
