@@ -9,7 +9,9 @@
 #   tier1        configure + build + full test suite
 #   lint         avflint unit tests + repo scan (ctest -L lint)
 #   tidy         clang-tidy over src/ and tools/ (skips when absent)
-#   ubsan        engine tests under -DAVF_SANITIZE=undefined
+#   ubsan        engine and wake tests under -DAVF_SANITIZE=undefined
+#                (the wake suite runs every observer roster over the
+#                cycle loop, fetch ring and geometric draw included)
 #   tsan         engine + obs tests under -DAVF_SANITIZE=thread (the
 #                thread pool and the metrics collect/merge path)
 #   bench-smoke  avf_micro --smoke in a Release build; writes
@@ -139,10 +141,11 @@ run_tidy() {
 }
 
 run_ubsan() {
-    echo "=== ubsan: engine tests under -DAVF_SANITIZE=undefined ==="
+    echo "=== ubsan: engine + wake tests under -DAVF_SANITIZE=undefined ==="
     cmake -B "$BUILD-ubsan" -S . $LAUNCHER -DAVF_SANITIZE=undefined
-    cmake --build "$BUILD-ubsan" -j --target avf_engine_tests
-    ctest --test-dir "$BUILD-ubsan" -L engine --output-on-failure
+    cmake --build "$BUILD-ubsan" -j --target avf_engine_tests \
+        avf_wake_tests
+    ctest --test-dir "$BUILD-ubsan" -L 'engine|wake' --output-on-failure
 }
 
 run_tsan() {

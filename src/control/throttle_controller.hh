@@ -81,6 +81,7 @@ class ThrottleController : public cpu::PipelineObserver
                        ThrottleConfig config = ThrottleConfig{},
                        reliability::BudgetArbiter *arbiter = nullptr);
 
+    unsigned hooks() const override { return 0; }
     void onCycle(Cycle now) override;
     /** Rows publish only in the feed's onCycle: wake with it. */
     Cycle nextWake(Cycle now) const override

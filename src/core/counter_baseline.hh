@@ -84,6 +84,8 @@ class CounterBaseline : public AvfEstimator
                     Cycle intervalCycles, std::string estimatorName,
                     const char *snapshotKey);
 
+    /** Reads its counter source in onCycle alone. */
+    unsigned hooks() const override { return 0; }
     void onCycle(Cycle now) override;
     Cycle nextWake(Cycle now) const override
     {

@@ -176,6 +176,11 @@ class InjectionCampaign : public AvfEstimator
                       InjectionPort *sharedPort,
                       LaneId privateLane = -1);
 
+    /** Retire only to forward it to a private port. */
+    unsigned hooks() const override
+    {
+        return ownedPort ? cpu::hookRetire : 0u;
+    }
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
     void onCycle(Cycle now) override;

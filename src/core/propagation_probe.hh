@@ -47,6 +47,7 @@ class PropagationProbe : public cpu::PipelineObserver
     PropagationProbe(cpu::Pipeline &pipe, Structure structure,
                      ProbeConfig config = ProbeConfig{});
 
+    unsigned hooks() const override { return cpu::hookRetire; }
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
     /**

@@ -51,6 +51,7 @@ class FeatureCollector : public cpu::PipelineObserver
      */
     FeatureCollector(const cpu::Pipeline &pipe, Cycle intervalCycles);
 
+    unsigned hooks() const override { return cpu::hookRetire; }
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
     void onCycle(Cycle now) override;

@@ -2,8 +2,9 @@
  * @file
  * Observation interface over the pipeline. The online estimator and
  * the SoftArch offline analyzer both attach here; the pipeline calls
- * out at dispatch, issue, completion and retirement, and at the end
- * of every cycle an observer's nextWake() names.
+ * out at dispatch, issue, completion and retirement to the observers
+ * whose hooks() subscribe, and at the end of every cycle an
+ * observer's nextWake() names.
  */
 
 #ifndef AVF_CPU_OBSERVER_HH
@@ -50,11 +51,32 @@ errorHopName(ErrorHop hop)
     }
 }
 
+/** Bits of PipelineObserver::hooks(), one per instruction hook. */
+enum Hook : unsigned
+{
+    hookDispatch = 1u << 0,
+    hookIssue = 1u << 1,
+    hookComplete = 1u << 2,
+    hookRetire = 1u << 3,
+    allHooks = hookDispatch | hookIssue | hookComplete | hookRetire
+};
+
 /** Passive pipeline observer; all hooks default to no-ops. */
 class PipelineObserver
 {
   public:
     virtual ~PipelineObserver() = default;
+
+    /**
+     * The instruction hooks (Hook bits) this observer acts on; the
+     * pipeline reads it once, in addObserver, and calls onDispatch,
+     * onIssue, onComplete and onRetire only on subscribers. An
+     * observer that overrides one of them must declare its bit. The
+     * default, allHooks, is always correct. onCycle follows
+     * nextWake() and onErrorHop the hop sink, not this mask. See
+     * DESIGN.md, "The wake contract".
+     */
+    virtual unsigned hooks() const { return allHooks; }
 
     /** Instruction entered the ROB (and its issue queue). */
     virtual void onDispatch(const DynInstr &) {}

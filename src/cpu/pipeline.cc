@@ -21,7 +21,6 @@ Pipeline::Pipeline(const CpuConfig &config, trace::TraceSource &src)
         q.freeSlots.reserve(static_cast<std::size_t>(entries));
         for (int s = entries; s-- > 0;)
             q.freeSlots.push_back(s);
-        q.occupied = 0;
         q.globalBase = base;
     };
     init_queue(queues[static_cast<int>(IqId::IntLs)],
@@ -46,6 +45,8 @@ Pipeline::Pipeline(const CpuConfig &config, trace::TraceSource &src)
     storeQueue.assign(static_cast<std::size_t>(conf.storeQueueEntries),
                       SqEntry{});
     completionRing.resize(ringSize);
+    fetchBuffer.assign(static_cast<std::size_t>(conf.fetchBufferEntries),
+                       FetchedInstr{});
 
     for (int cls = 0; cls < static_cast<int>(FuClass::NumClasses);
          ++cls) {
@@ -64,13 +65,22 @@ Pipeline::addObserver(PipelineObserver *observer)
 {
     observers.push_back({observer, currentCycle});
     earliestWake = std::min(earliestWake, currentCycle);
+    const unsigned hooks = observer->hooks();
+    if (hooks & hookDispatch)
+        dispatchSubs.push_back(observer);
+    if (hooks & hookIssue)
+        issueSubs.push_back(observer);
+    if (hooks & hookComplete)
+        completeSubs.push_back(observer);
+    if (hooks & hookRetire)
+        retireSubs.push_back(observer);
 }
 
 bool
 Pipeline::done() const
 {
-    return traceDone && !pendingInstr.has_value() &&
-           fetchBuffer.empty() && robCount == 0;
+    return traceDone && !fetchPending && fetchCount == 0 &&
+           robCount == 0;
 }
 
 bool
@@ -156,17 +166,19 @@ Pipeline::retireStage()
                            sqHead)].seq == instr.seq,
                        "store retire out of SQ order");
             storeQueue[static_cast<std::size_t>(sqHead)] = SqEntry{};
-            sqHead = (sqHead + 1) % conf.storeQueueEntries;
+            if (++sqHead == conf.storeQueueEntries)
+                sqHead = 0;
             --sqCount;
         }
 
         if (instr.oldDestPhys >= 0)
             rename.release(instr.oldDestPhys);
 
-        for (const Attached &a : observers)
-            a.observer->onRetire(instr, info);
+        for (PipelineObserver *o : retireSubs)
+            o->onRetire(instr, info);
 
-        robHead = (robHead + 1) % conf.robEntries;
+        if (++robHead == conf.robEntries)
+            robHead = 0;
         --robCount;
         ++statsData.retired;
     }
@@ -230,8 +242,10 @@ Pipeline::completeStage()
         }
 
         if (instr.fuUnit >= 0) {
-            --units[static_cast<int>(instr.fu)]
-                  [static_cast<std::size_t>(instr.fuUnit)].inFlight;
+            const int cls = static_cast<int>(instr.fu);
+            if (--units[cls][static_cast<std::size_t>(instr.fuUnit)]
+                      .inFlight == 0)
+                --busyUnits[cls];
         }
 
         if (instr.in.op == OpClass::Store) {
@@ -257,8 +271,8 @@ Pipeline::completeStage()
             ++statsData.redirects;
         }
 
-        for (const Attached &a : observers)
-            a.observer->onComplete(instr);
+        for (PipelineObserver *o : completeSubs)
+            o->onComplete(instr);
     }
     bucket.clear();
 }
@@ -295,16 +309,14 @@ Pipeline::findForwardingStore(const DynInstr &load) const
     // Scan the store queue youngest-first for an older store with a
     // resolved, matching (8-byte-granular) address.
     Addr dword = load.in.effAddr >> 3;
-    int idx = (sqTail + conf.storeQueueEntries - 1) %
-              conf.storeQueueEntries;
+    int idx = sqTail;
     for (int n = 0; n < sqCount; ++n) {
+        idx = (idx == 0 ? conf.storeQueueEntries : idx) - 1;
         const auto &entry = storeQueue[static_cast<std::size_t>(idx)];
         if (entry.valid && entry.seq < load.seq && entry.addrReady &&
             (entry.addr >> 3) == dword) {
             return idx;
         }
-        idx = (idx + conf.storeQueueEntries - 1) %
-              conf.storeQueueEntries;
     }
     return -1;
 }
@@ -361,14 +373,14 @@ Pipeline::issueOne(int robIdx, FuClass cls)
                "issue-queue slot inconsistency");
     queue.slots[static_cast<std::size_t>(instr.iqEntry)] = -1;
     queue.freeSlots.push_back(instr.iqEntry);
-    --queue.occupied;
+    --iqOccupied;
     instr.iqEntry = -1;
 
     // Bind a unit (fully pipelined; round-robin across the class).
     auto &class_units = units[static_cast<int>(cls)];
     int unit = unitRoundRobin[static_cast<int>(cls)];
     unitRoundRobin[static_cast<int>(cls)] =
-        (unit + 1) % static_cast<int>(class_units.size());
+        unit + 1 == static_cast<int>(class_units.size()) ? 0 : unit + 1;
     instr.fuUnit = static_cast<std::int8_t>(unit);
 
     int latency;
@@ -407,7 +419,8 @@ Pipeline::issueOne(int robIdx, FuClass cls)
     scheduleCompletion(robIdx, instr.completeCycle);
 
     auto &unit_state = class_units[static_cast<std::size_t>(unit)];
-    ++unit_state.inFlight;
+    if (unit_state.inFlight++ == 0)
+        ++busyUnits[static_cast<int>(cls)];
     // The resident list exists for error injection; prune stale
     // entries lazily once it clearly exceeds the true in-flight set.
     if (unit_state.resident.size() >
@@ -422,8 +435,8 @@ Pipeline::issueOne(int robIdx, FuClass cls)
     unit_state.resident.emplace_back(robIdx, instr.completeCycle);
 
     ++statsData.issued;
-    for (const Attached &a : observers)
-        a.observer->onIssue(instr);
+    for (PipelineObserver *o : issueSubs)
+        o->onIssue(instr);
 }
 
 void
@@ -526,7 +539,8 @@ Pipeline::tryDispatchOne(const FetchedInstr &fetched)
 
     // All resources available: commit the dispatch.
     int rob_idx = robTail;
-    robTail = (robTail + 1) % conf.robEntries;
+    if (++robTail == conf.robEntries)
+        robTail = 0;
     ++robCount;
 
     DynInstr &instr = robAt(rob_idx);
@@ -581,7 +595,7 @@ Pipeline::tryDispatchOne(const FetchedInstr &fetched)
         auto &queue = queues[static_cast<int>(iq)];
         queue.freeSlots.pop_back();
         queue.slots[static_cast<std::size_t>(iq_slot)] = rob_idx;
-        ++queue.occupied;
+        ++iqOccupied;
         instr.iqEntry = static_cast<std::int16_t>(iq_slot);
         instr.iqGlobalEntry =
             static_cast<std::int16_t>(queue.globalBase + iq_slot);
@@ -593,7 +607,8 @@ Pipeline::tryDispatchOne(const FetchedInstr &fetched)
         entry.valid = true;
         entry.seq = instr.seq;
         instr.sqIndex = static_cast<std::int16_t>(sqTail);
-        sqTail = (sqTail + 1) % conf.storeQueueEntries;
+        if (++sqTail == conf.storeQueueEntries)
+            sqTail = 0;
         ++sqCount;
     }
 
@@ -606,11 +621,11 @@ Pipeline::tryDispatchOne(const FetchedInstr &fetched)
     }
 
     ++statsData.dispatched;
-    for (const Attached &a : observers)
-        a.observer->onDispatch(instr);
+    for (PipelineObserver *o : dispatchSubs)
+        o->onDispatch(instr);
     if (in.op == OpClass::Nop) {
-        for (const Attached &a : observers)
-            a.observer->onComplete(instr);
+        for (PipelineObserver *o : completeSubs)
+            o->onComplete(instr);
     }
     return true;
 }
@@ -619,10 +634,12 @@ void
 Pipeline::dispatchStage()
 {
     int width = effectiveDispatchWidth();
-    for (int n = 0; n < width && !fetchBuffer.empty(); ++n) {
-        if (!tryDispatchOne(fetchBuffer.front()))
+    for (int n = 0; n < width && fetchCount > 0; ++n) {
+        if (!tryDispatchOne(
+                fetchBuffer[static_cast<std::size_t>(fetchHead)]))
             break;
-        fetchBuffer.pop_front();
+        fetchHead = fetchSlot(1);
+        --fetchCount;
     }
 }
 
@@ -657,24 +674,26 @@ Pipeline::fetchStage()
         conf.mem.l1i.lineBytes - 1);
 
     for (int n = 0; n < conf.fetchWidth; ++n) {
-        if (static_cast<int>(fetchBuffer.size()) >=
-            conf.fetchBufferEntries)
+        if (fetchCount >= conf.fetchBufferEntries)
             break;
 
-        if (!pendingInstr) {
-            trace::TraceInstruction next;
-            if (traceDone || !source.next(next)) {
+        // The slot past the newest: it holds the pending instruction
+        // across a miss, since dispatch moves the head, not the tail.
+        FetchedInstr &fetched =
+            fetchBuffer[static_cast<std::size_t>(fetchSlot(fetchCount))];
+        if (!fetchPending) {
+            if (traceDone || !source.next(fetched.in)) {
                 traceDone = true;
                 break;
             }
-            pendingInstr = next;
+            fetchPending = true;
         }
 
         // Instruction-cache access at line granularity.
-        Addr line = pendingInstr->pc & line_mask;
+        Addr line = fetched.in.pc & line_mask;
         if (line != lastFetchLine) {
             std::uint32_t latency = hierarchy.instrAccess(
-                pendingInstr->pc, currentCycle);
+                fetched.in.pc, currentCycle);
             lastFetchLine = line;
             if (latency > conf.mem.l1Latency) {
                 // Miss: the line arrives after `latency` cycles.
@@ -683,12 +702,10 @@ Pipeline::fetchStage()
             }
         }
 
-        FetchedInstr fetched;
-        fetched.in = *pendingInstr;
         fetched.fetchCycle = currentCycle;
         fetched.mispredicted = false;
         fetched.error = 0;
-        pendingInstr.reset();
+        fetchPending = false;
 
         bool ends_fetch = false;
         if (fetched.in.op == OpClass::BranchCond) {
@@ -705,10 +722,7 @@ Pipeline::fetchStage()
             ends_fetch = true;
         }
 
-        // fetchBuffer is a deque bounded by fetchWidth per group;
-        // chunk storage is reused, not regrown, per cycle.
-        // avflint: allow(hot-path-alloc)
-        fetchBuffer.push_back(fetched);
+        ++fetchCount;
         ++statsData.fetched;
 
         if (ends_fetch)
@@ -724,16 +738,10 @@ void
 Pipeline::accountCycle()
 {
     for (int cls = 0; cls < static_cast<int>(FuClass::NumClasses);
-         ++cls) {
-        for (auto &unit : units[cls]) {
-            if (unit.inFlight > 0)
-                ++statsData.busyUnitCycles[cls];
-        }
-    }
-    std::uint64_t occupied = 0;
-    for (const auto &queue : queues)
-        occupied += static_cast<std::uint64_t>(queue.occupied);
-    statsData.iqOccupancySum += occupied;
+         ++cls)
+        statsData.busyUnitCycles[cls] +=
+            static_cast<std::uint64_t>(busyUnits[cls]);
+    statsData.iqOccupancySum += static_cast<std::uint64_t>(iqOccupied);
     statsData.robOccupancySum += static_cast<std::uint64_t>(robCount);
 }
 
@@ -842,7 +850,8 @@ Pipeline::clearErrorChannels(ErrorMask mask)
         errInRobSq &= keep;
     }
 
-    // Fetch buffer: same summary-gated strided sweep.
+    // Fetch buffer: same summary-gated strided sweep, over every
+    // ring slot (a free slot's bits are reset when it is refilled).
     if (errInFetchBuf & mask) {
         ErrorMask keep = static_cast<ErrorMask>(~mask);
         for (auto &fetched : fetchBuffer)
@@ -859,9 +868,9 @@ Pipeline::injectFetchBufError(int slot, ErrorMask mask)
 {
     avf_assert(slot >= 0 && slot < conf.fetchBufferEntries,
                "injectFetchBufError target %d out of range", slot);
-    if (slot >= static_cast<int>(fetchBuffer.size()))
+    if (slot >= fetchCount)
         return false; // empty slot: injection masked
-    fetchBuffer[static_cast<std::size_t>(slot)].error |= mask;
+    fetchBuffer[static_cast<std::size_t>(fetchSlot(slot))].error |= mask;
     errInFetchBuf |= mask;
     return true;
 }

@@ -21,8 +21,6 @@
 #define AVF_CPU_PIPELINE_HH
 
 #include <cstdint>
-#include <deque>
-#include <optional>
 #include <vector>
 
 #include "cpu/branch_predictor.hh"
@@ -80,8 +78,9 @@ class Pipeline
 
     /**
      * Attach an observer (not owned); order of attach = call order.
-     * Its first onCycle comes at the end of the current cycle; after
-     * that, only on the cycles its nextWake() names.
+     * Its instruction hooks are the ones its hooks() names when
+     * attached. Its first onCycle comes at the end of the current
+     * cycle; after that, only on the cycles its nextWake() names.
      */
     void addObserver(PipelineObserver *observer);
 
@@ -261,7 +260,6 @@ class Pipeline
     {
         std::vector<int> slots; ///< robIdx or -1
         std::vector<int> freeSlots; ///< stack of empty slot indices
-        int occupied = 0;
         int globalBase = 0; ///< first global entry index of this queue
     };
 
@@ -312,6 +310,14 @@ class Pipeline
     void notifyErrorHop(const DynInstr &instr, ErrorMask bits,
                         ErrorHop hop);
     bool tryDispatchOne(const FetchedInstr &fetched);
+    /** Fetch-buffer ring index @p offset entries after the head. */
+    int fetchSlot(int offset) const
+    {
+        int idx = fetchHead + offset;
+        return idx >= conf.fetchBufferEntries
+                   ? idx - conf.fetchBufferEntries
+                   : idx;
+    }
     void scheduleCompletion(int robIdx, Cycle when);
     /** Search the store queue for a forwardable older store. */
     int findForwardingStore(const DynInstr &load) const;
@@ -330,6 +336,11 @@ class Pipeline
         Cycle wake;
     };
     std::vector<Attached> observers;
+    /** Instruction-hook subscribers, each in attach order. */
+    std::vector<PipelineObserver *> dispatchSubs;
+    std::vector<PipelineObserver *> issueSubs;
+    std::vector<PipelineObserver *> completeSubs;
+    std::vector<PipelineObserver *> retireSubs;
     /** Minimum wake over observers: step()'s one per-cycle compare. */
     Cycle earliestWake = neverWake;
 
@@ -348,6 +359,8 @@ class Pipeline
 
     // issue queues
     IssueQueue queues[static_cast<int>(IqId::NumQueues)];
+    /** Occupied entries over all issue queues. */
+    int iqOccupied = 0;
 
     // physical register state
     std::vector<std::uint8_t> regReady;
@@ -383,6 +396,8 @@ class Pipeline
         int inFlight = 0;
     };
     std::vector<Unit> units[static_cast<int>(FuClass::NumClasses)];
+    /** Units of each class with inFlight > 0. */
+    int busyUnits[static_cast<int>(FuClass::NumClasses)] = {0, 0, 0, 0};
     /**
      * Event-driven wakeup: instructions whose operands are all ready
      * wait here (sorted at issue time); per-register waiter lists
@@ -397,9 +412,14 @@ class Pipeline
     int unitRoundRobin[static_cast<int>(FuClass::NumClasses)] = {0, 0,
                                                                  0, 0};
 
-    // fetch state
-    std::deque<FetchedInstr> fetchBuffer;
-    std::optional<trace::TraceInstruction> pendingInstr;
+    // fetch state: a ring of fetchBufferEntries slots, oldest at
+    // fetchHead. The trace source writes straight into the slot past
+    // the newest; fetchPending marks an instruction held there across
+    // an instruction-cache miss.
+    std::vector<FetchedInstr> fetchBuffer;
+    int fetchHead = 0;
+    int fetchCount = 0;
+    bool fetchPending = false;
     bool traceDone = false;
     Cycle fetchResumeCycle = 0;
     bool fetchBlockedOnBranch = false;

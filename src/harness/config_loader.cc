@@ -73,13 +73,18 @@ class Section
         }
     }
 
+    /** A number in [0, 1]. */
     void
-    number(const char *key, double &field) const
+    fraction(const char *key, double &field) const
     {
         if (const json::Value *value = find(key)) {
             if (!value->isNumber())
                 fatal("config: %s.%s must be a number", name, key);
-            field = value->asDouble();
+            const double x = value->asDouble();
+            if (!(x >= 0.0 && x <= 1.0))
+                fatal("config: %s.%s = %g is outside [0, 1]", name, key,
+                      x);
+            field = x;
         }
     }
 
@@ -344,15 +349,15 @@ loadExperimentConfig(const json::Value &doc)
                             "footprint_kb", "stream_frac",
                             "branch_noise", "seed"});
     auto apply = [&](trace::PhaseParams &p) {
-        workload.number("load_frac", p.loadFrac);
-        workload.number("store_frac", p.storeFrac);
-        workload.number("branch_frac", p.branchFrac);
-        workload.number("fp_frac", p.fpFrac);
-        workload.number("dead_frac", p.deadFrac);
-        workload.number("dep_recency", p.depRecency);
+        workload.fraction("load_frac", p.loadFrac);
+        workload.fraction("store_frac", p.storeFrac);
+        workload.fraction("branch_frac", p.branchFrac);
+        workload.fraction("fp_frac", p.fpFrac);
+        workload.fraction("dead_frac", p.deadFrac);
+        workload.fraction("dep_recency", p.depRecency);
         workload.integer("footprint_kb", p.footprint, 1024);
-        workload.number("stream_frac", p.streamFrac);
-        workload.number("branch_noise", p.branchNoise);
+        workload.fraction("stream_frac", p.streamFrac);
+        workload.fraction("branch_noise", p.branchNoise);
     };
     apply(conf.profile.base);
     for (auto &phase : conf.profile.phases)

@@ -25,9 +25,11 @@
  * For example {"cpu": {"fxu": 2}, "mem": {"l2_kb": 1024}}. Integers
  * must be JSON non-negative integers that fit the field they fill
  * (after the x1024 of the *_kb keys), booleans true or false, the
- * benchmark a string and the workload fractions numbers; anything
- * else is fatal(). Unknown sections and keys are reported via warn()
- * so typos do not silently do nothing. configs/table1.json and
+ * benchmark a string and the workload fractions (every workload key
+ * but footprint_kb and seed) numbers in [0, 1]; anything else is
+ * fatal(), and so is a key repeated within an object (a json::parse
+ * error). Unknown sections and keys are reported via warn() so typos
+ * do not silently do nothing. configs/table1.json and
  * configs/lowpower.json are worked examples.
  */
 

@@ -68,6 +68,7 @@ class ControlFeed : public cpu::PipelineObserver
      */
     void attachOccupancy(const core::AvfEstimator &estimator);
 
+    unsigned hooks() const override { return 0; }
     void onCycle(Cycle now) override;
     /**
      * The earliest of the sources' wakes (a source's estimates grow

@@ -85,6 +85,7 @@ class AceAnalyzer : public cpu::PipelineObserver
     AceAnalyzer(const cpu::Pipeline &pipe,
                 SoftArchConfig config = SoftArchConfig{});
 
+    unsigned hooks() const override { return cpu::hookRetire; }
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
     void onCycle(Cycle now) override;

@@ -215,9 +215,17 @@ struct Parser
         }
         for (;;) {
             skipWs();
+            const std::size_t keyPos = pos;
             std::string key;
             if (!parseString(key))
                 return false;
+            // A repeated key would be shadowed by find(): refuse it.
+            for (const auto &member : out.members) {
+                if (member.first == key) {
+                    pos = keyPos;
+                    return fail("repeated key \"" + key + "\"");
+                }
+            }
             skipWs();
             if (!expect(':'))
                 return false;

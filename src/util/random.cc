@@ -58,23 +58,55 @@ Rng::range(std::int64_t lo, std::int64_t hi)
         below(static_cast<std::uint64_t>(hi - lo) + 1));
 }
 
-std::uint64_t
-Rng::geometric(double p, std::uint64_t cap)
+namespace
 {
-    if (p >= 1.0)
-        return 0;
-    if (p <= 0.0)
-        return cap;
-    // Inverse-CDF method.
-    if (p != geomP) {
-        geomP = p;
-        geomLog = std::log1p(-p);
+
+/** floor(log1p(-u) / log1mp) for u = draw * 2^-53: the inverse CDF. */
+double
+inverseCdf(std::uint64_t draw, double log1mp)
+{
+    const double u = static_cast<double>(draw) * 0x1.0p-53;
+    return std::floor(std::log1p(-u) / log1mp);
+}
+
+} // namespace
+
+void
+Rng::setGeometricP(double p)
+{
+    geomP = p;
+    geomLog = std::log1p(-p);
+    // Binary search each threshold above the last; a value no 53-bit
+    // draw reaches ends the table.
+    constexpr std::uint64_t draws = 1ull << 53;
+    geomCount = 0;
+    std::uint64_t lo = 0;
+    for (int v = 1; v <= geomTableSize; ++v) {
+        std::uint64_t hi = draws;
+        while (lo < hi) {
+            const std::uint64_t mid = lo + (hi - lo) / 2;
+            if (inverseCdf(mid, geomLog) >= static_cast<double>(v))
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        if (lo == draws)
+            break;
+        geomLeast[geomCount++] = lo;
     }
-    double u = uniform();
-    double draws = std::floor(std::log1p(-u) / geomLog);
-    if (draws < 0.0)
-        draws = 0.0;
-    auto val = static_cast<std::uint64_t>(draws);
+}
+
+std::uint64_t
+Rng::geometricByFormula(std::uint64_t draw, std::uint64_t cap) const
+{
+    const double value = inverseCdf(draw, geomLog);
+    // Compare before the cast: a tiny p puts the value beyond any
+    // uint64_t (or at inf), where the conversion is undefined.
+    if (!(value < 0x1.0p64))
+        return cap;
+    if (value < 0.0)
+        return 0;
+    const auto val = static_cast<std::uint64_t>(value);
     return val > cap ? cap : val;
 }
 

@@ -71,8 +71,53 @@ class Rng
     /**
      * Geometric draw: number of failures before first success with
      * success probability p (p clamped to (0,1]); bounded by cap.
+     * Consumes one next() when 0 < p < 1.
      */
-    std::uint64_t geometric(double p, std::uint64_t cap = 1u << 20);
+    std::uint64_t
+    geometric(double p, std::uint64_t cap = 1u << 20)
+    {
+        if (p >= 1.0)
+            return 0;
+        if (p <= 0.0)
+            return cap;
+        return geometricFromDraw(next() >> 11, p, cap);
+    }
+
+    /**
+     * The value geometric(@p p, @p cap) returns for the 53-bit uniform
+     * draw @p draw (u = draw * 2^-53), p in (0, 1): the inverse-CDF
+     * floor(log1p(-u) / log1p(-p)), clamped to @p cap. A table of the
+     * least draw that yields each value answers with a few compares;
+     * a draw within geometricGuard of a table entry, or beyond the
+     * table, takes the log1p formula, so both paths give the same
+     * value for every draw. Public so tests can probe the thresholds.
+     */
+    std::uint64_t
+    geometricFromDraw(std::uint64_t draw, double p, std::uint64_t cap)
+    {
+        if (p != geomP)
+            setGeometricP(p);
+        const std::uint64_t limit = cap < geomCount ? cap : geomCount;
+        std::uint64_t v = 0;
+        while (v < limit && draw >= geomLeast[v])
+            ++v;
+        const bool clearBelow =
+            v == 0 || draw - geomLeast[v - 1] >= geometricGuard;
+        const bool clearAbove =
+            v == cap ||
+            (v < geomCount && geomLeast[v] - draw > geometricGuard);
+        if (clearBelow && clearAbove)
+            return v;
+        return geometricByFormula(draw, cap);
+    }
+
+    /**
+     * Distance in 53-bit draws from a table threshold inside which
+     * geometricFromDraw() uses the formula. The formula's rounding
+     * error moves a threshold by at most a few draws; this is far
+     * wider, and still a negligible share of all draws.
+     */
+    static constexpr std::uint64_t geometricGuard = 1u << 12;
 
     /** Approximately normal draw (sum of uniforms), mean 0, sd 1. */
     double gaussian();
@@ -84,11 +129,24 @@ class Rng
         return (x << k) | (x >> (64 - k));
     }
 
+    /** Rebuild the geometric table for @p p in (0, 1). */
+    void setGeometricP(double p);
+    /** geometricFromDraw() by the log1p formula alone. */
+    std::uint64_t geometricByFormula(std::uint64_t draw,
+                                     std::uint64_t cap) const;
+
+    /** Values the geometric table covers (1 .. geomTableSize). */
+    static constexpr int geomTableSize = 64;
+
     std::uint64_t s[4];
-    /** geometric()'s last p in (0, 1) and its log1p(-p): the trace
+    /** The table's p in (0, 1) and its log1p(-p): the trace
      *  generators draw with a handful of fixed probabilities. */
     double geomP = 0.0;
     double geomLog = 0.0;
+    /** geomLeast[i]: least draw whose formula value is >= i + 1, for
+     *  the first geomCount values (those reached below 2^53). */
+    std::uint64_t geomLeast[geomTableSize] = {};
+    std::uint64_t geomCount = 0;
 };
 
 /** Stable 64-bit hash of a string (FNV-1a), for name -> seed mapping. */

@@ -13,6 +13,7 @@
 
 #include "harness/config_loader.hh"
 #include "harness/export.hh"
+#include "trace/synthetic.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -168,6 +169,46 @@ TEST(ConfigLoader, RejectsValuesOfTheWrongKind)
                  "workload.dead_frac must be a number");
     EXPECT_DEATH(loadExperimentConfig(doc("[]")),
                  "top level is not an object");
+}
+
+// A repeated key used to load as its first value with no warning.
+TEST(ConfigLoader, RejectsRepeatedKeys)
+{
+    EXPECT_DEATH(
+        loadText(R"({"cpu": {"dispatch_width": 2, "dispatch_width": 4}})"),
+        "config file '.*config.json': offset 30: repeated key "
+        "\"dispatch_width\"");
+}
+
+TEST(ConfigLoader, RejectsWorkloadFractionsOutsideTheUnitInterval)
+{
+    EXPECT_DEATH(loadExperimentConfig(
+                     doc(R"({"workload": {"dead_frac": 1.5}})")),
+                 "workload.dead_frac = 1.5 is outside \\[0, 1\\]");
+    EXPECT_DEATH(loadExperimentConfig(
+                     doc(R"({"workload": {"load_frac": -0.25}})")),
+                 "workload.load_frac = -0.25 is outside");
+    EXPECT_DEATH(loadExperimentConfig(
+                     doc(R"({"workload": {"dep_recency": 2}})")),
+                 "workload.dep_recency = 2 is outside");
+    auto conf = loadExperimentConfig(
+        doc(R"({"workload": {"stream_frac": 0, "branch_noise": 1}})"));
+    EXPECT_EQ(conf.profile.base.streamFrac, 0.0);
+    EXPECT_EQ(conf.profile.base.branchNoise, 1.0);
+}
+
+// A dep_recency of 1e-300 is a valid fraction; the generator's
+// geometric draw then lands far past any uint64_t and must clamp to
+// the pool rather than convert out of range.
+TEST(ConfigLoader, VanishingDepRecencyRunsTheGenerator)
+{
+    auto conf = loadExperimentConfig(
+        doc(R"({"workload": {"dep_recency": 1e-300}})"));
+    EXPECT_EQ(conf.profile.base.depRecency, 1e-300);
+    trace::SyntheticTraceGenerator gen(conf.profile);
+    trace::TraceInstruction in;
+    for (int i = 0; i < 20'000; ++i)
+        ASSERT_TRUE(gen.next(in));
 }
 
 TEST(ConfigLoader, WarnsOnUnknownSectionsAndKeys)

@@ -355,6 +355,85 @@ TEST(Pipeline, IqOccupancyReflectsBackpressure)
     EXPECT_GT(avg_occ, 1.0);
 }
 
+/** Error bits each instruction carried into dispatch, by sequence. */
+class DispatchErrors : public PipelineObserver
+{
+  public:
+    explicit DispatchErrors(std::size_t instrs) : masks(instrs, ~0ull) {}
+
+    void
+    onDispatch(const DynInstr &instr) override
+    {
+        ASSERT_LT(instr.seq, masks.size());
+        masks[instr.seq] = instr.errorMask;
+    }
+
+    std::vector<ErrorMask> masks;
+};
+
+// The fetch buffer is a ring. After it wraps, slot k is still the
+// k-th oldest buffered instruction, a slot at or past the occupancy
+// masks the injection, and clearErrorChannels sweeps every slot.
+TEST(Pipeline, FetchBufferRingInjectsByAgeAfterWrapping)
+{
+    CpuConfig conf = table1();
+    conf.fetchBufferEntries = 8;
+    const std::size_t total = 300;
+    trace::VectorTraceSource src(withPcs(
+        std::vector<trace::TraceInstruction>(total, alu(5, 1, 2))));
+    Pipeline pipe(conf, src);
+    DispatchErrors seen(total);
+    pipe.addObserver(&seen);
+    // Fetch brings up to 8 a cycle and dispatch takes 1, so the ring
+    // stays full and its head walks around the storage.
+    pipe.setDispatchThrottle(1);
+    const int slots = pipe.numFetchBufSlots();
+    ASSERT_EQ(slots, 8);
+    EXPECT_FALSE(pipe.injectFetchBufError(0, 0x1)); // empty at reset
+
+    auto buffered = [&] {
+        return static_cast<int>(pipe.stats().fetched -
+                                pipe.stats().dispatched);
+    };
+    // Full, with the oldest entry 3 storage slots in after a wrap:
+    // slots 5..7 sit at storage 0..2.
+    for (int i = 0; i < 10'000 && !(buffered() == slots &&
+                                    pipe.stats().dispatched > 16 &&
+                                    pipe.stats().dispatched % 8 == 3);
+         ++i)
+        ASSERT_TRUE(pipe.step());
+    ASSERT_EQ(buffered(), slots);
+    const std::uint64_t oldest = pipe.stats().dispatched;
+    EXPECT_TRUE(pipe.injectFetchBufError(0, 0x1));
+    EXPECT_TRUE(pipe.injectFetchBufError(slots - 1, 0x2));
+    EXPECT_TRUE(pipe.injectFetchBufError(6, 0x4));
+    pipe.clearErrorChannels(0x4);
+
+    // Drain the trace until 3 instructions remain buffered.
+    for (int i = 0; i < 10'000 && !(pipe.stats().fetched == total &&
+                                    buffered() == 3);
+         ++i)
+        ASSERT_TRUE(pipe.step());
+    ASSERT_EQ(buffered(), 3);
+    for (int slot = 3; slot < slots; ++slot)
+        EXPECT_FALSE(pipe.injectFetchBufError(slot, 0x8)) << slot;
+    EXPECT_TRUE(pipe.injectFetchBufError(2, 0x8));
+    const std::uint64_t newest = total - 1;
+
+    drain(pipe);
+    ASSERT_EQ(pipe.stats().dispatched, total);
+    for (std::uint64_t seq = 0; seq < total; ++seq) {
+        ErrorMask want = 0;
+        if (seq == oldest)
+            want = 0x1;
+        else if (seq == oldest + 7)
+            want = 0x2;
+        else if (seq == newest)
+            want = 0x8;
+        EXPECT_EQ(seen.masks[seq], want) << "seq " << seq;
+    }
+}
+
 TEST(Pipeline, ConfigValidationRejectsNonsense)
 {
     CpuConfig bad = table1();

@@ -550,6 +550,29 @@ TEST(JsonParser, RejectsMalformedInput)
     EXPECT_NE(error.find("nest"), std::string::npos);
 }
 
+// A repeated key would leave find() reading the first copy and the
+// second silently ignored, so parse() refuses it, naming the key at
+// the offset of its second appearance.
+TEST(JsonParser, RejectsRepeatedKeys)
+{
+    json::Value doc;
+    std::string error;
+    const std::string text =
+        R"({"cpu":{"dispatch_width":2,"dispatch_width":4}})";
+    EXPECT_FALSE(json::parse(text, doc, error));
+    EXPECT_EQ(error, "offset " +
+                         std::to_string(text.rfind("\"dispatch_width\"")) +
+                         ": repeated key \"dispatch_width\"");
+    // Keys are compared after unescaping.
+    EXPECT_FALSE(json::parse(R"({"a":1,"\u0061":2})", doc, error));
+    EXPECT_NE(error.find("repeated key \"a\""), std::string::npos)
+        << error;
+    // One key in sibling or nested objects is not a repeat.
+    EXPECT_TRUE(json::parse(R"({"a":{"a":1},"b":{"a":2},"c":[{"a":3}]})",
+                            doc, error))
+        << error;
+}
+
 // ---------------------------------------------------------------- //
 // util/json writer: round trip through the parser, spelling, layout //
 // ---------------------------------------------------------------- //
@@ -698,9 +721,13 @@ randomValue(Rng &rng, int depth)
         break;
       default:
         v.kind = Kind::Object;
-        for (std::uint64_t n = rng.below(5); n > 0; --n)
-            v.members.emplace_back(randomString(rng),
-                                   randomValue(rng, depth + 1));
+        for (std::uint64_t n = rng.below(5); n > 0; --n) {
+            std::string key = randomString(rng);
+            json::Value member = randomValue(rng, depth + 1);
+            // parse() refuses a repeated key: keep the first.
+            if (!v.find(key))
+                v.members.emplace_back(std::move(key), std::move(member));
+        }
         break;
     }
     return v;

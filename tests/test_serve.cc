@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <ctime>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <thread>
 
@@ -260,6 +261,10 @@ TEST(ServeProtocol, RejectsMalformedRequests)
         // negative n
         "{\"v\":\"avf-serve-v1\",\"op\":\"submit\",\"campaign\":"
         "{\"name\":\"a\",\"benchmark\":\"bzip2\",\"n\":-4}}",
+        // repeated key (find() would read the first)
+        "{\"v\":\"avf-serve-v1\",\"op\":\"submit\",\"campaign\":"
+        "{\"name\":\"a\",\"benchmark\":\"bzip2\",\"benchmark\":"
+        "\"swim\"}}",
     };
     for (const char *line : bad) {
         serve::Request parsed;
@@ -268,6 +273,13 @@ TEST(ServeProtocol, RejectsMalformedRequests)
             << "accepted: " << line;
         EXPECT_FALSE(error.empty());
     }
+    serve::Request parsed;
+    std::string error;
+    EXPECT_FALSE(serve::parseRequest(bad[std::size(bad) - 1], parsed,
+                                     error));
+    EXPECT_NE(error.find("repeated key \"benchmark\""),
+              std::string::npos)
+        << error;
 }
 
 // ---------------------------------------------------------------- //

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
+#include <vector>
 
+#include "trace/spec_profiles.hh"
 #include "util/bitvector.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -178,6 +183,110 @@ TEST(Rng, GeometricRespectsCap)
     Rng rng(29);
     for (int i = 0; i < 1000; ++i)
         EXPECT_LE(rng.geometric(0.001, 5), 5u);
+}
+
+/** Reference geometric draw: the log1p inverse CDF on @p draw. */
+std::uint64_t
+formulaGeometric(std::uint64_t draw, double p, std::uint64_t cap)
+{
+    const double u = static_cast<double>(draw) * 0x1.0p-53;
+    const double value = std::floor(std::log1p(-u) / std::log1p(-p));
+    if (!(value < 0x1.0p64))
+        return cap;
+    if (value < 0.0)
+        return 0;
+    const auto val = static_cast<std::uint64_t>(value);
+    return val > cap ? cap : val;
+}
+
+/** Every depRecency the shipped profiles use, plus the extremes. */
+std::vector<double>
+geometricProbabilities()
+{
+    std::vector<double> ps = {0.001, 0.25, 0.999};
+    for (const std::string &name : avf::trace::specBenchmarkNames()) {
+        const auto profile = avf::trace::specProfile(name);
+        ps.push_back(profile.base.depRecency);
+        for (const auto &phase : profile.phases)
+            ps.push_back(phase.params.depRecency);
+    }
+    std::sort(ps.begin(), ps.end());
+    ps.erase(std::unique(ps.begin(), ps.end()), ps.end());
+    return ps;
+}
+
+// The table lookup is an exact stand-in for the formula: the same
+// value for every draw, at the synthetic generator's caps and at the
+// default one, where values run past the table.
+TEST(Rng, GeometricTableMatchesTheFormula)
+{
+    for (double p : geometricProbabilities()) {
+        Rng table(37);
+        Rng raw(37);
+        for (int i = 0; i < 1'000'000; ++i) {
+            const std::uint64_t cap =
+                i % 4 == 0 ? std::uint64_t{1} << 20
+                           : static_cast<std::uint64_t>(i % 48);
+            const std::uint64_t want =
+                formulaGeometric(raw.next() >> 11, p, cap);
+            const std::uint64_t got = table.geometric(p, cap);
+            if (got != want) {
+                ADD_FAILURE() << "p " << p << " draw " << i << ": "
+                              << got << " != " << want;
+                break;
+            }
+        }
+    }
+}
+
+// At each value's least draw (found on the formula), one draw either
+// side of it, and at and just past the guard band's edges.
+TEST(Rng, GeometricTableMatchesTheFormulaAtThresholds)
+{
+    constexpr std::uint64_t draws = std::uint64_t{1} << 53;
+    constexpr auto guard = static_cast<std::int64_t>(Rng::geometricGuard);
+    for (double p : geometricProbabilities()) {
+        Rng rng(41);
+        std::uint64_t lo = 0;
+        for (std::uint64_t v = 1; v <= 80; ++v) {
+            std::uint64_t hi = draws;
+            while (lo < hi) {
+                const std::uint64_t mid = lo + (hi - lo) / 2;
+                if (formulaGeometric(mid, p, ~std::uint64_t{0}) >= v)
+                    hi = mid;
+                else
+                    lo = mid + 1;
+            }
+            if (lo == draws)
+                break;
+            for (std::int64_t d : {-guard - 1, -guard, -1L, 0L, 1L, guard,
+                                   guard + 1}) {
+                const auto at = static_cast<std::int64_t>(lo) + d;
+                if (at < 0 || at >= static_cast<std::int64_t>(draws))
+                    continue;
+                const auto draw = static_cast<std::uint64_t>(at);
+                for (std::uint64_t cap :
+                     {v - 1, v, v + 1, std::uint64_t{1} << 20})
+                    EXPECT_EQ(rng.geometricFromDraw(draw, p, cap),
+                              formulaGeometric(draw, p, cap))
+                        << "p " << p << " v " << v << " d " << d
+                        << " cap " << cap;
+            }
+        }
+    }
+}
+
+// A vanishing p puts the formula's value far past any uint64_t (or at
+// inf): the draw is the cap, not an undefined conversion.
+TEST(Rng, GeometricOfAVanishingPIsTheCap)
+{
+    Rng rng(43);
+    for (double p : {1e-300, 1e-320, 4.9e-324}) {
+        for (int i = 0; i < 1000; ++i) {
+            EXPECT_EQ(rng.geometric(p, 47), 47u);
+            EXPECT_EQ(rng.geometric(p), 1u << 20);
+        }
+    }
 }
 
 TEST(Rng, GaussianMoments)

@@ -9,6 +9,10 @@
  * rows, feature rows, control decisions and the feed's METRICS must
  * come out identical: an observer whose nextWake() skips a cycle on
  * which its onCycle would have acted shows up here as a diff.
+ * EveryCycle also keeps the default hooks() mask and forwards every
+ * instruction hook, so the same diff catches an observer whose own
+ * hooks() leaves out a hook it acts on (DESIGN.md §11, "Hook
+ * subscriptions").
  */
 
 #include <gtest/gtest.h>
@@ -51,7 +55,8 @@ using core::Structure;
 
 /**
  * Forwards every hook to the wrapped observer and keeps the default
- * nextWake(), so the wrapped observer sees onCycle on every cycle.
+ * hooks() and nextWake(), so the wrapped observer sees every
+ * instruction hook and onCycle on every cycle.
  */
 class EveryCycle : public cpu::PipelineObserver
 {
