@@ -14,10 +14,9 @@
 #                cycle loop, fetch ring and geometric draw included)
 #   tsan         engine + obs tests under -DAVF_SANITIZE=thread (the
 #                thread pool and the metrics collect/merge path)
-#   bench-smoke  avf_micro --smoke in a Release build; writes
-#                BENCH_micro.json next to the build dir, plus a
-#                metrics-enabled fig3_accuracy smoke run that emits
-#                and sanity-parses ci_METRICS.json / ci_TRACE.json,
+#   bench-smoke  in a Release build: a metrics-enabled fig3_accuracy
+#                smoke run that emits and sanity-parses
+#                ci_METRICS.json / ci_TRACE.json,
 #                a closed-loop scenario_budget_storm run whose
 #                decision trail `avf-report budget` renders back,
 #                a scenario_root_cause run whose ci_ROOTCAUSE.json
@@ -157,11 +156,8 @@ run_tsan() {
 }
 
 run_bench_smoke() {
-    echo "=== bench-smoke: avf_micro --smoke (Release) ==="
+    echo "=== bench-smoke: metrics-enabled fig3_accuracy run (Release) ==="
     configure_and_build "$BUILD-bench" -DCMAKE_BUILD_TYPE=Release
-    "$BUILD-bench/bench/micro/avf_micro" --smoke \
-        --out "$BUILD-bench/BENCH_micro.json"
-    echo "=== bench-smoke: metrics-enabled fig3_accuracy run ==="
     AVF_FAST=1 AVF_METRICS="$BUILD-bench/ci" \
         "$BUILD-bench/bench/fig3_accuracy" > /dev/null
     # The exports must at minimum be valid JSON carrying the schema

@@ -507,26 +507,23 @@ runExperimentDirect(const ExperimentConfig &config)
             appendSnapshot(result.metrics,
                            feed->shard().snapshot());
     }
-    if (config.snapshotEstimators) {
-        // Quiesce-point snapshots for the serve layer's checkpoints:
-        // the roster in construction order, then a synthetic entry
-        // for the shared port's lane masks (diagnostic — resume
-        // re-reserves lanes by rebuilding the roster, it never
-        // replays masks).
-        result.estimatorStates.reserve(estimators.size() +
-                                       probes.size() + 1);
-        for (const auto &est : estimators)
-            result.estimatorStates.push_back(est->snapshotState());
-        for (const auto &probe : probes)
-            result.estimatorStates.push_back(probe->snapshotState());
-        core::EstimatorState port_state;
-        port_state.name = "port";
-        port_state.counters = {
-            {"reserved_mask", port.reservedMask()},
-            {"open_mask", port.openMask()},
-        };
-        result.estimatorStates.push_back(std::move(port_state));
-    }
+    // Quiesce-point snapshots for the serve layer's checkpoints: the
+    // roster in construction order, then a synthetic entry for the
+    // shared port's lane masks (diagnostic — resume re-reserves lanes
+    // by rebuilding the roster, it never replays masks).
+    result.estimatorStates.reserve(estimators.size() +
+                                   probes.size() + 1);
+    for (const auto &est : estimators)
+        result.estimatorStates.push_back(est->snapshotState());
+    for (const auto &probe : probes)
+        result.estimatorStates.push_back(probe->snapshotState());
+    core::EstimatorState port_state;
+    port_state.name = "port";
+    port_state.counters = {
+        {"reserved_mask", port.reservedMask()},
+        {"open_mask", port.openMask()},
+    };
+    result.estimatorStates.push_back(std::move(port_state));
     return result;
 }
 

@@ -113,13 +113,6 @@ struct ExperimentConfig
      * RunOptions::mttfBudgetHours is positive.
      */
     ControlConfig control;
-    /**
-     * Snapshot every estimator's reporting state into
-     * ExperimentResult::estimatorStates after the run (see
-     * core::EstimatorState). Used by the serve layer's checkpoints;
-     * purely post-run, so estimates are byte-identical either way.
-     */
-    bool snapshotEstimators = false;
 };
 
 /** One estimation interval's worth of results. */
@@ -220,8 +213,9 @@ struct ExperimentResult
     /** Control-loop digest (enabled == false when control was off). */
     ControlSummary control;
     /**
-     * Post-run estimator state snapshots (empty unless
-     * ExperimentConfig::snapshotEstimators). Roster order: the five
+     * Post-run estimator state snapshots, taken after every run (the
+     * serve layer's checkpoints read them; estimates do not depend on
+     * them). Roster order: the five
      * online estimators (structure order), utilization FXU, FPU,
      * occupancy, the coverage probes (when attribution is enabled),
      * then a synthetic "port" entry carrying the shared

@@ -39,7 +39,6 @@ makeSliceConfig(const CampaignSpec &spec, std::uint64_t index)
         config.attribution.phaseCount = static_cast<std::uint32_t>(
             spec.sliceLength(index));
     }
-    config.snapshotEstimators = true;
     harness::deriveTaskSeeds(config, spec.seedSalt, index);
     return config;
 }

@@ -1,9 +1,9 @@
 /**
  * @file
- * A compact dynamic bit vector used for error-bit planes and cache
- * valid bits. Much smaller interface than std::vector<bool> and with
- * explicit popcount / clear-all support, which the estimator uses to
- * verify the one-error-at-a-time invariant.
+ * A compact dynamic bit vector: the valid bits of mem::Cache. Much
+ * smaller interface than std::vector<bool>, with an explicit clear-all
+ * for a cache flush. Error bits live in ErrorPlane
+ * (util/error_plane.hh), not here.
  */
 
 #ifndef AVF_UTIL_BITVECTOR_HH
@@ -84,86 +84,6 @@ class BitVector
             if (w)
                 return false;
         return true;
-    }
-
-    // ---- word-level operations ----------------------------------
-    // The error-bit planes and cache/TLB valid planes use these in
-    // place of per-bit loops: one uint64 op covers 64 entries. All
-    // binary ops require equal sizes; bits past size() in the last
-    // word are zero by construction and every operation below
-    // preserves that invariant (OR/AND of zeros is zero).
-
-    /** Number of backing 64-bit words. */
-    std::size_t numWords() const { return words.size(); }
-
-    /** Raw word @p w (bit i lives in word i/64 at position i%64). */
-    std::uint64_t
-    word(std::size_t w) const
-    {
-        avf_assert(w < words.size(), "word index %zu out of range %zu",
-                   w, words.size());
-        return words[w];
-    }
-
-    /** Carry/merge: this |= other, one word at a time. */
-    void
-    orWith(const BitVector &other)
-    {
-        avf_assert(numBits == other.numBits,
-                   "orWith size mismatch (%zu vs %zu)", numBits,
-                   other.numBits);
-        for (std::size_t w = 0; w < words.size(); ++w)
-            words[w] |= other.words[w];
-    }
-
-    /** Intersect: this &= other, one word at a time. */
-    void
-    andWith(const BitVector &other)
-    {
-        avf_assert(numBits == other.numBits,
-                   "andWith size mismatch (%zu vs %zu)", numBits,
-                   other.numBits);
-        for (std::size_t w = 0; w < words.size(); ++w)
-            words[w] &= other.words[w];
-    }
-
-    /** Kill: this &= ~other, one word at a time. */
-    void
-    andNotWith(const BitVector &other)
-    {
-        avf_assert(numBits == other.numBits,
-                   "andNotWith size mismatch (%zu vs %zu)", numBits,
-                   other.numBits);
-        for (std::size_t w = 0; w < words.size(); ++w)
-            words[w] &= ~other.words[w];
-    }
-
-    /** Exact equality (sizes and every bit). */
-    bool
-    operator==(const BitVector &other) const
-    {
-        return numBits == other.numBits && words == other.words;
-    }
-
-    /**
-     * Invoke @p fn(index) for every set bit, ascending. Scans words
-     * and peels bits with countr_zero, so wholly-zero words cost one
-     * compare — the sparse case the one-error-at-a-time invariant
-     * makes common.
-     */
-    template <typename Fn>
-    void
-    forEachSet(Fn &&fn) const
-    {
-        for (std::size_t w = 0; w < words.size(); ++w) {
-            std::uint64_t bits = words[w];
-            while (bits) {
-                auto bit = static_cast<std::size_t>(
-                    std::countr_zero(bits));
-                fn(w * 64 + bit);
-                bits &= bits - 1;
-            }
-        }
     }
 
   private:

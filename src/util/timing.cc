@@ -146,12 +146,4 @@ PhaseAccumulator::merge(const PhaseAccumulator &other)
     }
 }
 
-double
-ratePerSec(std::uint64_t items, double elapsedNs)
-{
-    if (elapsedNs <= 0.0)
-        return 0.0;
-    return static_cast<double>(items) / (elapsedNs * 1e-9);
-}
-
 } // namespace avf::timing

@@ -1,17 +1,16 @@
 /**
  * @file
  * Wall-clock instrumentation for the perf subsystem: a steady-clock
- * stopwatch, named per-phase accumulators, and derived throughput
- * metrics (cycles/sec, injections/sec).
+ * stopwatch and named per-phase accumulators.
  *
  * Determinism contract: everything in this header is a *side
  * channel*. Timing values may be printed to stderr, written to
- * BENCH_micro.json, or fed to progress callbacks, but must never
- * influence experiment results, estimator state, seeds, or any
- * stdout table the figures compare byte-for-byte. The avflint
- * determinism check enforces the discipline at the call sites: the
- * only sanctioned clock reads live in timing.cc, each carrying an
- * `avflint: allow(determinism)` justification.
+ * TRACE.json or the bench/e2e reports, or fed to progress callbacks,
+ * but must never influence experiment results, estimator state,
+ * seeds, or any stdout table the figures compare byte-for-byte. The
+ * avflint determinism check enforces the discipline at the call
+ * sites: the only sanctioned clock reads live in timing.cc, each
+ * carrying an `avflint: allow(determinism)` justification.
  */
 
 #ifndef AVF_UTIL_TIMING_HH
@@ -111,30 +110,9 @@ class PhaseAccumulator
 };
 
 /**
- * Items-per-second from a count and elapsed nanoseconds; 0 when no
- * time has elapsed. The naming helpers make call sites read like the
- * metric they report.
- */
-double ratePerSec(std::uint64_t items, double elapsedNs);
-
-/** Simulated cycles per wall second. */
-inline double
-cyclesPerSec(std::uint64_t cycles, double elapsedNs)
-{
-    return ratePerSec(cycles, elapsedNs);
-}
-
-/** Estimator injections per wall second. */
-inline double
-injectionsPerSec(std::uint64_t injections, double elapsedNs)
-{
-    return ratePerSec(injections, elapsedNs);
-}
-
-/**
  * Raw steady-clock tick in nanoseconds. The single sanctioned clock
- * entry point for the perf subsystem (Stopwatch and the bench/micro
- * harness both route through it).
+ * entry point for the perf subsystem (Stopwatch, the engine's task
+ * spans and the bench/e2e programs all route through it).
  */
 std::uint64_t steadyNowNs();
 

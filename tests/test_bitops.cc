@@ -1,11 +1,8 @@
 /**
  * @file
- * Equivalence tests for the word-level fast paths the error-bit
- * propagation optimization leans on: BitVector's bulk operations
- * against a per-bit reference, ErrorPlane against a per-entry
- * reference, and IntervalTicker against the modulo check it
- * replaces. Sizes deliberately straddle the 64-bit word boundary
- * (non-multiples included) so tail-word handling is covered.
+ * Equivalence tests for the fast paths the error-bit propagation
+ * optimization leans on: ErrorPlane against a per-entry reference,
+ * and IntervalTicker against the modulo check it replaces.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/bitvector.hh"
 #include "util/error_plane.hh"
 #include "util/interval_ticker.hh"
 #include "util/random.hh"
@@ -22,106 +18,12 @@
 namespace
 {
 
-using avf::BitVector;
 using avf::Cycle;
 using avf::ErrorMask;
 using avf::ErrorPlane;
 using avf::IntervalTicker;
 using avf::laneBit;
 using avf::Rng;
-
-constexpr std::size_t kSizes[] = {1, 7, 63, 64, 65, 100, 128, 129, 412};
-
-/** Deterministic random fill; returns the per-bit reference. */
-std::vector<bool>
-fillRandom(BitVector &bits, Rng &rng)
-{
-    std::vector<bool> ref(bits.size());
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-        bool value = rng.chance(0.4);
-        bits.set(i, value);
-        ref[i] = value;
-    }
-    return ref;
-}
-
-void
-expectMatches(const BitVector &bits, const std::vector<bool> &ref)
-{
-    ASSERT_EQ(bits.size(), ref.size());
-    for (std::size_t i = 0; i < ref.size(); ++i)
-        ASSERT_EQ(bits.test(i), ref[i]) << "bit " << i;
-}
-
-TEST(BitVectorWordOps, OrAndAndNotMatchPerBitReference)
-{
-    Rng rng(12345);
-    for (std::size_t size : kSizes) {
-        BitVector a(size), b(size);
-        auto ra = fillRandom(a, rng);
-        auto rb = fillRandom(b, rng);
-
-        BitVector or_result = a;
-        or_result.orWith(b);
-        BitVector and_result = a;
-        and_result.andWith(b);
-        BitVector andnot_result = a;
-        andnot_result.andNotWith(b);
-
-        std::vector<bool> or_ref(size), and_ref(size), andnot_ref(size);
-        for (std::size_t i = 0; i < size; ++i) {
-            or_ref[i] = ra[i] || rb[i];
-            and_ref[i] = ra[i] && rb[i];
-            andnot_ref[i] = ra[i] && !rb[i];
-        }
-        expectMatches(or_result, or_ref);
-        expectMatches(and_result, and_ref);
-        expectMatches(andnot_result, andnot_ref);
-    }
-}
-
-TEST(BitVectorWordOps, TailBitsPastSizeStayZero)
-{
-    // The word-level ops rely on bits past size() being zero in the
-    // last word; every operation must preserve that invariant.
-    for (std::size_t size : {std::size_t{1}, std::size_t{65},
-                             std::size_t{100}}) {
-        BitVector a(size), b(size);
-        for (std::size_t i = 0; i < size; ++i) {
-            a.set(i);
-            b.set(i);
-        }
-        a.orWith(b);
-        a.andNotWith(b);
-        a.orWith(b);
-        std::uint64_t tail = a.word(a.numWords() - 1);
-        if (size % 64 != 0)
-            EXPECT_EQ(tail >> (size % 64), 0u) << "size " << size;
-        EXPECT_EQ(a.count(), size);
-    }
-}
-
-TEST(BitVectorWordOps, ForEachSetVisitsExactlyTheSetBits)
-{
-    Rng rng(67890);
-    for (std::size_t size : kSizes) {
-        BitVector bits(size);
-        auto ref = fillRandom(bits, rng);
-
-        std::vector<std::size_t> expected;
-        for (std::size_t i = 0; i < size; ++i)
-            if (ref[i])
-                expected.push_back(i);
-
-        std::vector<std::size_t> visited;
-        bits.forEachSet([&](std::size_t idx) {
-            visited.push_back(idx);
-        });
-        EXPECT_EQ(visited, expected) << "size " << size;
-        EXPECT_EQ(bits.count(), expected.size());
-        EXPECT_EQ(bits.none(), expected.empty());
-    }
-}
 
 TEST(ErrorPlane, MatchesPerEntryReferenceUnderRandomOps)
 {

@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit tests for the perf-subsystem timing utilities: stopwatch
- * monotonicity and accumulation, per-phase stats merging, and the
- * throughput helpers.
+ * monotonicity and accumulation, and per-phase stats merging.
  */
 
 #include <gtest/gtest.h>
@@ -131,15 +130,6 @@ TEST(PhaseAccumulator, MergeFoldsWorkerAccumulators)
     EXPECT_EQ(a.get("fit").count, 1u);
     ASSERT_EQ(a.phases().size(), 3u);
     EXPECT_EQ(a.phases()[2].name, "fit"); // new phases append
-}
-
-TEST(Rates, RatePerSecHandlesZeroAndScales)
-{
-    EXPECT_EQ(avf::timing::ratePerSec(100, 0.0), 0.0);
-    EXPECT_EQ(avf::timing::ratePerSec(100, -5.0), 0.0);
-    EXPECT_DOUBLE_EQ(avf::timing::ratePerSec(100, 1e9), 100.0);
-    EXPECT_DOUBLE_EQ(avf::timing::cyclesPerSec(1, 1e6), 1000.0);
-    EXPECT_DOUBLE_EQ(avf::timing::injectionsPerSec(2, 1e6), 2000.0);
 }
 
 } // namespace

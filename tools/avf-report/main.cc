@@ -40,6 +40,9 @@
  * can distinguish "lint failed" from "report unreadable".
  */
 
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -71,6 +74,30 @@ usage()
         "  tail FEED.jsonl [--follow] [--max-polls N]\n"
         "  serve-status DIR\n");
     return 1;
+}
+
+/**
+ * Strict numeric flag value: all of @p text is decimal digits and the
+ * value lies in [@p lo, @p hi]. A sign, trailing junk or overflow is
+ * rejected with a message naming @p flag; the caller then answers
+ * with usage().
+ */
+bool
+parseCount(const char *flag, const char *text, std::uint64_t lo,
+           std::uint64_t hi, std::uint64_t &out)
+{
+    const char *end = text + std::strlen(text);
+    std::uint64_t value = 0;
+    auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+        std::fprintf(stderr, "avf-report: %s wants an integer in "
+                     "%llu..%llu, got '%s'\n", flag,
+                     static_cast<unsigned long long>(lo),
+                     static_cast<unsigned long long>(hi), text);
+        return false;
+    }
+    out = value;
+    return true;
 }
 
 /** Load + validate one METRICS.json; exits 2 on failure. */
@@ -132,13 +159,14 @@ main(int argc, char **argv)
     if (command == "phases") {
         if (argc < 3)
             return usage();
-        std::size_t top = 10;
+        std::uint64_t top = 10;
         for (int i = 3; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc)
-                top = static_cast<std::size_t>(
-                    std::stoul(argv[++i]));
-            else
+            if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
+                if (!parseCount("--top", argv[++i], 1, SIZE_MAX, top))
+                    return usage();
+            } else {
                 return usage();
+            }
         }
         std::string text, error;
         if (!report::readFile(argv[2], text, error)) {
@@ -226,19 +254,20 @@ main(int argc, char **argv)
         if (argc < 3)
             return usage();
         std::string by = "instruction";
-        std::size_t top = 10;
+        std::uint64_t top = 10;
         bool jsonOut = false;
         for (int i = 3; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--by") == 0 && i + 1 < argc)
+            if (std::strcmp(argv[i], "--by") == 0 && i + 1 < argc) {
                 by = argv[++i];
-            else if (std::strcmp(argv[i], "--top") == 0 &&
-                     i + 1 < argc)
-                top = static_cast<std::size_t>(
-                    std::stoul(argv[++i]));
-            else if (std::strcmp(argv[i], "--json") == 0)
+            } else if (std::strcmp(argv[i], "--top") == 0 &&
+                       i + 1 < argc) {
+                if (!parseCount("--top", argv[++i], 1, SIZE_MAX, top))
+                    return usage();
+            } else if (std::strcmp(argv[i], "--json") == 0) {
                 jsonOut = true;
-            else
+            } else {
                 return usage();
+            }
         }
         if (by != "instruction" && by != "structure" &&
             by != "opcode" && by != "phase")
@@ -263,21 +292,22 @@ main(int argc, char **argv)
         if (argc < 3)
             return usage();
         bool follow = false;
-        int maxPolls = 150;
+        std::uint64_t maxPolls = 150;
         for (int i = 3; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--follow") == 0)
+            if (std::strcmp(argv[i], "--follow") == 0) {
                 follow = true;
-            else if (std::strcmp(argv[i], "--max-polls") == 0 &&
-                     i + 1 < argc)
-                maxPolls = std::atoi(argv[++i]);
-            else
+            } else if (std::strcmp(argv[i], "--max-polls") == 0 &&
+                       i + 1 < argc) {
+                if (!parseCount("--max-polls", argv[++i], 1, INT_MAX,
+                                maxPolls))
+                    return usage();
+            } else {
                 return usage();
+            }
         }
-        if (maxPolls < 1)
-            return usage();
         std::string error;
         if (!report::printFeedTail(std::cout, argv[2], follow,
-                                   maxPolls, error)) {
+                                   static_cast<int>(maxPolls), error)) {
             std::fprintf(stderr, "avf-report: %s\n", error.c_str());
             return 2;
         }

@@ -32,9 +32,10 @@
  * failed.
  */
 
-#include <cerrno>
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -67,18 +68,36 @@ usage()
     return 1;
 }
 
-/** Strict unsigned parse; false on junk, overflow, or negatives. */
+/**
+ * Strict unsigned parse: the whole string is decimal digits, with no
+ * sign, space or trailing junk, and fits a uint64_t.
+ */
 bool
 parseU64(const char *text, std::uint64_t &out)
 {
-    if (!text || *text == '\0' || *text == '-')
+    const char *end = text + std::strlen(text);
+    auto [ptr, ec] = std::from_chars(text, end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+/**
+ * parseU64 for a flag whose CampaignSpec field holds at most @p max.
+ * A larger value is refused here, naming @p flag, rather than cut to
+ * size by the cast, so parseRequest's range checks see the number as
+ * typed.
+ */
+bool
+parseFieldValue(const char *flag, const char *text, std::uint64_t max,
+                std::uint64_t &out)
+{
+    if (!parseU64(text, out))
         return false;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long value = std::strtoull(text, &end, 10);
-    if (errno != 0 || end == text || *end != '\0')
+    if (out > max) {
+        std::fprintf(stderr, "avf-serve: %s %s does not fit its field "
+                     "(at most %llu)\n", flag, text,
+                     static_cast<unsigned long long>(max));
         return false;
-    out = value;
+    }
     return true;
 }
 
@@ -86,6 +105,7 @@ parseU64(const char *text, std::uint64_t &out)
  * Parse the shared campaign flags into @p spec. Range validation is
  * deliberately NOT done here — the spec round-trips through
  * serve::parseRequest below, which applies the wire protocol's rules.
+ * Only a value too large for its field's type is refused here.
  */
 bool
 parseCampaignFlags(int argc, char **argv, int first,
@@ -110,25 +130,25 @@ parseCampaignFlags(int argc, char **argv, int first,
         } else if (std::strcmp(flag, "--benchmark") == 0) {
             spec.benchmark = value;
         } else if (std::strcmp(flag, "--intervals") == 0 &&
-                   parseU64(value, number)) {
+                   parseFieldValue(flag, value, INT_MAX, number)) {
             spec.intervals = static_cast<int>(number);
         } else if (std::strcmp(flag, "--slice-intervals") == 0 &&
-                   parseU64(value, number)) {
+                   parseFieldValue(flag, value, INT_MAX, number)) {
             spec.sliceIntervals = static_cast<int>(number);
         } else if (std::strcmp(flag, "--m") == 0 &&
                    parseU64(value, number)) {
             spec.m = number;
         } else if (std::strcmp(flag, "--n") == 0 &&
-                   parseU64(value, number)) {
+                   parseFieldValue(flag, value, UINT32_MAX, number)) {
             spec.n = static_cast<std::uint32_t>(number);
         } else if (std::strcmp(flag, "--lanes") == 0 &&
-                   parseU64(value, number)) {
+                   parseFieldValue(flag, value, INT_MAX, number)) {
             spec.lanes = static_cast<int>(number);
         } else if (std::strcmp(flag, "--seed-salt") == 0 &&
                    parseU64(value, number)) {
             spec.seedSalt = number;
         } else if (std::strcmp(flag, "--checkpoint-every") == 0 &&
-                   parseU64(value, number)) {
+                   parseFieldValue(flag, value, INT_MAX, number)) {
             spec.checkpointEverySlices = static_cast<int>(number);
         } else {
             return false;

@@ -1,9 +1,9 @@
 #include "avflint/checks.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <filesystem>
-#include <regex>
 #include <set>
 
 namespace avf::lint
@@ -417,6 +417,28 @@ checkForkSafety(const SourceFile &src, const CheckContext &,
 // json-by-hand: JSON keys spelled inside string literals.           //
 // ---------------------------------------------------------------- //
 
+/**
+ * True if @p text holds an escaped quote, a key of word characters
+ * ([A-Za-z0-9_]+), an escaped quote and a colon: `\"key\":`.
+ */
+bool
+spellsJsonKey(std::string_view text)
+{
+    auto isWord = [](char c) {
+        return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+    };
+    for (std::size_t i = 0; i + 1 < text.size(); ++i) {
+        if (text[i] != '\\' || text[i + 1] != '"')
+            continue;
+        std::size_t end = i + 2;
+        while (end < text.size() && isWord(text[end]))
+            ++end;
+        if (end > i + 2 && text.substr(end, 3) == "\\\":")
+            return true;
+    }
+    return false;
+}
+
 void
 checkJsonByHand(const SourceFile &src, const CheckContext &,
                 std::vector<Finding> &out)
@@ -425,10 +447,8 @@ checkJsonByHand(const SourceFile &src, const CheckContext &,
         !(startsWith(src.path, "src/") || startsWith(src.path, "tools/")))
         return; // the writer itself; bench/ and tests/ may hand-roll
 
-    // An escaped quote, a key, an escaped quote and a colon.
-    static const std::regex key(R"(\\"\w+\\":)");
     for (const Token &tok : src.tokens) {
-        if (tok.kind != TokKind::String || !std::regex_search(tok.text, key))
+        if (tok.kind != TokKind::String || !spellsJsonKey(tok.text))
             continue;
         out.push_back(
             {src.path, tok.line, "json-by-hand",
