@@ -9,9 +9,12 @@
 #   tier1        configure + build + full test suite
 #   lint         avflint unit tests + repo scan (ctest -L lint)
 #   tidy         clang-tidy over src/ and tools/ (skips when absent)
-#   ubsan        engine and wake tests under -DAVF_SANITIZE=undefined
-#                (the wake suite runs every observer roster over the
-#                cycle loop, fetch ring and geometric draw included)
+#   ubsan        engine, wake and campaign tests under
+#                -DAVF_SANITIZE=undefined (the wake suite runs every
+#                observer roster over the cycle loop, fetch ring and
+#                geometric draw included; the campaign suite runs
+#                every estimator family's injection sites against
+#                its snapshot digests)
 #   tsan         engine + obs tests under -DAVF_SANITIZE=thread (the
 #                thread pool and the metrics collect/merge path)
 #   bench-smoke  in a Release build: a metrics-enabled fig3_accuracy
@@ -140,11 +143,12 @@ run_tidy() {
 }
 
 run_ubsan() {
-    echo "=== ubsan: engine + wake tests under -DAVF_SANITIZE=undefined ==="
+    echo "=== ubsan: engine + wake + campaign tests under -DAVF_SANITIZE=undefined ==="
     cmake -B "$BUILD-ubsan" -S . $LAUNCHER -DAVF_SANITIZE=undefined
     cmake --build "$BUILD-ubsan" -j --target avf_engine_tests \
-        avf_wake_tests
-    ctest --test-dir "$BUILD-ubsan" -L 'engine|wake' --output-on-failure
+        avf_wake_tests avf_campaign_tests
+    ctest --test-dir "$BUILD-ubsan" -L 'engine|wake|campaign' \
+        --output-on-failure
 }
 
 run_tsan() {

@@ -23,32 +23,10 @@ checked(const OnlineConfig &config)
 
 } // namespace
 
-SiteSource::SiteSource(const cpu::Pipeline &pipe, Site::Kind kind,
-                       Structure structure, bool fieldGranularIq)
-    : siteKind(kind), target(structure),
-      fieldGranular(fieldGranularIq && kind == Site::Kind::Structure &&
-                    structure == Structure::IQ)
+SiteSource::SiteSource(const cpu::Pipeline &pipe,
+                       cpu::InjectTarget injectTarget)
+    : target(injectTarget), slots(pipe.numSites(injectTarget))
 {
-    switch (kind) {
-      case Site::Kind::Structure:
-        switch (structure) {
-          case Structure::REG: slots = pipe.numIntPhysRegs(); break;
-          case Structure::FREG: slots = pipe.config().fpPhysRegs; break;
-          case Structure::IQ: slots = pipe.totalIqEntries(); break;
-          case Structure::FXU: slots = pipe.config().numFxu; break;
-          case Structure::FPU: slots = pipe.config().numFpu; break;
-          default: panic("site source bound to invalid structure");
-        }
-        if (fieldGranular)
-            slots *= cpu::Pipeline::iqFieldsPerEntry;
-        break;
-      case Site::Kind::Dtlb: slots = pipe.numDtlbSlots(); break;
-      case Site::Kind::FetchBuf: slots = pipe.numFetchBufSlots(); break;
-      case Site::Kind::RenameMap: slots = pipe.numRenameMapSlots(); break;
-      case Site::Kind::BranchPred:
-        slots = pipe.numBranchPredSlots();
-        break;
-    }
     avf_assert(slots > 0, "injection target has no slots");
 }
 
@@ -56,10 +34,9 @@ Site
 SiteSource::siteAt(int slot) const
 {
     Site site;
-    site.kind = siteKind;
-    site.structure = target;
+    site.target = target;
     site.entry = slot;
-    if (fieldGranular) {
+    if (target == cpu::InjectTarget::IqField) {
         site.entry = slot / cpu::Pipeline::iqFieldsPerEntry;
         site.field = slot % cpu::Pipeline::iqFieldsPerEntry;
     }

@@ -15,7 +15,8 @@
  *    lifecycle sink, the probes charge the attribution tracker.
  *
  * A new site family (bit-level sites, cache lines, store-buffer
- * entries) is a new Site::Kind in SiteSource plus a thin subclass.
+ * entries) is a new cpu::InjectTarget case in Pipeline::injectError
+ * and numSites, plus a thin subclass.
  */
 
 #ifndef AVF_CORE_INJECTION_CAMPAIGN_HH
@@ -73,25 +74,21 @@ struct OnlineConfig
 };
 
 /**
- * Round-robin enumerator over the injection sites of one target: the
- * entries or units of a Structure (optionally field-granular IQ), the
- * dTLB slots, or the slots of a coverage-probe structure. Slot k maps
- * to one Site; next() walks the slots in order and wraps — the
+ * Round-robin enumerator over the injection sites of one
+ * cpu::InjectTarget (a structure's entries or units, field-granular
+ * IQ fields, dTLB slots, a coverage-probe structure's slots). Slot k
+ * maps to one Site; next() walks the slots in order and wraps — the
  * paper's hardware-friendly approximation of random sampling.
  */
 class SiteSource
 {
   public:
     /**
-     * @param pipe pipeline whose geometry sets the slot count.
-     * @param kind site kind to enumerate.
-     * @param structure target structure (Site::Kind::Structure only).
-     * @param fieldGranularIq IQ only: one slot per entry field
-     *        (Section 3.6) instead of one per entry.
+     * @param pipe pipeline whose geometry (Pipeline::numSites) sets
+     *        the slot count.
+     * @param target injection target to enumerate.
      */
-    SiteSource(const cpu::Pipeline &pipe, Site::Kind kind,
-               Structure structure = Structure::IQ,
-               bool fieldGranularIq = false);
+    SiteSource(const cpu::Pipeline &pipe, cpu::InjectTarget target);
 
     /** Slots in the target (the round-robin modulus). */
     int numSlots() const { return slots; }
@@ -112,9 +109,7 @@ class SiteSource
     int position() const { return cursor; }
 
   private:
-    Site::Kind siteKind;
-    Structure target;
-    bool fieldGranular;
+    cpu::InjectTarget target;
     int slots = 0;
     int cursor = 0;
 };

@@ -7,6 +7,22 @@
 namespace avf::core
 {
 
+cpu::InjectTarget
+injectTargetOf(Structure s, bool fieldGranularIq)
+{
+    switch (s) {
+      case Structure::IQ:
+        return fieldGranularIq ? cpu::InjectTarget::IqField
+                               : cpu::InjectTarget::IqEntry;
+      case Structure::REG: return cpu::InjectTarget::IntReg;
+      case Structure::FXU: return cpu::InjectTarget::Fxu;
+      case Structure::FPU: return cpu::InjectTarget::Fpu;
+      case Structure::FREG: return cpu::InjectTarget::FpReg;
+      default: break;
+    }
+    panic("structure %d has no injection target", static_cast<int>(s));
+}
+
 InjectionPort::InjectionPort(cpu::Pipeline &pipe) : pipeline(pipe) {}
 
 InjectionPort::Lane &
@@ -59,57 +75,6 @@ InjectionPort::reserveLanes(int count)
     return out;
 }
 
-InjectOutcome
-InjectionPort::fire(const Site &site, ErrorMask bit)
-{
-    if (site.kind == Site::Kind::Dtlb)
-        return pipeline.injectDtlbError(site.entry, bit);
-    if (site.kind == Site::Kind::FetchBuf)
-        return pipeline.injectFetchBufError(site.entry, bit)
-                   ? InjectOutcome::Occupied
-                   : InjectOutcome::Opened;
-    if (site.kind == Site::Kind::RenameMap)
-        return pipeline.injectRenameMapError(site.entry, bit);
-    if (site.kind == Site::Kind::BranchPred)
-        return pipeline.injectBranchPredError(site.entry, bit);
-
-    switch (site.structure) {
-      case Structure::REG:
-        pipeline.injectRegError(site.entry, bit);
-        // Register liveness is not observable at inject time; the
-        // paper's convention (and the legacy estimator's) is to count
-        // every register injection as live.
-        return InjectOutcome::Occupied;
-      case Structure::FREG:
-        pipeline.injectRegError(pipeline.numIntPhysRegs() + site.entry,
-                                bit);
-        return InjectOutcome::Occupied;
-      case Structure::IQ:
-        if (site.field >= 0) {
-            auto hit = pipeline.injectIqFieldError(site.entry,
-                                                   site.field, bit);
-            return hit == cpu::Pipeline::IqFieldInjection::Corrupted
-                       ? InjectOutcome::Occupied
-                       : InjectOutcome::Opened;
-        }
-        return pipeline.injectIqEntryError(site.entry, bit)
-                   ? InjectOutcome::Occupied
-                   : InjectOutcome::Opened;
-      case Structure::FXU:
-        return pipeline.injectFuError(cpu::FuClass::Fxu, site.entry,
-                                      bit) > 0
-                   ? InjectOutcome::Occupied
-                   : InjectOutcome::Opened;
-      case Structure::FPU:
-        return pipeline.injectFuError(cpu::FuClass::Fpu, site.entry,
-                                      bit) > 0
-                   ? InjectOutcome::Occupied
-                   : InjectOutcome::Opened;
-      default:
-        panic("injection site bound to invalid structure");
-    }
-}
-
 WindowHandle
 InjectionPort::open(LaneId lane, const Site &site, Cycle now)
 {
@@ -128,7 +93,8 @@ InjectionPort::open(LaneId lane, const Site &site, Cycle now)
     state.failOp = -1;
     state.site = site;
 
-    InjectOutcome inject = fire(site, laneBit(lane));
+    InjectOutcome inject = pipeline.injectError(
+        site.target, site.entry, site.field, laneBit(lane));
     state.live = inject == InjectOutcome::Occupied;
 
     openLanes |= laneBit(lane);

@@ -10,6 +10,11 @@
  *     open(lane, site, cycle) -> WindowHandle   // fire one injection
  *     closed(handle)          -> Outcome        // end its window
  *
+ * A Site names a cpu::InjectTarget, an entry and (field-granular IQ
+ * only) a field; open() hands it to cpu::Pipeline::injectError, the
+ * pipeline's one injection entry point, so the port has no per-target
+ * code. A new site family is a new InjectTarget case there.
+ *
  * Each of the 64 bit lanes of the plane word carries one independent
  * tagged injection with its own window clock, so up to 64 campaigns
  * advance concurrently per propagation word-op.
@@ -50,39 +55,33 @@ namespace avf::core
 {
 
 /**
- * Where an injection lands. Structure sites address the five pipeline
- * structures (entry = register / IQ entry / unit index, structure-
- * local); Dtlb sites address data-TLB entry slots. field >= 0 selects
- * field-granular IQ injection (Section 3.6). The extended-coverage
- * kinds (FetchBuf / RenameMap / BranchPred) address the structures
- * the pipeline models but the paper never estimates; they ignore the
- * structure member the same way Dtlb does.
+ * Where an injection lands: entry @p entry of a pipeline injection
+ * target, and the IQ field for field-granular IQ sites (Section 3.6;
+ * -1 for every other target). Every site goes to the pipeline through
+ * its one entry point, cpu::Pipeline::injectError.
  */
 struct Site
 {
-    enum class Kind : int
-    {
-        Structure,  ///< one of the core::Structure targets
-        Dtlb,       ///< a data-TLB entry slot
-        FetchBuf,   ///< a fetch/instruction-buffer slot
-        RenameMap,  ///< a rename-map slot (architectural register)
-        BranchPred  ///< a branch-predictor counter slot
-    };
-
-    Kind kind = Kind::Structure;
-    /** Target structure; ignored for Dtlb sites. */
-    Structure structure = Structure::IQ;
-    /** Entry index within the target (structure-local). */
+    cpu::InjectTarget target = cpu::InjectTarget::IqEntry;
+    /** Entry index within the target. */
     int entry = 0;
     /** IQ field index, -1 for whole-entry injections. */
     int field = -1;
 };
 
 /**
+ * The injection target of structure @p s: its register plane, issue
+ * queue or unit class. @p fieldGranularIq selects field-granular IQ
+ * sites; other structures ignore it.
+ */
+cpu::InjectTarget injectTargetOf(Structure s, bool fieldGranularIq);
+
+/**
  * Ticket for one open injection window. The inject field reports how
- * the injection landed (Rejected / Opened / Occupied — see
- * util/types.hh:InjectOutcome); the serial number guards against a
- * stale handle closing a window it did not open.
+ * the injection landed (Opened / Occupied — see
+ * util/types.hh:InjectOutcome; Rejected only in a handle open() did
+ * not return); the serial number guards against a stale handle
+ * closing a window it did not open.
  */
 struct WindowHandle
 {
@@ -158,9 +157,9 @@ class InjectionPort : public cpu::PipelineObserver
     /**
      * Open an injection window on @p lane: fire one injection tagged
      * with the lane's bit at @p site. The lane must be reserved and
-     * not already open. @return the window's handle; handle.inject
-     * tells how the injection landed (a Rejected site opens the
-     * window with nothing in flight — it closes as not-failed).
+     * not already open, and the site inside the pipeline's geometry
+     * (Pipeline::injectError; out of range is fatal). @return the
+     * window's handle; handle.inject tells how the injection landed.
      */
     WindowHandle open(LaneId lane, const Site &site, Cycle now);
 
@@ -214,9 +213,6 @@ class InjectionPort : public cpu::PipelineObserver
 
     Lane &laneAt(LaneId lane);
     const Lane &laneAt(LaneId lane) const;
-    /** Fire the physical injection for @p site; returns how it hit. */
-    InjectOutcome fire(const Site &site, ErrorMask bit);
-
     cpu::Pipeline &pipeline;
     std::array<Lane, numErrorChannels> laneState{};
     ErrorMask reservedLanes = 0;

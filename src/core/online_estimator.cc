@@ -31,8 +31,10 @@ OnlineAvfEstimator::OnlineAvfEstimator(cpu::Pipeline &pipe,
                                        OnlineConfig config,
                                        InjectionPort *sharedPort)
     : InjectionCampaign(pipe,
-                        SiteSource(pipe, Site::Kind::Structure,
-                                   structure, config.fieldGranularIq),
+                        SiteSource(pipe,
+                                   injectTargetOf(
+                                       structure,
+                                       config.fieldGranularIq)),
                         seededFor(config, structure), sharedPort,
                         channelOf(structure)),
       target(structure)

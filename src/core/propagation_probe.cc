@@ -8,7 +8,7 @@ namespace avf::core
 PropagationProbe::PropagationProbe(cpu::Pipeline &pipe,
                                    Structure structure,
                                    ProbeConfig config)
-    : conf(config), sites(pipe, Site::Kind::Structure, structure),
+    : conf(config), sites(pipe, injectTargetOf(structure, false)),
       port(std::make_unique<InjectionPort>(pipe)),
       lane(channelOf(structure))
 {

@@ -20,7 +20,7 @@ constexpr CounterKey tlbKeys[] = {
 
 TlbAvfEstimator::TlbAvfEstimator(cpu::Pipeline &pipe,
                                  TlbEstimatorConfig config)
-    : InjectionCampaign(pipe, SiteSource(pipe, Site::Kind::Dtlb),
+    : InjectionCampaign(pipe, SiteSource(pipe, cpu::InjectTarget::Dtlb),
                         {.m = config.m, .n = config.n, .lanes = 1},
                         nullptr, tlbLane)
 {}

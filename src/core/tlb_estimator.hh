@@ -6,7 +6,7 @@
  * simulation; our simulator is fast enough to demonstrate the effect
  * directly). The machinery is Algorithm 1 verbatim — the
  * core::InjectionCampaign loop over the dTLB entry slots
- * (Site::Kind::Dtlb), a wait window of M cycles, and failure when a
+ * (cpu::InjectTarget::Dtlb), a wait window of M cycles, and failure when a
  * load or store retires having used the corrupted translation — on a
  * private port whose single lane is pinned to lane 6.
  */

@@ -749,84 +749,113 @@ Pipeline::accountCycle()
 // Error-bit plane
 // ---------------------------------------------------------------------
 
-void
-Pipeline::injectRegError(int physReg, ErrorMask mask)
+int
+Pipeline::entriesOf(InjectTarget target) const
 {
-    avf_assert(physReg >= 0 && physReg < rename.totalPhysRegs(),
-               "injectRegError target %d out of range", physReg);
-    regError.orMask(static_cast<std::size_t>(physReg), mask);
-}
-
-bool
-Pipeline::injectIqEntryError(int globalEntry, ErrorMask mask)
-{
-    avf_assert(globalEntry >= 0 && globalEntry < conf.totalIqEntries(),
-               "injectIqEntryError target %d out of range",
-               globalEntry);
-    for (auto &queue : queues) {
-        int local = globalEntry - queue.globalBase;
-        if (local < 0 || local >= static_cast<int>(queue.slots.size()))
-            continue;
-        int rob_idx = queue.slots[static_cast<std::size_t>(local)];
-        if (rob_idx < 0)
-            return false; // empty entry: injection masked
-        robAt(rob_idx).errorMask |= mask;
-        errInRobSq |= mask;
-        return true;
+    switch (target) {
+      case InjectTarget::IntReg: return rename.intPhysRegs();
+      case InjectTarget::FpReg: return conf.fpPhysRegs;
+      case InjectTarget::IqEntry:
+      case InjectTarget::IqField: return conf.totalIqEntries();
+      case InjectTarget::Fxu: return conf.numFxu;
+      case InjectTarget::Fpu: return conf.numFpu;
+      case InjectTarget::Dtlb: return hierarchy.dtlb().numSlots();
+      case InjectTarget::FetchBuf: return conf.fetchBufferEntries;
+      case InjectTarget::RenameMap: return trace::numArchRegs;
+      case InjectTarget::BranchPred: return predictor.numSlots();
     }
-    panic("global IQ entry %d not covered by any queue", globalEntry);
-}
-
-Pipeline::IqFieldInjection
-Pipeline::injectIqFieldError(int globalEntry, int field,
-                             ErrorMask mask)
-{
-    avf_assert(field >= 0 && field < iqFieldsPerEntry,
-               "IQ field %d out of range", field);
-    avf_assert(globalEntry >= 0 && globalEntry < conf.totalIqEntries(),
-               "injectIqFieldError target %d out of range",
-               globalEntry);
-    for (auto &queue : queues) {
-        int local = globalEntry - queue.globalBase;
-        if (local < 0 || local >= static_cast<int>(queue.slots.size()))
-            continue;
-        int rob_idx = queue.slots[static_cast<std::size_t>(local)];
-        if (rob_idx < 0)
-            return IqFieldInjection::EmptyEntry;
-        DynInstr &instr = robAt(rob_idx);
-        if (field > 0 &&
-            instr.in.src[static_cast<std::size_t>(field - 1)] ==
-                invalidReg) {
-            return IqFieldInjection::UnusedField;
-        }
-        // A corrupted populated field corrupts the instruction's
-        // outcome at value granularity (conservative, as in the
-        // paper: any bit error makes the whole value wrong).
-        instr.errorMask |= mask;
-        errInRobSq |= mask;
-        return IqFieldInjection::Corrupted;
-    }
-    panic("global IQ entry %d not covered by any queue", globalEntry);
+    panic("invalid injection target %d", static_cast<int>(target));
 }
 
 int
-Pipeline::injectFuError(FuClass cls, int unit, ErrorMask mask)
+Pipeline::numSites(InjectTarget target) const
 {
-    auto &class_units = units[static_cast<int>(cls)];
-    avf_assert(unit >= 0 &&
-               unit < static_cast<int>(class_units.size()),
-               "injectFuError unit %d out of range", unit);
-    int corrupted = 0;
-    for (auto &[rob_idx, complete] :
-         class_units[static_cast<std::size_t>(unit)].resident) {
-        if (complete > currentCycle) {
-            robAt(rob_idx).errorMask |= mask;
-            ++corrupted;
-        }
+    const int entries = entriesOf(target);
+    return target == InjectTarget::IqField ? entries * iqFieldsPerEntry
+                                           : entries;
+}
+
+int
+Pipeline::iqRobIndex(int globalEntry) const
+{
+    for (const auto &queue : queues) {
+        int local = globalEntry - queue.globalBase;
+        if (local >= 0 && local < static_cast<int>(queue.slots.size()))
+            return queue.slots[static_cast<std::size_t>(local)];
     }
-    if (corrupted > 0)
+    return -1;
+}
+
+InjectOutcome
+Pipeline::injectError(InjectTarget target, int entry, int field,
+                      ErrorMask mask)
+{
+    const bool fieldTarget = target == InjectTarget::IqField;
+    avf_assert(entry >= 0 && entry < entriesOf(target) &&
+                   (fieldTarget
+                        ? field >= 0 && field < iqFieldsPerEntry
+                        : field == -1),
+               "injectError(target %d, entry %d, field %d) out of range",
+               static_cast<int>(target), entry, field);
+    switch (target) {
+      case InjectTarget::IntReg:
+      case InjectTarget::FpReg: {
+        const int phys = target == InjectTarget::FpReg
+                             ? rename.intPhysRegs() + entry
+                             : entry;
+        regError.orMask(static_cast<std::size_t>(phys), mask);
+        return InjectOutcome::Occupied;
+      }
+      case InjectTarget::IqEntry:
+      case InjectTarget::IqField: {
+        const int rob_idx = iqRobIndex(entry);
+        if (rob_idx < 0)
+            return InjectOutcome::Opened; // empty entry: masked
+        DynInstr &instr = robAt(rob_idx);
+        if (field > 0 &&
+            instr.in.src[static_cast<std::size_t>(field - 1)] ==
+                invalidReg)
+            return InjectOutcome::Opened; // unused operand: masked
+        instr.errorMask |= mask;
         errInRobSq |= mask;
-    return corrupted;
+        return InjectOutcome::Occupied;
+      }
+      case InjectTarget::Fxu:
+      case InjectTarget::Fpu: {
+        const FuClass cls = target == InjectTarget::Fxu ? FuClass::Fxu
+                                                        : FuClass::Fpu;
+        bool hit = false;
+        for (auto &[rob_idx, complete] :
+             units[static_cast<int>(cls)][static_cast<std::size_t>(entry)]
+                 .resident) {
+            if (complete > currentCycle) {
+                robAt(rob_idx).errorMask |= mask;
+                hit = true;
+            }
+        }
+        if (!hit)
+            return InjectOutcome::Opened; // idle unit: masked
+        errInRobSq |= mask;
+        return InjectOutcome::Occupied;
+      }
+      case InjectTarget::Dtlb:
+        return hierarchy.dtlbMutable().injectError(entry, mask);
+      case InjectTarget::FetchBuf:
+        if (entry >= fetchCount)
+            return InjectOutcome::Opened; // empty slot: masked
+        fetchBuffer[static_cast<std::size_t>(fetchSlot(entry))].error |=
+            mask;
+        errInFetchBuf |= mask;
+        return InjectOutcome::Occupied;
+      case InjectTarget::RenameMap: {
+        const int phys = rename.mapOf(static_cast<RegIndex>(entry));
+        regError.orMask(static_cast<std::size_t>(phys), mask);
+        return InjectOutcome::Occupied;
+      }
+      case InjectTarget::BranchPred:
+        return predictor.injectError(entry, mask);
+    }
+    panic("invalid injection target %d", static_cast<int>(target));
 }
 
 void
@@ -863,64 +892,10 @@ Pipeline::clearErrorChannels(ErrorMask mask)
     hierarchy.dtlbMutable().clearErrors(mask);
 }
 
-bool
-Pipeline::injectFetchBufError(int slot, ErrorMask mask)
-{
-    avf_assert(slot >= 0 && slot < conf.fetchBufferEntries,
-               "injectFetchBufError target %d out of range", slot);
-    if (slot >= fetchCount)
-        return false; // empty slot: injection masked
-    fetchBuffer[static_cast<std::size_t>(fetchSlot(slot))].error |= mask;
-    errInFetchBuf |= mask;
-    return true;
-}
-
-InjectOutcome
-Pipeline::injectRenameMapError(int archReg, ErrorMask mask)
-{
-    if (archReg < 0 || archReg >= trace::numArchRegs)
-        return InjectOutcome::Rejected;
-    // A map slot always names a live architectural value, so the
-    // injection is never trivially masked.
-    int phys = rename.mapOf(static_cast<RegIndex>(archReg));
-    regError.orMask(static_cast<std::size_t>(phys), mask);
-    return InjectOutcome::Occupied;
-}
-
-int
-Pipeline::numRenameMapSlots() const
-{
-    return trace::numArchRegs;
-}
-
-InjectOutcome
-Pipeline::injectBranchPredError(int slot, ErrorMask mask)
-{
-    return predictor.injectError(slot, mask);
-}
-
-int
-Pipeline::numBranchPredSlots() const
-{
-    return predictor.numSlots();
-}
-
 ErrorMask
 Pipeline::branchPredKilledMask() const
 {
     return predictor.killedMask();
-}
-
-InjectOutcome
-Pipeline::injectDtlbError(int slot, ErrorMask mask)
-{
-    return hierarchy.dtlbMutable().injectError(slot, mask);
-}
-
-int
-Pipeline::numDtlbSlots() const
-{
-    return hierarchy.dtlb().numSlots();
 }
 
 ErrorMask
@@ -934,13 +909,7 @@ Pipeline::regErrorAt(int physReg) const
 bool
 Pipeline::iqEntryOccupied(int globalEntry) const
 {
-    for (const auto &queue : queues) {
-        int local = globalEntry - queue.globalBase;
-        if (local < 0 || local >= static_cast<int>(queue.slots.size()))
-            continue;
-        return queue.slots[static_cast<std::size_t>(local)] >= 0;
-    }
-    return false;
+    return iqRobIndex(globalEntry) >= 0;
 }
 
 } // namespace avf::cpu

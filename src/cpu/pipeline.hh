@@ -36,6 +36,26 @@
 namespace avf::cpu
 {
 
+/**
+ * Where Pipeline::injectError can set an error bit: the structures
+ * the paper estimates (registers, issue queue, functional units),
+ * the dTLB, and the structures it models but never estimates (fetch
+ * buffer, rename map, branch predictor; see obs::CoverageProbe).
+ */
+enum class InjectTarget : int
+{
+    IntReg,    ///< integer physical register
+    FpReg,     ///< floating-point physical register
+    IqEntry,   ///< whole issue-queue entry (global index)
+    IqField,   ///< one field of an issue-queue entry (Section 3.6)
+    Fxu,       ///< fixed-point functional unit
+    Fpu,       ///< floating-point functional unit
+    Dtlb,      ///< data-TLB entry slot
+    FetchBuf,  ///< fetch-buffer slot
+    RenameMap, ///< rename-map slot (architectural register)
+    BranchPred ///< branch-predictor counter slot
+};
+
 /** Aggregate pipeline counters. */
 struct PipelineStats
 {
@@ -101,52 +121,49 @@ class Pipeline
 
     // ---- error-bit plane (Section 3.5 hardware support) ----
 
-    /**
-     * Inject an error into physical register @p physReg by OR-ing
-     * @p mask into its error bits.
-     */
-    void injectRegError(int physReg, ErrorMask mask);
-
-    /**
-     * Inject an error into the issue-queue entry with global index
-     * @p globalEntry (0 .. totalIqEntries()-1). If the entry holds an
-     * instruction, that instruction's value becomes erroneous.
-     *
-     * @return true if the entry was occupied (injection can matter).
-     */
-    bool injectIqEntryError(int globalEntry, ErrorMask mask);
-
-    /** Outcome of a field-granular issue-queue injection. */
-    enum class IqFieldInjection
-    {
-        EmptyEntry,  ///< no instruction in the entry: masked
-        UnusedField, ///< the field is not populated: masked
-        Corrupted    ///< the occupying instruction is now erroneous
-    };
-
     /** Fields per issue-queue entry in field-granular mode: the
      *  opcode/control field plus three source-operand fields. */
     static constexpr int iqFieldsPerEntry = 4;
 
     /**
-     * Finer-granularity issue-queue injection (Section 3.6's
-     * multiple-error-bits-per-value extension): corrupt only field
-     * @p field of entry @p globalEntry. Field 0 is the opcode /
-     * control field (always populated); fields 1..3 are the source
-     * operand slots, which are masked when the occupying instruction
-     * does not use them.
-     */
-    IqFieldInjection injectIqFieldError(int globalEntry, int field,
-                                        ErrorMask mask);
-
-    /**
-     * Inject an error into functional unit @p unit of class @p cls:
-     * all operations resident in the unit this cycle are corrupted.
+     * Inject an error by OR-ing @p mask into the error bits of entry
+     * @p entry of @p target (0 .. numSites(target)-1; for IqField the
+     * global IQ entry, 0 .. totalIqEntries()-1). @p field is the IQ
+     * field for IqField (0 = opcode/control, 1..3 = source operand
+     * slots) and -1 for every other target. Out-of-range arguments
+     * are fatal. What each target corrupts:
      *
-     * @return the number of operations corrupted (0 = unit idle,
-     *         injection masked).
+     *  - IntReg / FpReg: the register (FpReg entries count from the
+     *    first FP physical register).
+     *  - IqEntry / IqField: the occupying instruction's value; an
+     *    unused operand field masks the injection. Any bit error in
+     *    a populated field makes the whole value wrong (value
+     *    granularity, conservative, as in the paper).
+     *  - Fxu / Fpu: every operation resident in the unit this cycle.
+     *  - Dtlb: the slot's translation (mem::Tlb::injectError).
+     *  - FetchBuf: the buffered instruction (0 = oldest), which then
+     *    dispatches erroneous exactly like an IQ-entry injection.
+     *  - RenameMap: the physical register the slot currently names
+     *    (a flipped map bit steers every consumer to the wrong
+     *    register, modelled at value granularity, conservatively).
+     *  - BranchPred: the counter. Predictor state is architecturally
+     *    masked (a flip can change timing, never a retired value), so
+     *    the bit either dies when an update overwrites its entry —
+     *    query branchPredKilledMask() — or sits until swept.
+     *
+     * @return Occupied when the bit landed on live state, Opened when
+     *         it landed on an empty entry, unused field or idle unit
+     *         (trivially masked). Registers, rename-map slots and
+     *         predictor counters are always Occupied: register
+     *         liveness is not observable at inject time, and the
+     *         paper counts every register injection as live.
      */
-    int injectFuError(FuClass cls, int unit, ErrorMask mask);
+    InjectOutcome injectError(InjectTarget target, int entry, int field,
+                              ErrorMask mask);
+
+    /** Injection sites of @p target: its entries, times
+     *  iqFieldsPerEntry for IqField. */
+    int numSites(InjectTarget target) const;
 
     /** Clear the given channels everywhere (between injections). */
     void clearErrorChannels(ErrorMask mask);
@@ -160,63 +177,6 @@ class Pipeline
      * trace.
      */
     void setHopSink(PipelineObserver *sink) { hopSink = sink; }
-
-    /**
-     * Inject an error into dTLB entry slot @p slot (the TLB-AVF
-     * extension experiment; see bench/ext_tlb_avf).
-     * @return the typed Tlb::injectError outcome: Rejected (slot out
-     *         of range, nothing written), Opened (no valid
-     *         translation, trivially masked) or Occupied (bits landed
-     *         on a live translation).
-     */
-    InjectOutcome injectDtlbError(int slot, ErrorMask mask);
-
-    /** dTLB entry slots available for injection. */
-    int numDtlbSlots() const;
-
-    // ---- extended-coverage injection surfaces (the structures the
-    //      paper models but never estimates; see obs::CoverageProbe) --
-
-    /**
-     * Inject an error into fetch-buffer slot @p slot (0 = oldest
-     * buffered instruction). A corrupted buffered instruction
-     * dispatches erroneous: its error bits ride the DynInstr exactly
-     * like an IQ-entry injection.
-     *
-     * @return true when the slot held an instruction (injection can
-     *         matter); false when it was empty (masked).
-     */
-    bool injectFetchBufError(int slot, ErrorMask mask);
-
-    /** Fetch-buffer slots available for injection (capacity). */
-    int numFetchBufSlots() const { return conf.fetchBufferEntries; }
-
-    /**
-     * Inject an error into rename-map slot @p archReg: the value
-     * reached through the corrupted mapping — the physical register
-     * the slot currently names — is treated as erroneous (a flipped
-     * map bit steers every consumer to the wrong register, which the
-     * plane models at value granularity, conservatively).
-     *
-     * @return Occupied (a map slot always names a register) or
-     *         Rejected when @p archReg is out of range.
-     */
-    InjectOutcome injectRenameMapError(int archReg, ErrorMask mask);
-
-    /** Rename-map slots available for injection (arch registers). */
-    int numRenameMapSlots() const;
-
-    /**
-     * Inject an error into branch-predictor counter slot @p slot.
-     * Predictor state is architecturally masked (a flip can change
-     * timing, never a retired value), so the bit either dies when an
-     * update overwrites its entry — query branchPredKilledMask() —
-     * or sits in the plane until swept.
-     */
-    InjectOutcome injectBranchPredError(int slot, ErrorMask mask);
-
-    /** Predictor counter slots available for injection. */
-    int numBranchPredSlots() const;
 
     /** Lanes whose predictor bits were overwritten by updates. */
     ErrorMask branchPredKilledMask() const;
@@ -310,6 +270,10 @@ class Pipeline
     void notifyErrorHop(const DynInstr &instr, ErrorMask bits,
                         ErrorHop hop);
     bool tryDispatchOne(const FetchedInstr &fetched);
+    /** Entries of injection target @p target (fields not counted). */
+    int entriesOf(InjectTarget target) const;
+    /** ROB index occupying global IQ entry @p globalEntry, or -1. */
+    int iqRobIndex(int globalEntry) const;
     /** Fetch-buffer ring index @p offset entries after the head. */
     int fetchSlot(int offset) const
     {

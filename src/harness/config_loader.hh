@@ -58,11 +58,13 @@ ExperimentConfig loadExperimentConfig(const json::Value &doc);
  * contract; the environment variables are documented fallbacks:
  *
  *   AVF_INTERVALS=<n>  interval count (must be a positive integer)
- *   AVF_LANES=<n>      concurrent injection windows per estimator
- *                      (1..64; default 64). 1 = the paper's serial
- *                      Algorithm 1, byte-identical to historical
- *                      campaign output; 64 saturates the error-plane
- *                      word (see core/injection_port.hh)
+ *   AVF_LANES=<n>      concurrent injection windows requested per
+ *                      estimator (1..64; default 64). 1 = the paper's
+ *                      serial Algorithm 1, byte-identical to
+ *                      historical campaign output. An experiment
+ *                      caps each of its five online estimators at
+ *                      64/5 = 12 lanes, so 12..64 run identically
+ *                      (see harness/experiment.cc)
  *   AVF_FAST=1         smoke mode: shrink intervals to 12 (wins over
  *                      AVF_INTERVALS; accepts 1/true/yes/on and
  *                      0/false/no/off)

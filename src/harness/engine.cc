@@ -130,17 +130,4 @@ ExperimentEngine::collect()
     return out;
 }
 
-std::vector<TaskResult>
-runCampaign(
-    const std::vector<std::pair<std::string, ExperimentConfig>> &tasks,
-    RunOptions options, ExperimentEngine::ProgressFn progress)
-{
-    ExperimentEngine engine(options);
-    if (progress)
-        engine.onTaskDone(std::move(progress));
-    for (const auto &[name, config] : tasks)
-        engine.submit(name, config);
-    return engine.collect();
-}
-
 } // namespace avf::harness

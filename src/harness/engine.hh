@@ -47,13 +47,15 @@ struct RunOptions
     /** Smoke-run mode: loadRunOptions() shrinks intervals to 12. */
     bool fastMode = false;
     /**
-     * Concurrent injection windows per estimator (error-plane bit
-     * lanes; AVF_LANES, 1..64). submit() copies this into any task
-     * whose ExperimentConfig::online.lanes is 0 ("inherit"). 1 runs
-     * the paper's serial Algorithm 1 exactly — campaign stdout at
-     * lanes=1 is byte-identical to the historical serial runs; the
-     * default 64 compresses each N-injection estimation interval to
-     * ceil(N/lanes) window boundaries.
+     * Concurrent injection windows requested per estimator
+     * (error-plane bit lanes; AVF_LANES, 1..64). submit() copies this
+     * into any task whose ExperimentConfig::online.lanes is 0
+     * ("inherit"). 1 runs the paper's serial Algorithm 1 exactly —
+     * campaign stdout at lanes=1 is byte-identical to the historical
+     * serial runs. The experiment body caps each of its five online
+     * estimators at 64/5 = 12 lanes, so any value from 12 to 64 (the
+     * default) runs the same: each N-injection interval closes in
+     * ceil(N/12) window boundaries.
      */
     int lanes = 64;
     /**
@@ -211,17 +213,6 @@ class ExperimentEngine
      *  while workers fill earlier slots and submit() appends. */
     std::deque<TaskResult> batch;
 };
-
-/**
- * Convenience: run one named campaign start-to-finish. Equivalent to
- * constructing an engine, submitting every (name, config) pair in
- * order, and collecting.
- */
-std::vector<TaskResult>
-runCampaign(const std::vector<std::pair<std::string,
-                                        ExperimentConfig>> &tasks,
-            RunOptions options = RunOptions{},
-            ExperimentEngine::ProgressFn progress = nullptr);
 
 } // namespace avf::harness
 

@@ -96,7 +96,7 @@ Tlb::injectError(int slot, ErrorMask mask)
     if (!entry.valid)
         return InjectOutcome::Opened;
     // The TLB's injection (carry) helper — the sanctioned entry
-    // point Pipeline::injectDtlbError routes to.
+    // point Pipeline::injectError routes dTLB sites to.
     errors.orMask(static_cast<std::size_t>(slot), mask);
     return InjectOutcome::Occupied;
 }

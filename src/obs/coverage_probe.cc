@@ -9,7 +9,6 @@ namespace avf::obs
 
 using core::CampaignCounters;
 using core::CounterKey;
-using core::Site;
 
 namespace
 {
@@ -17,13 +16,13 @@ namespace
 core::SiteSource
 sitesOf(const cpu::Pipeline &pipe, CoverageTarget target)
 {
-    constexpr Site::Kind kinds[numCoverageTargets] = {
-        Site::Kind::FetchBuf, Site::Kind::RenameMap,
-        Site::Kind::BranchPred};
+    constexpr cpu::InjectTarget targets[numCoverageTargets] = {
+        cpu::InjectTarget::FetchBuf, cpu::InjectTarget::RenameMap,
+        cpu::InjectTarget::BranchPred};
     auto t = static_cast<int>(target);
     avf_assert(t >= 0 && t < numCoverageTargets,
                "coverage probe bound to invalid target %d", t);
-    return {pipe, kinds[t]};
+    return {pipe, targets[t]};
 }
 
 // A probe counts an injection when its window closes, so its

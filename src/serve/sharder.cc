@@ -22,11 +22,9 @@ makeSliceConfig(const CampaignSpec &spec, std::uint64_t index)
     config.profile = trace::specProfile(spec.benchmark);
     config.online.m = spec.m;
     config.online.n = spec.n;
-    // lanes = 0 means "the campaign default", mirroring what
-    // ExperimentEngine::submit would inherit from RunOptions.
-    config.online.lanes = spec.lanes > 0
-                              ? spec.lanes
-                              : harness::RunOptions{}.lanes;
+    // lanes = 0 ("the campaign default") passes through for
+    // runExperimentDirect (or an engine's submit) to resolve.
+    config.online.lanes = spec.lanes;
     config.numIntervals = spec.sliceLength(index);
     config.metrics = spec.metrics;
     if (spec.rootCause) {

@@ -37,9 +37,9 @@ namespace avf::serve
 
 /**
  * Build slice @p index's experiment config: the campaign's machine
- * and estimator parameters, the slice's interval count, seeds
- * derived from (seedSalt, index) via harness::deriveTaskSeeds, and
- * estimator-state snapshots enabled.
+ * and estimator parameters (lanes as the spec gives them, 0 = the
+ * default), the slice's interval count, and seeds derived from
+ * (seedSalt, index) via harness::deriveTaskSeeds.
  */
 harness::ExperimentConfig makeSliceConfig(const CampaignSpec &spec,
                                           std::uint64_t index);

@@ -156,18 +156,15 @@ void
 panicAt(const char *file, int line, const char *cond, const char *fmt,
         ...)
 {
-    char where[512];
-    std::snprintf(where, sizeof(where),
-                  "assertion '%s' failed at %s:%d:", cond, file,
-                  line);
-    // Two lines would risk interleaving; fold location and message
-    // into one panic line.
-    std::string full = std::string(where) + " " + fmt;
     va_list args;
     va_start(args, fmt);
-    vemitLine("panic", full.c_str(), args);
+    const std::string message = vformat(fmt, args);
     va_end(args);
-    std::abort();
+    // Two lines would risk interleaving; fold location and message
+    // into one panic line. The condition and file are text, not a
+    // format: passed through "%s", a '%' in either prints as itself.
+    panic("assertion '%s' failed at %s:%d: %s", cond, file, line,
+          message.c_str());
 }
 
 void

@@ -34,26 +34,8 @@ Stopwatch::stop()
 {
     if (!isRunning)
         return 0.0;
-    auto lap = static_cast<double>(steadyNowNs() - startTick);
-    accumulatedNs += lap;
     isRunning = false;
-    return lap;
-}
-
-void
-Stopwatch::reset()
-{
-    accumulatedNs = 0.0;
-    isRunning = false;
-}
-
-double
-Stopwatch::elapsedNs() const
-{
-    double total = accumulatedNs;
-    if (isRunning)
-        total += static_cast<double>(steadyNowNs() - startTick);
-    return total;
+    return static_cast<double>(steadyNowNs() - startTick);
 }
 
 double

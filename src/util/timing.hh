@@ -25,37 +25,23 @@ namespace avf::timing
 {
 
 /**
- * Monotonic wall-clock stopwatch. Accumulates across start()/stop()
- * pairs so one watch can time a phase entered many times; reset()
- * returns it to zero. Reads come from std::chrono::steady_clock, so
- * elapsed time never goes backwards under NTP adjustments.
+ * Monotonic wall-clock lap timer: stop() returns the time since the
+ * matching start(). Reads come from std::chrono::steady_clock, so a
+ * lap never goes negative under NTP adjustments.
  */
 class Stopwatch
 {
   public:
-    /** Begin (or resume) timing. No-op if already running. */
+    /** Begin a lap. No-op if already running. */
     void start();
 
     /**
-     * Stop timing and fold the lap into the accumulated total.
-     * @return the lap's length in nanoseconds (0 if not running).
+     * End the lap.
+     * @return its length in nanoseconds (0 if not running).
      */
     double stop();
 
-    /** Discard all accumulated time (and any running lap). */
-    void reset();
-
-    /** True between start() and stop(). */
-    bool running() const { return isRunning; }
-
-    /**
-     * Accumulated nanoseconds, including the in-flight lap when
-     * running. Monotonically non-decreasing until reset().
-     */
-    double elapsedNs() const;
-
   private:
-    double accumulatedNs = 0.0;
     std::uint64_t startTick = 0;
     bool isRunning = false;
 };

@@ -70,13 +70,6 @@ enum class InjectOutcome
     Opened,   ///< bit landed on an empty target (trivially maskable)
 };
 
-/** True when the injection wrote a bit (occupied or empty target). */
-constexpr bool
-injected(InjectOutcome o)
-{
-    return o != InjectOutcome::Rejected;
-}
-
 } // namespace avf
 
 #endif // AVF_UTIL_TYPES_HH

@@ -234,10 +234,10 @@ TEST(AvflintInjectionPort, FlagsRawInjectionsOutsideThePort)
 {
     auto findings = withId(
         lintText("src/harness/foo.cc",
-                 "void f() { pipe.injectRegError(5, mask); }\n"),
+                 "void f() { pipe.injectError(t, 5, -1, mask); }\n"),
         "injection-port-discipline");
     ASSERT_EQ(findings.size(), 1u);
-    EXPECT_NE(findings[0].message.find("injectRegError"),
+    EXPECT_NE(findings[0].message.find("injectError"),
               std::string::npos);
     EXPECT_NE(findings[0].message.find("InjectionPort::open"),
               std::string::npos);
@@ -247,6 +247,23 @@ TEST(AvflintInjectionPort, FlagsRawInjectionsOutsideThePort)
                      "injection-port-discipline")
                   .size(),
               1u);
+}
+
+TEST(AvflintInjectionPort, FlagsTheEntryPointOutsideThePlaneOwners)
+{
+    // Observers read the plane; they never inject into it. The
+    // pipeline's entry point and the predictor primitive it routes
+    // to are flagged alike.
+    auto findings = withId(
+        lintText("src/obs/foo.cc",
+                 "void f() {\n"
+                 "  pipe.injectError(InjectTarget::IqField, 3, 1, m);\n"
+                 "  predictor->injectError(7, m);\n"
+                 "}\n"),
+        "injection-port-discipline");
+    ASSERT_EQ(findings.size(), 2u);
+    EXPECT_EQ(findings[0].line, 2);
+    EXPECT_EQ(findings[1].line, 3);
 }
 
 TEST(AvflintInjectionPort, FlagsDirectErrorPlaneWrites)
@@ -267,7 +284,7 @@ TEST(AvflintInjectionPort, FlagsDirectErrorPlaneWrites)
 
 TEST(AvflintInjectionPort, AllowsSanctionedFilesAndDeclarations)
 {
-    const char *call = "void f() { pipe.injectRegError(5, mask); }\n";
+    const char *call = "void f() { pipe.injectError(t, 5, -1, m); }\n";
     EXPECT_TRUE(withId(lintText("src/core/injection_port.cc", call),
                        "injection-port-discipline")
                     .empty());
@@ -300,7 +317,7 @@ TEST(AvflintInjectionPort, SuppressionCommentIsHonored)
         withId(lintText(
                    "bench/foo.cc",
                    "// avflint: allow(injection-port-discipline)\n"
-                   "pipe.injectRegError(5, 1);\n"),
+                   "pipe.injectError(t, 5, -1, 1);\n"),
                "injection-port-discipline")
             .empty());
 }

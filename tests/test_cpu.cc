@@ -387,9 +387,12 @@ TEST(Pipeline, FetchBufferRingInjectsByAgeAfterWrapping)
     // Fetch brings up to 8 a cycle and dispatch takes 1, so the ring
     // stays full and its head walks around the storage.
     pipe.setDispatchThrottle(1);
-    const int slots = pipe.numFetchBufSlots();
+    const int slots = pipe.numSites(InjectTarget::FetchBuf);
     ASSERT_EQ(slots, 8);
-    EXPECT_FALSE(pipe.injectFetchBufError(0, 0x1)); // empty at reset
+    auto inject = [&](int slot, ErrorMask mask) {
+        return pipe.injectError(InjectTarget::FetchBuf, slot, -1, mask);
+    };
+    EXPECT_EQ(inject(0, 0x1), InjectOutcome::Opened); // empty at reset
 
     auto buffered = [&] {
         return static_cast<int>(pipe.stats().fetched -
@@ -404,9 +407,9 @@ TEST(Pipeline, FetchBufferRingInjectsByAgeAfterWrapping)
         ASSERT_TRUE(pipe.step());
     ASSERT_EQ(buffered(), slots);
     const std::uint64_t oldest = pipe.stats().dispatched;
-    EXPECT_TRUE(pipe.injectFetchBufError(0, 0x1));
-    EXPECT_TRUE(pipe.injectFetchBufError(slots - 1, 0x2));
-    EXPECT_TRUE(pipe.injectFetchBufError(6, 0x4));
+    EXPECT_EQ(inject(0, 0x1), InjectOutcome::Occupied);
+    EXPECT_EQ(inject(slots - 1, 0x2), InjectOutcome::Occupied);
+    EXPECT_EQ(inject(6, 0x4), InjectOutcome::Occupied);
     pipe.clearErrorChannels(0x4);
 
     // Drain the trace until 3 instructions remain buffered.
@@ -416,8 +419,8 @@ TEST(Pipeline, FetchBufferRingInjectsByAgeAfterWrapping)
         ASSERT_TRUE(pipe.step());
     ASSERT_EQ(buffered(), 3);
     for (int slot = 3; slot < slots; ++slot)
-        EXPECT_FALSE(pipe.injectFetchBufError(slot, 0x8)) << slot;
-    EXPECT_TRUE(pipe.injectFetchBufError(2, 0x8));
+        EXPECT_EQ(inject(slot, 0x8), InjectOutcome::Opened) << slot;
+    EXPECT_EQ(inject(2, 0x8), InjectOutcome::Occupied);
     const std::uint64_t newest = total - 1;
 
     drain(pipe);

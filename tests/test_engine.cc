@@ -232,17 +232,6 @@ TEST(ExperimentEngine, RunExperimentWrapperMatchesEngine)
                              tasks[0].result.intervals[k].online[s]);
 }
 
-TEST(ExperimentEngine, RunCampaignConvenienceKeepsOrder)
-{
-    std::vector<std::pair<std::string, ExperimentConfig>> tasks;
-    for (const char *bench : {"swim", "art"})
-        tasks.emplace_back(bench, tinyConfig(bench, 1));
-    auto results = runCampaign(tasks, RunOptions{.threads = 2});
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].name, "swim");
-    EXPECT_EQ(results[1].name, "art");
-}
-
 TEST(ExperimentResultApi, UtilizationSeriesEmptyForStorage)
 {
     auto result = runExperiment(tinyConfig("mesa", 1));

@@ -119,7 +119,8 @@ TEST(ErrorBits, DeadValueMasksInjection)
     });
     rig.hook.completeFn = [&](const DynInstr &instr) {
         if (instr.seq == 0)
-            rig.pipe.injectRegError(instr.destPhys, ch0);
+            rig.pipe.injectError(InjectTarget::IntReg, instr.destPhys,
+                                 -1, ch0);
     };
     drain(rig.pipe);
 
@@ -136,7 +137,8 @@ TEST(ErrorBits, LiveValuePropagatesToStore)
     });
     rig.hook.completeFn = [&](const DynInstr &instr) {
         if (instr.seq == 0)
-            rig.pipe.injectRegError(instr.destPhys, ch0);
+            rig.pipe.injectError(InjectTarget::IntReg, instr.destPhys,
+                                 -1, ch0);
     };
     drain(rig.pipe);
 
@@ -155,9 +157,9 @@ TEST(ErrorBits, BusyFxuPropagates)
     });
     rig.hook.issueFn = [&](const DynInstr &instr) {
         if (instr.seq == 0) {
-            int hit = rig.pipe.injectFuError(FuClass::Fxu,
-                                             instr.fuUnit, ch0);
-            EXPECT_EQ(hit, 1);
+            EXPECT_EQ(rig.pipe.injectError(InjectTarget::Fxu,
+                                           instr.fuUnit, -1, ch0),
+                      InjectOutcome::Occupied);
         }
     };
     drain(rig.pipe);
@@ -178,8 +180,8 @@ TEST(ErrorBits, IdleFuMasks)
         if (instr.seq == 0 && !injected) {
             injected = true;
             // Nothing is executing in the FPU in this program.
-            int hit = rig.pipe.injectFuError(FuClass::Fpu, 0, ch0);
-            EXPECT_EQ(hit, 0);
+            EXPECT_EQ(rig.pipe.injectError(InjectTarget::Fpu, 0, -1, ch0),
+                      InjectOutcome::Opened);
         }
     };
     drain(rig.pipe);
@@ -200,9 +202,9 @@ TEST(ErrorBits, IqInjectionCorruptsWaitingInstruction)
     rig.hook.dispatchFn = [&](const DynInstr &instr) {
         if (instr.seq == 1) {
             ASSERT_GE(instr.iqGlobalEntry, 0);
-            bool occupied = rig.pipe.injectIqEntryError(
-                instr.iqGlobalEntry, ch0);
-            EXPECT_TRUE(occupied);
+            EXPECT_EQ(rig.pipe.injectError(InjectTarget::IqEntry,
+                                           instr.iqGlobalEntry, -1, ch0),
+                      InjectOutcome::Occupied);
             injected = true;
         }
     };
@@ -216,7 +218,8 @@ TEST(ErrorBits, EmptyIqEntryMasks)
 {
     Rig rig({alu(5, 1, 2)});
     // Before anything dispatches, every entry is empty.
-    EXPECT_FALSE(rig.pipe.injectIqEntryError(0, ch0));
+    EXPECT_EQ(rig.pipe.injectError(InjectTarget::IqEntry, 0, -1, ch0),
+              InjectOutcome::Opened);
     EXPECT_FALSE(rig.pipe.iqEntryOccupied(0));
     drain(rig.pipe);
     EXPECT_FALSE(rig.log.anyFailure());
@@ -230,7 +233,8 @@ TEST(ErrorBits, CorruptedLoadAddressFails)
     });
     rig.hook.completeFn = [&](const DynInstr &instr) {
         if (instr.seq == 0)
-            rig.pipe.injectRegError(instr.destPhys, ch0);
+            rig.pipe.injectError(InjectTarget::IntReg, instr.destPhys,
+                                 -1, ch0);
     };
     drain(rig.pipe);
 
@@ -245,7 +249,8 @@ TEST(ErrorBits, CorruptedBranchConditionFails)
     });
     rig.hook.completeFn = [&](const DynInstr &instr) {
         if (instr.seq == 0)
-            rig.pipe.injectRegError(instr.destPhys, ch0);
+            rig.pipe.injectError(InjectTarget::IntReg, instr.destPhys,
+                                 -1, ch0);
     };
     drain(rig.pipe);
 
@@ -266,7 +271,8 @@ TEST(ErrorBits, StoreDataErrorForwardsToLoad)
     });
     rig.hook.completeFn = [&](const DynInstr &instr) {
         if (instr.seq == 1)
-            rig.pipe.injectRegError(instr.destPhys, ch0);
+            rig.pipe.injectError(InjectTarget::IntReg, instr.destPhys,
+                                 -1, ch0);
     };
     drain(rig.pipe);
 
@@ -289,7 +295,8 @@ TEST(ErrorBits, OverwriteReplacesErrorState)
             // Corrupt the freshly allocated destination register
             // while the producer is still in flight. The writeback
             // must replace this bit with the (clean) computed mask.
-            rig.pipe.injectRegError(instr.destPhys, ch0);
+            rig.pipe.injectError(InjectTarget::IntReg, instr.destPhys,
+                                 -1, ch0);
         }
     };
     drain(rig.pipe);
@@ -307,7 +314,8 @@ TEST(ErrorBits, ClearChannelsScrubsEverything)
     });
     rig.hook.completeFn = [&](const DynInstr &instr) {
         if (instr.seq == 0) {
-            rig.pipe.injectRegError(instr.destPhys, ch0);
+            rig.pipe.injectError(InjectTarget::IntReg, instr.destPhys,
+                                 -1, ch0);
             EXPECT_EQ(rig.pipe.regErrorAt(instr.destPhys), ch0);
             // Immediately scrub: the error must never surface.
             rig.pipe.clearErrorChannels(ch0);
@@ -328,9 +336,11 @@ TEST(ErrorBits, ChannelsAreIndependent)
     });
     rig.hook.completeFn = [&](const DynInstr &instr) {
         if (instr.seq == 0)
-            rig.pipe.injectRegError(instr.destPhys, ch0);
+            rig.pipe.injectError(InjectTarget::IntReg, instr.destPhys,
+                                 -1, ch0);
         if (instr.seq == 1)
-            rig.pipe.injectRegError(instr.destPhys, ch1);
+            rig.pipe.injectError(InjectTarget::IntReg, instr.destPhys,
+                                 -1, ch1);
     };
     drain(rig.pipe);
 
@@ -348,8 +358,9 @@ TEST(ErrorBits, IqInjectionOnStoreIsDirectFailure)
     });
     rig.hook.dispatchFn = [&](const DynInstr &instr) {
         if (instr.seq == 1) {
-            EXPECT_TRUE(rig.pipe.injectIqEntryError(
-                instr.iqGlobalEntry, ch0));
+            EXPECT_EQ(rig.pipe.injectError(InjectTarget::IqEntry,
+                                           instr.iqGlobalEntry, -1, ch0),
+                      InjectOutcome::Occupied);
         }
     };
     drain(rig.pipe);
@@ -364,8 +375,9 @@ TEST(ErrorBits, IqInjectionOnBranchIsDirectFailure)
     });
     rig.hook.dispatchFn = [&](const DynInstr &instr) {
         if (instr.seq == 1) {
-            EXPECT_TRUE(rig.pipe.injectIqEntryError(
-                instr.iqGlobalEntry, ch0));
+            EXPECT_EQ(rig.pipe.injectError(InjectTarget::IqEntry,
+                                           instr.iqGlobalEntry, -1, ch0),
+                      InjectOutcome::Occupied);
         }
     };
     drain(rig.pipe);
@@ -380,8 +392,9 @@ TEST(ErrorBits, IqInjectionOnLoadIsDirectFailure)
     });
     rig.hook.dispatchFn = [&](const DynInstr &instr) {
         if (instr.seq == 1) {
-            EXPECT_TRUE(rig.pipe.injectIqEntryError(
-                instr.iqGlobalEntry, ch0));
+            EXPECT_EQ(rig.pipe.injectError(InjectTarget::IqEntry,
+                                           instr.iqGlobalEntry, -1, ch0),
+                      InjectOutcome::Occupied);
         }
     };
     drain(rig.pipe);
@@ -411,8 +424,8 @@ TEST(ErrorBits, FuInjectionCorruptsAllResidentOps)
     hook.issueFn = [&](const DynInstr &instr) {
         if (instr.seq == 1) {
             // Both divides are now in flight in unit 0.
-            int hit = pipe.injectFuError(FuClass::Fxu, 0, ch0);
-            EXPECT_EQ(hit, 2);
+            EXPECT_EQ(pipe.injectError(InjectTarget::Fxu, 0, -1, ch0),
+                      InjectOutcome::Occupied);
         }
     };
     drain(pipe);
@@ -439,7 +452,8 @@ TEST(ErrorBits, ErrorMasksMergeAcrossSources)
     });
     rig2.hook.completeFn = [&](const DynInstr &instr) {
         if (instr.seq == 0 || instr.seq == 1)
-            rig2.pipe.injectRegError(instr.destPhys, ch0);
+            rig2.pipe.injectError(InjectTarget::IntReg, instr.destPhys,
+                                  -1, ch0);
     };
     drain(rig2.pipe);
     EXPECT_TRUE(rig2.log.failed(4));
@@ -473,7 +487,8 @@ TEST(ErrorBits, ClearOneChannelLeavesTheOther)
     });
     rig.hook.completeFn = [&](const DynInstr &instr) {
         if (instr.seq == 0) {
-            rig.pipe.injectRegError(instr.destPhys, ch0 | ch1);
+            rig.pipe.injectError(InjectTarget::IntReg, instr.destPhys,
+                                 -1, ch0 | ch1);
             rig.pipe.clearErrorChannels(ch0);
         }
     };

@@ -126,14 +126,18 @@ TEST(TlbEstimator, CorruptedTranslationFailsTheLoad)
     struct Injector : PipelineObserver
     {
         Pipeline *pipe = nullptr;
+        int occupied = 0;
         void
         onIssue(const DynInstr &instr) override
         {
             if (instr.seq == 0) {
                 // seq 0's issue just filled the dTLB; corrupt every
                 // valid slot (only that one page is resident).
-                for (int s = 0; s < pipe->numDtlbSlots(); ++s)
-                    pipe->injectDtlbError(s, 0x1);
+                const int slots = pipe->numSites(InjectTarget::Dtlb);
+                for (int s = 0; s < slots; ++s)
+                    occupied += pipe->injectError(InjectTarget::Dtlb,
+                                                  s, -1, 0x1) ==
+                                InjectOutcome::Occupied;
             }
         }
     } injector;
@@ -141,6 +145,7 @@ TEST(TlbEstimator, CorruptedTranslationFailsTheLoad)
     pipe.addObserver(&injector);
 
     drain(pipe);
+    EXPECT_EQ(injector.occupied, 1);
     EXPECT_EQ(log.mask, 0x1);
 }
 

@@ -120,6 +120,7 @@ struct WindowResult
 {
     bool failed = false;
     bool live = false;
+    InjectOutcome inject = InjectOutcome::Rejected;
     Cycle openedAt = 0;
     Cycle failCycle = 0;
 };
@@ -149,8 +150,8 @@ probeWindow(const std::vector<std::pair<LaneId, Site>> &opens,
     for (auto &[lane, handle] : handles) {
         core::Outcome out = rig.port.closed(handle);
         if (lane == probe)
-            result = {out.failed, out.live, out.openedAt,
-                      out.failCycle};
+            result = {out.failed, out.live, handle.inject,
+                      out.openedAt, out.failCycle};
     }
     rig.port.clearLanes(rig.port.reservedMask());
     return result;
@@ -159,19 +160,13 @@ probeWindow(const std::vector<std::pair<LaneId, Site>> &opens,
 Site
 regSite(int entry)
 {
-    Site site;
-    site.structure = Structure::REG;
-    site.entry = entry;
-    return site;
+    return {cpu::InjectTarget::IntReg, entry};
 }
 
 Site
 structSite(Structure s, int entry)
 {
-    Site site;
-    site.structure = s;
-    site.entry = entry;
-    return site;
+    return {core::injectTargetOf(s, false), entry};
 }
 
 TEST(LaneEquivalence, WindowOutcomeUnaffectedByOtherLanes)
@@ -194,6 +189,9 @@ TEST(LaneEquivalence, WindowOutcomeUnaffectedByOtherLanes)
 
         EXPECT_EQ(solo.failed, busy.failed) << "reg " << entry;
         EXPECT_EQ(solo.live, busy.live) << "reg " << entry;
+        // A register injection always lands on live state.
+        EXPECT_EQ(solo.inject, InjectOutcome::Occupied) << "reg " << entry;
+        EXPECT_EQ(busy.inject, InjectOutcome::Occupied) << "reg " << entry;
         EXPECT_EQ(solo.openedAt, busy.openedAt) << "reg " << entry;
         EXPECT_EQ(solo.failCycle, busy.failCycle) << "reg " << entry;
     }

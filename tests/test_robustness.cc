@@ -113,11 +113,26 @@ TEST(Robustness, InjectionIndexBoundsArePanics)
 {
     trace::VectorTraceSource src(withPcs({alu(5, 1, 2)}));
     cpu::Pipeline pipe(cpu::CpuConfig{}, src);
-    EXPECT_DEATH(pipe.injectRegError(-1, 1), "out of range");
-    EXPECT_DEATH(pipe.injectRegError(152, 1), "out of range");
-    EXPECT_DEATH(pipe.injectIqEntryError(68, 1), "out of range");
-    EXPECT_DEATH(pipe.injectFuError(cpu::FuClass::Fxu, 5, 1),
+    using cpu::InjectTarget;
+    auto inject = [&](InjectTarget target, int entry, int field) {
+        pipe.injectError(target, entry, field, 1);
+    };
+    EXPECT_DEATH(inject(InjectTarget::IntReg, -1, -1), "out of range");
+    EXPECT_DEATH(inject(InjectTarget::IntReg, 152, -1), "out of range");
+    // Each register plane ends at its own size: the first FP register
+    // is not an IntReg site, and FpReg entries stop at fpPhysRegs.
+    for (InjectTarget plane : {InjectTarget::IntReg, InjectTarget::FpReg})
+        EXPECT_DEATH(inject(plane, pipe.numSites(plane), -1),
+                     "out of range");
+    EXPECT_DEATH(inject(InjectTarget::IqEntry, 68, -1), "out of range");
+    EXPECT_DEATH(inject(InjectTarget::Fxu, 5, -1), "out of range");
+    EXPECT_DEATH(inject(InjectTarget::Dtlb,
+                        pipe.numSites(InjectTarget::Dtlb), -1),
                  "out of range");
+    // The field travels with IqField sites only, inside 0..3.
+    EXPECT_DEATH(inject(InjectTarget::IqField, 0, 4), "out of range");
+    EXPECT_DEATH(inject(InjectTarget::IqField, 0, -1), "out of range");
+    EXPECT_DEATH(inject(InjectTarget::IqEntry, 0, 0), "out of range");
 }
 
 TEST(Robustness, EmptyTraceDrainsImmediately)

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -49,6 +50,15 @@ TEST(LoggingDeathTest, AvfAssertFormatsMessage)
 {
     EXPECT_DEATH(avf_assert(false, "value was %d", 41),
                  "value was 41");
+}
+
+TEST(LoggingDeathTest, AvfAssertPrintsAPercentInTheConditionVerbatim)
+{
+    // The stringized condition is text, never a printf format.
+    EXPECT_DEATH(avf_assert(std::strlen("%s%s%s%s") == 0),
+                 "assertion 'std::strlen\\(\"%s%s%s%s\"\\) == 0' failed");
+    EXPECT_DEATH(avf_assert(7 % 4 == 0, "remainder %d", 7 % 4),
+                 "assertion '7 % 4 == 0' failed at .*: remainder 3");
 }
 
 TEST(Logging, LevelsMapOntoQuietSwitch)
