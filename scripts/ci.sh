@@ -14,7 +14,10 @@
 #                observer roster over the cycle loop, fetch ring and
 #                geometric draw included; the campaign suite runs
 #                every estimator family's injection sites against
-#                its snapshot digests)
+#                its snapshot digests), plus the malformed-number
+#                decoder tests (task codec, checkpoint, request,
+#                avf-report loaders, json::exactInteger), so a
+#                float-cast-overflow in any decoder fails the stage
 #   tsan         engine + obs tests under -DAVF_SANITIZE=thread (the
 #                thread pool and the metrics collect/merge path)
 #   bench-smoke  in a Release build: a metrics-enabled fig3_accuracy
@@ -143,12 +146,15 @@ run_tidy() {
 }
 
 run_ubsan() {
-    echo "=== ubsan: engine + wake + campaign tests under -DAVF_SANITIZE=undefined ==="
+    echo "=== ubsan: engine + wake + campaign + decoder tests under -DAVF_SANITIZE=undefined ==="
     cmake -B "$BUILD-ubsan" -S . $LAUNCHER -DAVF_SANITIZE=undefined
     cmake --build "$BUILD-ubsan" -j --target avf_engine_tests \
-        avf_wake_tests avf_campaign_tests
+        avf_wake_tests avf_campaign_tests avf_serve_tests \
+        avf_metrics_tests
     ctest --test-dir "$BUILD-ubsan" -L 'engine|wake|campaign' \
         --output-on-failure
+    ctest --test-dir "$BUILD-ubsan" --output-on-failure -R \
+        'RejectsMalformed|DecodeValidates|FeedTailRejects|JsonReader|JsonParser'
 }
 
 run_tsan() {

@@ -91,7 +91,6 @@ InjectionPort::open(LaneId lane, const Site &site, Cycle now)
     state.failCycle = 0;
     state.failPc = 0;
     state.failOp = -1;
-    state.site = site;
 
     InjectOutcome inject = pipeline.injectError(
         site.target, site.entry, site.field, laneBit(lane));
@@ -131,7 +130,6 @@ InjectionPort::closed(const WindowHandle &handle)
     out.failCycle = state.failCycle;
     out.failPc = state.failPc;
     out.failOp = state.failOp;
-    out.site = state.site;
     return out;
 }
 

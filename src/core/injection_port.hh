@@ -119,8 +119,6 @@ struct Outcome
      */
     Addr failPc = 0;
     int failOp = -1;
-    /** Where the injection landed. */
-    Site site;
 };
 
 /**
@@ -208,7 +206,6 @@ class InjectionPort : public cpu::PipelineObserver
         /** Blame identity of the latched failure (see Outcome). */
         Addr failPc = 0;
         int failOp = -1;
-        Site site;
     };
 
     Lane &laneAt(LaneId lane);

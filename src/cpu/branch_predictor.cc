@@ -54,8 +54,8 @@ BranchPredictor::predictAndUpdate(Addr pc, bool taken)
 InjectOutcome
 BranchPredictor::injectError(int slot, ErrorMask mask)
 {
-    if (slot < 0 || slot >= numSlots())
-        return InjectOutcome::Rejected;
+    avf_assert(slot >= 0 && slot < numSlots(),
+               "branch predictor injection slot %d out of range", slot);
     tableError[static_cast<std::size_t>(slot)] |= mask;
     errAny |= mask;
     return InjectOutcome::Occupied;

@@ -75,9 +75,9 @@ class BranchPredictor
     int numSlots() const { return static_cast<int>(table.size()); }
 
     /**
-     * OR @p mask into the error bits of table slot @p slot.
-     * @return Rejected when @p slot is out of range, else Occupied
-     *         (a counter always holds trained state).
+     * OR @p mask into the error bits of table slot @p slot, which
+     * must be in [0, numSlots()).
+     * @return Occupied (a counter always holds trained state).
      */
     InjectOutcome injectError(int slot, ErrorMask mask);
 

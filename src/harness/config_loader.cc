@@ -49,18 +49,18 @@ class Section
         const json::Value *value = find(key);
         if (!value)
             return;
-        if (value->kind != json::Value::Kind::Uint)
+        std::uint64_t n = 0;
+        if (!json::exactInteger(*value, n))
             fatal("config: %s.%s must be a non-negative integer", name,
                   key);
         const std::uint64_t max =
             static_cast<std::uint64_t>(std::numeric_limits<T>::max()) /
             scale;
-        if (value->uintValue > max)
+        if (n > max)
             fatal("config: %s.%s = %llu is out of range (max %llu)",
-                  name, key,
-                  static_cast<unsigned long long>(value->uintValue),
+                  name, key, static_cast<unsigned long long>(n),
                   static_cast<unsigned long long>(max));
-        field = static_cast<T>(value->uintValue * scale);
+        field = static_cast<T>(n * scale);
     }
 
     void

@@ -267,19 +267,16 @@ writeTraceJson(const std::string &path, const std::string &campaign,
     const unsigned workers = engine.threadCount();
     for (unsigned w = 0; w < workers; ++w)
         trace.setThreadName(w, "worker " + std::to_string(w));
-    const std::uint32_t phaseLane = workers;
-    trace.setThreadName(phaseLane, "phases (aggregate)");
+    // A task that ran off the pool (worker -1) gets the lane after
+    // the workers'.
+    const std::uint32_t otherLane = workers;
 
-    // Per-task spans on their worker's lane, and a per-task-name
-    // phase accumulator feeding the aggregate lane.
-    timing::PhaseAccumulator phases;
-    std::uint64_t campaignStartNs = 0;
+    // One span per task on its worker's lane: each task appears once,
+    // so `avf-report phases` counts it once.
     double maxWallMs = 0.0;
     for (const auto &task : tasks) {
         if (task.endNs <= task.startNs)
             continue;
-        if (campaignStartNs == 0 || task.startNs < campaignStartNs)
-            campaignStartNs = task.startNs;
         maxWallMs = std::max(maxWallMs, task.wallMs);
         obs::TraceSpan span;
         span.name = task.name;
@@ -288,17 +285,14 @@ writeTraceJson(const std::string &path, const std::string &campaign,
         span.durNs = task.endNs - task.startNs;
         span.tid = task.worker >= 0
             ? static_cast<std::uint32_t>(task.worker)
-            : phaseLane;
+            : otherLane;
         span.args = {
             {"index", static_cast<double>(task.index)},
             {"ok", task.ok() ? 1.0 : 0.0},
             {"wall_ms", task.wallMs},
         };
         trace.addSpan(std::move(span));
-        phases.add(task.name, static_cast<double>(task.endNs -
-                                                  task.startNs));
     }
-    trace.addPhases(phases, phaseLane, campaignStartNs);
 
     const auto pool = engine.poolStats();
     trace.addOtherData("thread_pool", [workers, pool](json::Writer &out) {

@@ -102,8 +102,7 @@ bool exportCampaignRootCause(const std::string &campaign,
 /**
  * Write the campaign's wall-clock story as Chrome/Perfetto
  * trace_event JSON (obs/trace_export.hh): one "X" span per task on
- * its worker's lane, a synthetic per-task-phase lane built from a
- * util/timing PhaseAccumulator, and pool/task-latency summaries
+ * its worker's lane and pool/task-latency summaries
  * under "otherData". Everything here is timing-dependent — this file
  * is never byte-compared. fatal() on I/O errors.
  */

@@ -73,13 +73,20 @@ void writeSnapshots(json::Writer &out,
                     const obs::MetricsSnapshot &metrics,
                     const obs::AttributionSnapshot &attribution);
 
+/** Read an object writeAttributionSnapshot() wrote; @p out comes
+ *  back with enabled = true. Failures go to @p in. */
+bool readAttributionSnapshot(const json::Value &value,
+                             obs::AttributionSnapshot &out,
+                             json::Reader &in);
+
 /** Read the members writeSnapshots() wrote into @p object; a
- *  snapshot that is present comes back with enabled = true. */
+ *  snapshot that is present comes back with enabled = true. Failures
+ *  go to @p in, under its caller's prefix. */
 bool readSnapshots(const json::Value &object,
                    std::vector<core::EstimatorState> &states,
                    obs::MetricsSnapshot &metrics,
                    obs::AttributionSnapshot &attribution,
-                   std::string &errorOut);
+                   json::Reader &in);
 
 /**
  * Encode one task as a single line of JSON (no trailing newline).

@@ -90,8 +90,8 @@ Tlb::flush()
 InjectOutcome
 Tlb::injectError(int slot, ErrorMask mask)
 {
-    if (slot < 0 || slot >= numSlots())
-        return InjectOutcome::Rejected;
+    avf_assert(slot >= 0 && slot < numSlots(),
+               "dTLB injection slot %d out of range", slot);
     Entry &entry = entries[static_cast<std::size_t>(slot)];
     if (!entry.valid)
         return InjectOutcome::Opened;

@@ -79,13 +79,12 @@ class Tlb
     // ---- error-bit plane (extension experiment) ----
 
     /**
-     * Inject error bits into entry slot @p slot.
+     * Inject error bits into entry slot @p slot, which must be in
+     * [0, numSlots()).
      *
-     * @return InjectOutcome::Rejected when @p slot is out of range
-     *         (nothing written), Opened when the slot holds no valid
+     * @return InjectOutcome::Opened when the slot holds no valid
      *         translation (the injection is trivially masked),
      *         Occupied when the bits landed on a live translation.
-     *         The old bool return conflated the first two.
      */
     InjectOutcome injectError(int slot, ErrorMask mask);
 

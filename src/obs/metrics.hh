@@ -58,7 +58,7 @@ bool validMetricName(std::string_view name);
  * Plain-data copy of one shard's metrics: default-constructible,
  * copyable, and what actually travels on ExperimentResult. Entries
  * keep registration order, which is deterministic for a fixed code
- * path (same rule as timing::PhaseAccumulator).
+ * path.
  */
 struct MetricsSnapshot
 {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/timing.hh"
 
 namespace avf::obs
 {
@@ -38,29 +37,6 @@ TraceWriter::addOtherData(std::string key,
                           std::function<void(json::Writer &)> value)
 {
     otherData.emplace_back(std::move(key), std::move(value));
-}
-
-void
-TraceWriter::addPhases(const timing::PhaseAccumulator &phases,
-                       std::uint32_t tid, std::uint64_t baseNs)
-{
-    std::uint64_t cursor = baseNs;
-    for (const auto &phase : phases.phases()) {
-        TraceSpan span;
-        span.name = phase.name;
-        span.category = "phase";
-        span.beginNs = cursor;
-        span.durNs = static_cast<std::uint64_t>(phase.totalNs);
-        span.tid = tid;
-        span.args = {
-            {"count", static_cast<double>(phase.count)},
-            {"mean_ns", phase.meanNs()},
-            {"min_ns", phase.minNs},
-            {"max_ns", phase.maxNs},
-        };
-        spans.push_back(std::move(span));
-        cursor += span.durNs;
-    }
 }
 
 void

@@ -2,10 +2,10 @@
  * @file
  * Chrome/Perfetto trace_event exporter: the wall-clock side channel
  * of the metrics layer. Everything timing-dependent — task spans,
- * per-phase costs from util/timing PhaseAccumulators, worker/thread
- * attribution — is emitted here and ONLY here, so the deterministic
- * METRICS.json snapshot stays byte-identical across worker counts
- * while this file captures what actually happened on the clock.
+ * worker/thread attribution — is emitted here and ONLY here, so the
+ * deterministic METRICS.json snapshot stays byte-identical across
+ * worker counts while this file captures what actually happened on
+ * the clock.
  *
  * Output is the JSON Object Format of the Trace Event spec:
  * {"traceEvents": [...]} with "X" (complete) events carrying
@@ -24,11 +24,6 @@
 #include <vector>
 
 #include "util/json.hh"
-
-namespace avf::timing
-{
-class PhaseAccumulator;
-} // namespace avf::timing
 
 namespace avf::obs
 {
@@ -64,17 +59,6 @@ class TraceWriter
 
     /** Add one complete span. */
     void addSpan(TraceSpan span);
-
-    /**
-     * Expand a PhaseAccumulator into back-to-back spans on lane
-     * @p tid starting at @p baseNs: one span per phase with
-     * dur = the phase's total, carrying count/mean/min/max as args.
-     * Phases have no recorded begin ticks (they are aggregates), so
-     * this lays them end to end — right proportions, synthetic
-     * placement.
-     */
-    void addPhases(const timing::PhaseAccumulator &phases,
-                   std::uint32_t tid, std::uint64_t baseNs);
 
     /** Number of spans queued. */
     std::size_t spanCount() const { return spans.size(); }

@@ -12,47 +12,6 @@
 namespace avf::serve
 {
 
-namespace
-{
-
-bool
-fail(std::string &errorOut, const std::string &what)
-{
-    errorOut = "checkpoint: " + what;
-    return false;
-}
-
-bool
-readUint(const json::Value &object, const char *key,
-         std::uint64_t &out, std::string &errorOut)
-{
-    const json::Value *value = object.find(key);
-    if (!value || !value->isNumber())
-        return fail(errorOut, std::string("missing number '") + key +
-                                  "'");
-    out = value->asUint();
-    return true;
-}
-
-bool
-readFixedDoubles(const json::Value &object, const char *key,
-                 double *out, std::size_t count,
-                 std::string &errorOut)
-{
-    const json::Value *value = object.find(key);
-    if (!value || !value->isArray() || value->items.size() != count)
-        return fail(errorOut, std::string("bad array '") + key + "'");
-    for (std::size_t i = 0; i < count; ++i) {
-        if (!value->items[i].isNumber())
-            return fail(errorOut,
-                        std::string("non-number in '") + key + "'");
-        out[i] = value->items[i].asDouble();
-    }
-    return true;
-}
-
-} // namespace
-
 std::string
 encodeCheckpoint(const Checkpoint &checkpoint)
 {
@@ -94,60 +53,59 @@ bool
 decodeCheckpoint(std::string_view text, Checkpoint &out,
                  std::string &errorOut)
 {
+    json::Reader in(errorOut, "checkpoint: ");
     json::Value doc;
     std::string parseError;
     if (!json::parse(text, doc, parseError))
-        return fail(errorOut, parseError);
+        return in.fail(parseError);
     if (!doc.isObject())
-        return fail(errorOut, "top level not an object");
+        return in.fail("top level not an object");
     const json::Value *version =
         doc.find("v", json::Value::Kind::String);
     if (!version || version->text != checkpointSchemaVersion)
-        return fail(errorOut, "unknown checkpoint version");
+        return in.fail("unknown checkpoint version");
 
     out = Checkpoint{};
     const json::Value *campaign = doc.find("campaign");
     if (!campaign)
-        return fail(errorOut, "missing campaign");
-    std::string why;
-    if (!readCampaign(*campaign, out.campaign, why))
-        return fail(errorOut, why);
-
-    if (!readUint(doc, "slices_done", out.slicesDone, errorOut) ||
-        !readUint(doc, "feed_bytes", out.feedBytes, errorOut))
+        return in.fail("missing campaign");
+    if (!readCampaign(*campaign, out.campaign, in) ||
+        !in.member(doc, "slices_done", out.slicesDone) ||
+        !in.member(doc, "feed_bytes", out.feedBytes))
         return false;
-    const json::Value *complete = doc.find("complete");
-    if (!complete || !complete->isBool())
-        return fail(errorOut, "missing complete flag");
+    const json::Value *complete =
+        doc.find("complete", json::Value::Kind::Bool);
+    if (!complete)
+        return in.fail("missing complete flag");
     out.complete = complete->boolean;
+    // Past the slice count the resume would run no slice and append
+    // the summary over missing rows; a complete campaign ran them all.
+    const std::uint64_t slices = out.campaign.numSlices();
+    if (out.slicesDone > slices)
+        return in.fail("slices_done exceeds the campaign's " +
+                       std::to_string(slices) + " slices");
+    if (out.complete && out.slicesDone != slices)
+        return in.fail("complete before all " + std::to_string(slices) +
+                       " slices are done");
 
-    const json::Value *rollup = doc.find("rollup");
-    if (!rollup || !rollup->isObject())
-        return fail(errorOut, "missing rollup");
+    const json::Value *rollup =
+        doc.find("rollup", json::Value::Kind::Object);
+    if (!rollup)
+        return in.fail("missing rollup");
     CampaignRollup &r = out.rollup;
-    const json::Value *occupancy = rollup->find("occupancy_sum");
-    if (!readUint(*rollup, "intervals", r.intervals, errorOut) ||
-        !readUint(*rollup, "slices", r.slices, errorOut) ||
-        !readFixedDoubles(*rollup, "online_sum", r.onlineSum.data(),
-                          r.onlineSum.size(), errorOut) ||
-        !readFixedDoubles(*rollup, "softarch_sum",
-                          r.softarchSum.data(), r.softarchSum.size(),
-                          errorOut) ||
-        !readFixedDoubles(*rollup, "utilization_sum",
-                          r.utilizationSum.data(),
-                          r.utilizationSum.size(), errorOut) ||
-        !readUint(*rollup, "cycles", r.cycles, errorOut) ||
-        !readUint(*rollup, "retired", r.retired, errorOut) ||
-        !readUint(*rollup, "injections", r.injections, errorOut) ||
-        !readUint(*rollup, "failures", r.failures, errorOut))
-        return false;
-    if (!occupancy || !occupancy->isNumber())
-        return fail(errorOut, "rollup missing occupancy_sum");
-    r.occupancySum = occupancy->asDouble();
-
-    return harness::codec::readSnapshots(doc, out.lastStates,
+    return in.member(*rollup, "intervals", r.intervals) &&
+           in.member(*rollup, "slices", r.slices) &&
+           in.member(*rollup, "online_sum", r.onlineSum) &&
+           in.member(*rollup, "softarch_sum", r.softarchSum) &&
+           in.member(*rollup, "utilization_sum", r.utilizationSum) &&
+           in.member(*rollup, "occupancy_sum", r.occupancySum) &&
+           in.member(*rollup, "cycles", r.cycles) &&
+           in.member(*rollup, "retired", r.retired) &&
+           in.member(*rollup, "injections", r.injections) &&
+           in.member(*rollup, "failures", r.failures) &&
+           harness::codec::readSnapshots(doc, out.lastStates,
                                          out.metricsTotals,
-                                         out.attributionTotals, errorOut);
+                                         out.attributionTotals, in);
 }
 
 bool

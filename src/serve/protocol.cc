@@ -29,35 +29,6 @@ validCampaignName(std::string_view name)
     return true;
 }
 
-bool
-fail(std::string &errorOut, const std::string &what)
-{
-    errorOut = "request: " + what;
-    return false;
-}
-
-/** Sets @p errorOut to @p what (no prefix; callers add theirs). */
-bool
-reject(std::string &errorOut, const std::string &what)
-{
-    errorOut = what;
-    return false;
-}
-
-bool
-readUint(const json::Value &object, const char *key,
-         std::uint64_t &out, std::string &errorOut)
-{
-    const json::Value *value =
-        object.find(key, json::Value::Kind::Uint);
-    if (!value)
-        return reject(errorOut,
-                      std::string("missing or non-integer '") + key +
-                          "'");
-    out = value->uintValue;
-    return true;
-}
-
 } // namespace
 
 void
@@ -79,74 +50,63 @@ writeCampaign(json::Writer &out, const CampaignSpec &spec)
 }
 
 bool
-readCampaign(const json::Value &body, CampaignSpec &out,
-             std::string &errorOut)
+readCampaign(const json::Value &body, CampaignSpec &out, json::Reader &in)
 {
     if (!body.isObject())
-        return reject(errorOut, "campaign is not an object");
+        return in.fail("campaign is not an object");
     const json::Value *name =
         body.find("name", json::Value::Kind::String);
     if (!name || !validCampaignName(name->text))
-        return reject(errorOut,
-                      "campaign name must be 1-64 chars of [a-z0-9_-]");
+        return in.fail("campaign name must be 1-64 chars of [a-z0-9_-]");
     out.name = name->text;
 
     const json::Value *benchmark =
         body.find("benchmark", json::Value::Kind::String);
     if (!benchmark)
-        return reject(errorOut, "missing benchmark");
+        return in.fail("missing benchmark");
     const auto &known = trace::specBenchmarkNames();
     if (std::find(known.begin(), known.end(), benchmark->text) ==
         known.end())
-        return reject(errorOut,
-                      "unknown benchmark '" + benchmark->text + "'");
+        return in.fail("unknown benchmark '" + benchmark->text + "'");
     out.benchmark = benchmark->text;
 
-    std::uint64_t intervals = 0, slice = 0, m = 0, n = 0, lanes = 0,
-                  every = 0;
-    if (!readUint(body, "intervals", intervals, errorOut) ||
-        !readUint(body, "slice_intervals", slice, errorOut) ||
-        !readUint(body, "m", m, errorOut) ||
-        !readUint(body, "n", n, errorOut) ||
-        !readUint(body, "seed_salt", out.seedSalt, errorOut))
+    if (!in.member(body, "intervals", out.intervals) ||
+        !in.member(body, "slice_intervals", out.sliceIntervals) ||
+        !in.member(body, "m", out.m) || !in.member(body, "n", out.n) ||
+        !in.member(body, "seed_salt", out.seedSalt))
         return false;
-    if (intervals == 0 || intervals > 1'000'000)
-        return reject(errorOut, "intervals out of 1..1000000");
-    if (slice == 0 || slice > intervals)
-        return reject(errorOut, "slice_intervals out of 1..intervals");
-    if (m == 0 || m > 100'000'000)
-        return reject(errorOut, "m out of 1..1e8");
-    if (n == 0 || n > 1'000'000)
-        return reject(errorOut, "n out of 1..1e6");
+    if (out.intervals < 1 || out.intervals > 1'000'000)
+        return in.fail("intervals out of 1..1000000");
+    if (out.sliceIntervals < 1 || out.sliceIntervals > out.intervals)
+        return in.fail("slice_intervals out of 1..intervals");
+    if (out.m == 0 || out.m > 100'000'000)
+        return in.fail("m out of 1..1e8");
+    if (out.n == 0 || out.n > 1'000'000)
+        return in.fail("n out of 1..1e6");
     if (out.seedSalt == 0)
-        return reject(errorOut, "seed_salt must be nonzero");
-    out.intervals = static_cast<int>(intervals);
-    out.sliceIntervals = static_cast<int>(slice);
-    out.m = m;
-    out.n = static_cast<std::uint32_t>(n);
+        return in.fail("seed_salt must be nonzero");
 
     if (body.find("lanes")) {
-        if (!readUint(body, "lanes", lanes, errorOut))
+        if (!in.member(body, "lanes", out.lanes))
             return false;
-        if (lanes > 64)
-            return reject(errorOut, "lanes out of 0..64");
-        out.lanes = static_cast<int>(lanes);
+        if (out.lanes < 0 || out.lanes > 64)
+            return in.fail("lanes out of 0..64");
     }
     if (body.find("checkpoint_every")) {
-        if (!readUint(body, "checkpoint_every", every, errorOut))
+        if (!in.member(body, "checkpoint_every", out.checkpointEverySlices))
             return false;
-        if (every == 0 || every > 100'000)
-            return reject(errorOut, "checkpoint_every out of 1..1e5");
-        out.checkpointEverySlices = static_cast<int>(every);
+        if (out.checkpointEverySlices < 1 ||
+            out.checkpointEverySlices > 100'000)
+            return in.fail("checkpoint_every out of 1..1e5");
     }
     if (const json::Value *metrics = body.find("metrics")) {
         if (!metrics->isBool())
-            return reject(errorOut, "metrics must be a bool");
+            return in.fail("metrics must be a bool");
         out.metrics = metrics->boolean;
     }
     if (const json::Value *rc = body.find("root_cause")) {
         if (!rc->isBool())
-            return reject(errorOut, "root_cause must be a bool");
+            return in.fail("root_cause must be a bool");
         out.rootCause = rc->boolean;
     }
     return true;
@@ -156,19 +116,20 @@ bool
 parseRequest(std::string_view line, Request &out,
              std::string &errorOut)
 {
+    json::Reader in(errorOut, "request: ");
     json::Value doc;
     std::string parseError;
     if (!json::parse(line, doc, parseError))
-        return fail(errorOut, parseError);
+        return in.fail(parseError);
     if (!doc.isObject())
-        return fail(errorOut, "top level not an object");
+        return in.fail("top level not an object");
     const json::Value *version =
         doc.find("v", json::Value::Kind::String);
     if (!version || version->text != requestSchemaVersion)
-        return fail(errorOut, "unknown protocol version");
+        return in.fail("unknown protocol version");
     const json::Value *op = doc.find("op", json::Value::Kind::String);
     if (!op)
-        return fail(errorOut, "missing op");
+        return in.fail("missing op");
 
     out = Request{};
     if (op->text == "status") {
@@ -181,14 +142,13 @@ parseRequest(std::string_view line, Request &out,
     }
     if (op->text == "submit") {
         out.op = Request::Op::Submit;
-        const json::Value *campaign = doc.find("campaign");
-        if (!campaign || !campaign->isObject())
-            return fail(errorOut, "submit needs a campaign object");
-        if (!readCampaign(*campaign, out.campaign, errorOut))
-            return fail(errorOut, errorOut);
-        return true;
+        const json::Value *campaign =
+            doc.find("campaign", json::Value::Kind::Object);
+        if (!campaign)
+            return in.fail("submit needs a campaign object");
+        return readCampaign(*campaign, out.campaign, in);
     }
-    return fail(errorOut, "unknown op '" + op->text + "'");
+    return in.fail("unknown op '" + op->text + "'");
 }
 
 std::string

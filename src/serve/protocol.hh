@@ -127,10 +127,10 @@ void writeCampaign(json::Writer &out, const CampaignSpec &spec);
  * Read a campaign object written by writeCampaign(), range- and
  * charset-checking every field: a request line and a checkpoint file
  * both come from outside the process. @return false with the reason
- * in @p errorOut (no prefix; the caller names the source).
+ * recorded in @p in, under the caller's prefix.
  */
 bool readCampaign(const json::Value &body, CampaignSpec &out,
-                  std::string &errorOut);
+                  json::Reader &in);
 
 /**
  * Parse and validate one request line. Every field is range- and

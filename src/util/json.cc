@@ -163,11 +163,13 @@ struct Parser
                 ++pos;
         }
         std::string token(in.substr(start, pos - start));
+        // An integer past 2^64-1 stays a Double rather than
+        // saturating, so no reader takes it for UINT64_MAX.
         if (integral && token[0] != '-') {
-            char *end = nullptr;
-            unsigned long long u = std::strtoull(token.c_str(), &end,
-                                                 10);
-            if (end && *end == '\0') {
+            const char *last = token.data() + token.size();
+            std::uint64_t u = 0;
+            auto [end, ec] = std::from_chars(token.data(), last, u);
+            if (ec == std::errc{} && end == last) {
                 out.kind = Value::Kind::Uint;
                 out.uintValue = u;
                 out.number = static_cast<double>(u);
@@ -298,12 +300,7 @@ Value::asDouble() const
 std::uint64_t
 Value::asUint() const
 {
-    if (kind == Kind::Uint)
-        return uintValue;
-    if (kind == Kind::Double && number >= 0 &&
-        std::floor(number) == number)
-        return static_cast<std::uint64_t>(number);
-    return 0;
+    return kind == Kind::Uint ? uintValue : 0;
 }
 
 const Value *
@@ -322,6 +319,31 @@ Value::find(std::string_view key, Kind k) const
 {
     const Value *v = find(key);
     return (v && v->kind == k) ? v : nullptr;
+}
+
+bool
+Reader::fail(std::string_view what)
+{
+    if (!failed) {
+        failed = true;
+        error.assign(prefix).append(what);
+    }
+    return false;
+}
+
+bool
+Reader::fail(const char *name, std::string_view shape,
+             std::string_view kind)
+{
+    std::string what = "\"";
+    what.append(name).append("\" must be ").append(shape).append(kind);
+    return fail(what);
+}
+
+bool
+Reader::missing(const char *key)
+{
+    return fail(std::string("missing numeric \"") + key + "\"");
 }
 
 bool

@@ -6,7 +6,11 @@
  * object keys keep file order, so reports iterate deterministically,
  * and the first error is reported with its byte offset instead of
  * guessed around. Numbers keep double precision plus a lossless
- * uint64 path for counters.
+ * uint64 path for counters. exactInteger() and Reader are the one
+ * checked way to read numbers back out: every decoder of a document
+ * Writer wrote (task codec, checkpoints, requests, configs, the
+ * avf-report loaders) rejects a number of the wrong kind, a fraction
+ * or an integer outside its field instead of reading 0 or truncating.
  *
  * Writer emits every JSON document src/ and tools/ produce: the task
  * wire codec, serve requests, responses, feeds and checkpoints, the
@@ -27,10 +31,15 @@
 #ifndef AVF_UTIL_JSON_HH
 #define AVF_UTIL_JSON_HH
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -79,7 +88,8 @@ class Value
     /** Numeric value as double (Uint converts; else 0). */
     double asDouble() const;
 
-    /** Numeric value as uint64 (Double truncates if exact; else 0). */
+    /** Numeric value as uint64 (Uint only; else 0). Decoders of
+     *  outside input read through exactInteger() or Reader instead. */
     std::uint64_t asUint() const;
 
     /**
@@ -102,6 +112,177 @@ class Value
  * @return true on success.
  */
 bool parse(std::string_view input, Value &out, std::string &error);
+
+/**
+ * @p value as an integer of type T, exactly. An unsigned T takes only
+ * a Uint (what Writer::uint() writes). A signed T also takes an
+ * integral Double within +-2^53: a negative Writer::sint(), or a
+ * whole number written by exact() or fixed(), such as an index kept
+ * in a metrics series.
+ * @return false, leaving @p out unchanged, when @p value is any other
+ * kind, fractional, or outside T's range.
+ */
+template <typename T>
+bool
+exactInteger(const Value &value, T &out)
+{
+    static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+    if (value.kind == Value::Kind::Uint) {
+        if (value.uintValue >
+            static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
+            return false;
+        out = static_cast<T>(value.uintValue);
+        return true;
+    }
+    if constexpr (std::is_signed_v<T>) {
+        // Past 2^53 a double no longer holds every integer.
+        constexpr double exactLimit = 9007199254740992.0;
+        constexpr double lo = std::max(
+            static_cast<double>(std::numeric_limits<T>::min()),
+            -exactLimit);
+        constexpr double hi = std::min(
+            static_cast<double>(std::numeric_limits<T>::max()),
+            exactLimit);
+        const double x = value.number;
+        if (value.kind == Value::Kind::Double && x >= lo && x <= hi &&
+            std::floor(x) == x) {
+            out = static_cast<T>(x);
+            return true;
+        }
+    }
+    return false;
+}
+
+/**
+ * Checked reads of numbers out of a parsed document, for decoders of
+ * what Writer wrote. A double takes any number; an integer goes
+ * through exactInteger(), so it is exact and fits its destination;
+ * an std::array must have exactly its length.
+ *
+ * A failed read records "<prefix><message>" in the caller's error
+ * string, naming the member, and returns false; once a read has
+ * failed, later failures keep the first message, so a decoder chains
+ * reads with && and reports what broke first. No text is built until
+ * a read fails.
+ */
+class Reader
+{
+  public:
+    /** Failures go to @p error; @p prefix (say "checkpoint: ") must
+     *  outlive the reader. */
+    Reader(std::string &error, std::string_view prefix)
+        : error(error), prefix(prefix)
+    {}
+
+    /** Record "<prefix><what>" unless a failure is already recorded.
+     *  @return false. */
+    bool fail(std::string_view what);
+
+    /** @p value as one number; @p name labels it in a failure. */
+    template <typename T>
+    bool
+    read(const Value &value, const char *name, T &out)
+    {
+        return convert(value, out) || fail(name, "", expect<T>(false));
+    }
+
+    /** An array of exactly N numbers. */
+    template <typename T, std::size_t N>
+    bool
+    read(const Value &value, const char *name, std::array<T, N> &out)
+    {
+        bool ok = value.isArray() && value.items.size() == N;
+        for (std::size_t i = 0; ok && i < N; ++i)
+            ok = convert(value.items[i], out[i]);
+        return ok || fail(name, "an array of " + std::to_string(N) + " ",
+                          expect<T>(true));
+    }
+
+    /** An array of numbers of any length. */
+    template <typename T>
+    bool
+    read(const Value &value, const char *name, std::vector<T> &out)
+    {
+        bool ok = value.isArray();
+        out.assign(ok ? value.items.size() : 0, T{});
+        for (std::size_t i = 0; ok && i < out.size(); ++i)
+            ok = convert(value.items[i], out[i]);
+        return ok || fail(name, "an array of ", expect<T>(true));
+    }
+
+    /** An array of [name, number] pairs; the pair's name labels its
+     *  number. */
+    template <typename T>
+    bool
+    read(const Value &value, const char *name,
+         std::vector<std::pair<std::string, T>> &out)
+    {
+        constexpr std::string_view shape =
+            "an array of [name, value] pairs";
+        if (!value.isArray())
+            return fail(name, shape, "");
+        out.clear();
+        out.reserve(value.items.size());
+        for (const Value &item : value.items) {
+            if (!item.isArray() || item.items.size() != 2 ||
+                !item.items[0].isString())
+                return fail(name, shape, "");
+            T number{};
+            if (!read(item.items[1], item.items[0].text.c_str(), number))
+                return false;
+            out.emplace_back(item.items[0].text, number);
+        }
+        return true;
+    }
+
+    /** Member @p key of @p object, read as read() does. */
+    template <typename Out>
+    bool
+    member(const Value &object, const char *key, Out &out)
+    {
+        const Value *value = object.find(key);
+        return value ? read(*value, key, out) : missing(key);
+    }
+
+  private:
+    template <typename T>
+    static bool
+    convert(const Value &value, T &out)
+    {
+        if constexpr (std::is_floating_point_v<T>) {
+            if (!value.isNumber())
+                return false;
+            out = value.asDouble();
+            return true;
+        } else {
+            return exactInteger(value, out);
+        }
+    }
+
+    /** What a T must be: "a number", "integers in 0..255", ... */
+    template <typename T>
+    static std::string
+    expect(bool plural)
+    {
+        if constexpr (std::is_floating_point_v<T>) {
+            return plural ? "numbers" : "a number";
+        } else {
+            return (plural ? "integers in " : "an integer in ") +
+                   std::to_string(std::numeric_limits<T>::min()) + ".." +
+                   std::to_string(std::numeric_limits<T>::max());
+        }
+    }
+
+    /** Record '"<name>" must be <shape><kind>'. */
+    bool fail(const char *name, std::string_view shape,
+              std::string_view kind);
+    /** Record 'missing numeric "<key>"'. */
+    bool missing(const char *key);
+
+    std::string &error;
+    std::string_view prefix;
+    bool failed = false;
+};
 
 /**
  * Append @p text to @p out as the body of a JSON string (no quotes):

@@ -1,7 +1,7 @@
 /**
  * @file
  * Wall-clock instrumentation for the perf subsystem: a steady-clock
- * stopwatch and named per-phase accumulators.
+ * stopwatch.
  *
  * Determinism contract: everything in this header is a *side
  * channel*. Timing values may be printed to stderr, written to
@@ -44,55 +44,6 @@ class Stopwatch
   private:
     std::uint64_t startTick = 0;
     bool isRunning = false;
-};
-
-/** Aggregated timings of one named phase. */
-struct PhaseStats
-{
-    std::string name;
-    std::uint64_t count = 0; ///< add() calls folded in
-    double totalNs = 0.0;
-    double minNs = 0.0; ///< 0 when count == 0
-    double maxNs = 0.0;
-
-    /** Mean nanoseconds per recorded lap (0 when empty). */
-    double meanNs() const;
-
-    /** Fold @p other into this (same-phase merge). */
-    void merge(const PhaseStats &other);
-};
-
-/**
- * Named per-phase time accumulators, e.g. one per campaign stage
- * (simulate / finalize / export). Phases are created on first use
- * and reported in first-use order, which is deterministic for a
- * fixed code path — accumulator *ordering* never depends on timing.
- */
-class PhaseAccumulator
-{
-  public:
-    /** Record one lap of @p ns nanoseconds against @p phase. */
-    void add(std::string_view phase, double ns);
-
-    /** Stats of one phase; zeroed stats if never recorded. */
-    PhaseStats get(std::string_view phase) const;
-
-    /** All phases, first-use order. */
-    const std::vector<PhaseStats> &phases() const { return slots; }
-
-    /** Sum of totalNs over all phases. */
-    double totalNs() const;
-
-    /**
-     * Fold @p other into this: same-name phases merge, new phases
-     * append. Merging accumulators from parallel workers is ordering
-     * sensitive only in float rounding of totals; counts and extrema
-     * are exact.
-     */
-    void merge(const PhaseAccumulator &other);
-
-  private:
-    std::vector<PhaseStats> slots;
 };
 
 /**

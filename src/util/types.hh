@@ -65,7 +65,7 @@ laneBit(LaneId lane)
  */
 enum class InjectOutcome
 {
-    Rejected, ///< invalid target (out of range): nothing was written
+    Rejected, ///< no injection (a WindowHandle open() did not return)
     Occupied, ///< bit landed on a live/occupied target
     Opened,   ///< bit landed on an empty target (trivially maskable)
 };

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -22,13 +23,15 @@
 #include "harness/engine.hh"
 #include "harness/experiment.hh"
 #include "harness/export.hh"
+#include "obs/attribution.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_export.hh"
 #include "report.hh"
+#include "serve/protocol.hh"
+#include "serve_report.hh"
 #include "trace/spec_profiles.hh"
 #include "util/json.hh"
 #include "util/random.hh"
-#include "util/timing.hh"
 
 namespace
 {
@@ -283,14 +286,10 @@ TEST(TraceExport, WritesLoadableTraceEventJson)
                     {{"index", 0.0}, {"ok", 1.0}}});
     writer.addSpan({"bzip2 \"quoted\"", "task", 3'750'000, 1'000'000,
                     0, {}});
-    timing::PhaseAccumulator phases;
-    phases.add("fetch", 500'000);
-    phases.add("retire", 250'000);
-    writer.addPhases(phases, 1, 1'000'000);
     writer.addOtherData("thread_pool", [](json::Writer &out) {
         out.startObject().member("workers").uint(1).endObject();
     });
-    EXPECT_EQ(writer.spanCount(), 4u);
+    EXPECT_EQ(writer.spanCount(), 2u);
 
     std::string text;
     json::Writer out(text, json::Writer::Style::Spaced);
@@ -317,7 +316,7 @@ TEST(TraceExport, WritesLoadableTraceEventJson)
             ++metadata;
         }
     }
-    EXPECT_EQ(complete, 4u);
+    EXPECT_EQ(complete, 2u);
     EXPECT_GE(metadata, 2u);     // process_name + one thread_name
     EXPECT_EQ(firstTs, 0.0);     // rebased to the earliest span
     const json::Value *other = doc.find("otherData");
@@ -325,6 +324,41 @@ TEST(TraceExport, WritesLoadableTraceEventJson)
     ASSERT_NE(other->find("thread_pool"), nullptr);
     EXPECT_EQ(other->find("thread_pool")->find("workers")->asUint(),
               1u);
+}
+
+// Each task is one span in TRACE.json, so `avf-report phases` counts
+// every task once.
+TEST(TraceExport, PhasesCountEachCampaignTaskOnce)
+{
+    harness::RunOptions options;
+    options.threads = 2;
+    harness::ExperimentEngine engine(options);
+    for (const char *name : {"mesa", "bzip2"})
+        engine.submit(name, smallConfig(name));
+    auto tasks = engine.collect();
+    const std::string path = ::testing::TempDir() + "phases_TRACE.json";
+    harness::writeTraceJson(path, "phases", engine, tasks);
+
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(json::parse(slurp(path), doc, error)) << error;
+    std::ostringstream out;
+    ASSERT_TRUE(report::printPhases(out, doc, 10));
+    std::istringstream rows(out.str());
+    std::string row;
+    std::getline(rows, row); // header
+    std::size_t seen = 0;
+    while (std::getline(rows, row)) {
+        std::istringstream cells(row);
+        std::string name;
+        double totalMs = 0.0;
+        unsigned long long count = 0;
+        cells >> name >> totalMs >> count;
+        EXPECT_TRUE(name == "mesa" || name == "bzip2") << row;
+        EXPECT_EQ(count, 1u) << row;
+        ++seen;
+    }
+    EXPECT_EQ(seen, 2u) << out.str();
 }
 
 // ---------------------------------------------------------------- //
@@ -435,6 +469,34 @@ TEST(Report, RejectsMalformedLintDocuments)
         "\"findings\": [], \"ok\": 1}",
         doc, error));
     EXPECT_NE(error.find("ok"), std::string::npos);
+
+    // Counts and line numbers must be exact unsigned integers.
+    const std::string good =
+        "{\"schema\": \"avflint-v2\", \"checks\": [{\"id\": \"d\", "
+        "\"severity\": \"error\", \"findings\": 1, \"micros\": 5}], "
+        "\"findings\": [{\"file\": \"a\", \"line\": 3, \"check\": "
+        "\"d\", \"severity\": \"error\", \"message\": \"m\"}], "
+        "\"ok\": false}";
+    ASSERT_TRUE(report::loadLintDoc(good, doc, error)) << error;
+    const std::pair<const char *, const char *> edits[] = {
+        {"\"line\": 3", "\"line\": \"3\""},
+        {"\"line\": 3", "\"line\": 3.5"},
+        {"\"line\": 3", "\"line\": -3"},
+        {"\"line\": 3", "\"line\": 1e20"},
+        {"\"line\": 3", "\"line\": 18446744073709551616"},
+    };
+    for (const auto &[from, to] : edits) {
+        std::string text = good;
+        text.replace(text.find(from), std::strlen(from), to);
+        EXPECT_FALSE(report::loadLintDoc(text, doc, error))
+            << "accepted " << to;
+        EXPECT_EQ(error.rfind("finding 0: ", 0), 0u) << error;
+        EXPECT_NE(error.find("\"line\""), std::string::npos) << error;
+    }
+    std::string text = good;
+    text.insert(1, "\"filesScanned\": -1, ");
+    EXPECT_FALSE(report::loadLintDoc(text, doc, error));
+    EXPECT_NE(error.find("\"filesScanned\""), std::string::npos) << error;
 }
 
 TEST(Report, LifecycleViewGroupsByStructureAndLane)
@@ -508,6 +570,221 @@ TEST(Report, ConvergenceRowsComputeThePaperBound)
 }
 
 // ---------------------------------------------------------------- //
+// avf-report loaders: malformed numbers                             //
+// ---------------------------------------------------------------- //
+
+/** @p text with the first @p from replaced by @p to. */
+std::string
+withEdit(std::string text, const std::string &from, const std::string &to)
+{
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
+}
+
+/** One malformed-number case and the member its rejection names. */
+struct NumberEdit
+{
+    const char *from;
+    const char *to;
+    const char *member;
+};
+
+/** @p error starts with @p prefix and names "@p member". */
+void
+expectNamed(const std::string &error, const std::string &prefix,
+            const std::string &member)
+{
+    EXPECT_EQ(error.rfind(prefix, 0), 0u) << error;
+    EXPECT_NE(error.find("\"" + member + "\""), std::string::npos)
+        << error;
+}
+
+TEST(Report, RejectsMalformedNumbersInRootCauseRows)
+{
+    const std::string good =
+        "{\"schema\": \"avf-rootcause-v1\", \"campaign\": \"c\", "
+        "\"attribution\": {\"units\": [\"iq\"], \"rows\": [{"
+        "\"unit\": \"iq\", \"phase\": 3, \"pc\": 64, \"op\": "
+        "\"load\", \"windows\": 5, \"live\": 4, \"failures\": 1}]}}";
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(report::loadRootCauseDoc(good, doc, error)) << error;
+
+    const NumberEdit edits[] = {
+        {"\"phase\": 3", "\"phase\": \"3\"", "phase"},
+        {"\"phase\": 3", "\"phase\": 3.5", "phase"},
+        {"\"phase\": 3", "\"phase\": -3", "phase"},
+        {"\"phase\": 3", "\"phase\": 1e20", "phase"},
+        {"\"phase\": 3", "\"phase\": 4294967296", "phase"},
+        {"\"windows\": 5", "\"windows\": -5", "windows"},
+        {"\"failures\": 1", "\"failures\": 1e20", "failures"},
+    };
+    for (const auto &[from, to, member] : edits) {
+        EXPECT_FALSE(report::loadRootCauseDoc(withEdit(good, from, to),
+                                              doc, error))
+            << "accepted " << to;
+        expectNamed(error, "row 0: ", member);
+    }
+}
+
+TEST(Report, RejectsMalformedLifecycleLanes)
+{
+    const std::string good =
+        "{\"structure\": \"iq\", \"lane\": 7, \"outcome\": "
+        "\"expired\"}\n";
+    std::ostringstream out;
+    std::string error;
+    ASSERT_TRUE(report::printLifecycle(out, good, error)) << error;
+
+    const NumberEdit edits[] = {
+        {"\"lane\": 7", "\"lane\": \"7\"", "lane"},
+        {"\"lane\": 7", "\"lane\": 7.5", "lane"},
+        {"\"lane\": 7", "\"lane\": -2147483649", "lane"},
+        {"\"lane\": 7", "\"lane\": 1e20", "lane"},
+        {"\"lane\": 7", "\"lane\": 2147483648", "lane"},
+    };
+    for (const auto &[from, to, member] : edits) {
+        EXPECT_FALSE(report::printLifecycle(out, withEdit(good, from, to),
+                                            error))
+            << "accepted " << to;
+        expectNamed(error, "line 1: ", member);
+    }
+}
+
+TEST(Report, RejectsMalformedNumbersInBudgetTrails)
+{
+    // The target index is a series entry, so it is written as a
+    // fixed() double and read back as an int.
+    const std::string good =
+        "{\"schema\": \"avf-metrics-v1\", \"tasks\": [{\"name\": "
+        "\"mesa\", \"metrics\": {\"counters\": "
+        "{\"control_actuations_total\": 1}, \"gauges\": "
+        "{\"budget_mttf_hours\": 100.000000}, \"histograms\": {}, "
+        "\"series\": {\"budget_fit_total\": [1.500000], "
+        "\"budget_projected_mttf_hours\": [2.000000], "
+        "\"budget_target_structure\": [2.000000], "
+        "\"control_engaged\": [1.000000]}}}], \"totals\": "
+        "{\"counters\": {}, \"gauges\": {}, \"histograms\": {}, "
+        "\"series\": {}}}";
+    json::Value doc;
+    std::string error;
+    ASSERT_TRUE(report::loadMetricsDoc(good, doc, error)) << error;
+    std::ostringstream shown;
+    ASSERT_TRUE(report::printBudget(shown, doc, "")) << shown.str();
+
+    // Counters and series entries the loader checks.
+    const NumberEdit loaderEdits[] = {
+        {"\"control_actuations_total\": 1",
+         "\"control_actuations_total\": \"1\"",
+         "control_actuations_total"},
+        {"\"control_actuations_total\": 1",
+         "\"control_actuations_total\": 1.5", "control_actuations_total"},
+        {"\"control_actuations_total\": 1",
+         "\"control_actuations_total\": -1", "control_actuations_total"},
+        {"\"control_actuations_total\": 1",
+         "\"control_actuations_total\": 1e20",
+         "control_actuations_total"},
+        {"\"budget_target_structure\": [2.000000]",
+         "\"budget_target_structure\": [\"2\"]",
+         "budget_target_structure"},
+    };
+    for (const auto &[from, to, member] : loaderEdits) {
+        EXPECT_FALSE(report::loadMetricsDoc(withEdit(good, from, to),
+                                            doc, error))
+            << "accepted " << to;
+        expectNamed(error, "task 0: ", member);
+    }
+
+    // Target indices printBudget reads as an int.
+    for (const char *target :
+         {"[2.5]", "[-2147483649]", "[1e20]", "[2147483648]"}) {
+        ASSERT_TRUE(report::loadMetricsDoc(
+            withEdit(good, "\"budget_target_structure\": [2.000000]",
+                     std::string("\"budget_target_structure\": ") +
+                         target),
+            doc, error))
+            << error;
+        std::ostringstream out;
+        EXPECT_FALSE(report::printBudget(out, doc, "")) << target;
+        expectNamed(out.str(), "budget: ", "budget_target_structure");
+    }
+}
+
+TEST(Report, FeedTailRejectsMalformedNumbers)
+{
+    serve::CampaignSpec spec;
+    spec.name = "tail";
+    spec.benchmark = "bzip2";
+    spec.intervals = 2;
+    harness::IntervalResult row;
+    row.online = {0.1, 0.2, 0.3, 0.4, 0.5};
+    row.occupancy = 3.5;
+    obs::AttributionSnapshot attr;
+    attr.enabled = true;
+    attr.units = {"iq"};
+    obs::AttributionRow blame;
+    blame.phase = 3;
+    blame.pc = 64;
+    blame.op = 2;
+    blame.windows = 5;
+    blame.live = 4;
+    blame.failures = 1;
+    attr.rows.push_back(blame);
+    serve::CampaignRollup rollup;
+    rollup.intervals = 1;
+    rollup.injections = 10;
+    rollup.failures = 2;
+    const std::string good = serve::feedHeaderLine(spec) + "\n" +
+                             serve::feedIntervalLine(0, 0, row) + "\n" +
+                             serve::feedAttributionLine(attr) + "\n" +
+                             serve::feedSummaryLine(rollup) + "\n";
+    const std::string path = ::testing::TempDir() + "tail_feed.jsonl";
+    auto tail = [&](const std::string &text, std::string &output,
+                    std::string &error) {
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+        std::ostringstream out;
+        const bool ok = report::printFeedTail(out, path, false, 0, error);
+        output = out.str();
+        return ok;
+    };
+    std::string output, error;
+    ASSERT_TRUE(tail(good, output, error)) << error;
+    EXPECT_NE(output.find("root-cause: 1 blame sites"), std::string::npos)
+        << output;
+
+    const char *rowText = "[0,3,64,2,5,4,1]";
+    const std::pair<NumberEdit, const char *> edits[] = {
+        {{"\"intervals\":2", "\"intervals\":2147483648", "intervals"},
+         "feed header: "},
+        {{"\"interval\":0", "\"interval\":\"0\"", "interval"},
+         "feed interval row: "},
+        {{"\"slice\":0", "\"slice\":0.5", "slice"},
+         "feed interval row: "},
+        {{"\"interval\":0", "\"interval\":-1", "interval"},
+         "feed interval row: "},
+        {{"\"occupancy\":3.5", "\"occupancy\":null", "occupancy"},
+         "feed interval row: "},
+        {{rowText, "[4294967296,3,64,2,5,4,1]", "unit"},
+         "feed attribution row: "},
+        {{rowText, "[0,3,64,2147483648,5,4,1]", "op"},
+         "feed attribution row: "},
+        {{rowText, "[0,3,64,2,5,4,1e20]", "failures"},
+         "feed attribution row: "},
+        {{"\"injections\":10", "\"injections\":1e20", "injections"},
+         "feed summary row: "},
+    };
+    for (const auto &[edit, prefix] : edits) {
+        EXPECT_FALSE(tail(withEdit(good, edit.from, edit.to), output,
+                          error))
+            << "accepted " << edit.to;
+        expectNamed(error, prefix, edit.member);
+    }
+}
+
+// ---------------------------------------------------------------- //
 // util/json parser edge cases                                       //
 // ---------------------------------------------------------------- //
 
@@ -571,6 +848,63 @@ TEST(JsonParser, RejectsRepeatedKeys)
     EXPECT_TRUE(json::parse(R"({"a":{"a":1},"b":{"a":2},"c":[{"a":3}]})",
                             doc, error))
         << error;
+}
+
+// The one checked read: an integer must be exact and fit its type,
+// in the kinds Writer writes; anything else is refused, never cast.
+TEST(JsonReader, ExactIntegerTakesOnlyExactFits)
+{
+    auto parsed = [](const char *text) {
+        json::Value v;
+        std::string error;
+        EXPECT_TRUE(json::parse(text, v, error)) << error;
+        return v;
+    };
+    std::uint32_t u32 = 7;
+    std::uint64_t u64 = 7;
+    int i32 = 7;
+    EXPECT_TRUE(json::exactInteger(parsed("4294967295"), u32));
+    EXPECT_EQ(u32, 4294967295u);
+    EXPECT_TRUE(json::exactInteger(parsed("18446744073709551615"), u64));
+    EXPECT_EQ(u64, ~std::uint64_t{0});
+    EXPECT_TRUE(json::exactInteger(parsed("-2147483648"), i32));
+    EXPECT_EQ(i32, std::numeric_limits<int>::min());
+    EXPECT_TRUE(json::exactInteger(parsed("2.000000"), i32));
+    EXPECT_EQ(i32, 2);
+
+    u32 = 7;
+    u64 = 7;
+    i32 = 7;
+    for (const char *text :
+         {"4294967296", "-1", "1.5", "1e20", "true", "\"3\"", "null"})
+        EXPECT_FALSE(json::exactInteger(parsed(text), u32)) << text;
+    // Past 2^64-1 a token is a Double, not a saturated UINT64_MAX.
+    for (const char *text : {"18446744073709551616", "1e20", "-0"})
+        EXPECT_FALSE(json::exactInteger(parsed(text), u64)) << text;
+    for (const char *text : {"2147483648", "-2147483649", "0.5", "-1e300"})
+        EXPECT_FALSE(json::exactInteger(parsed(text), i32)) << text;
+    std::int64_t i64 = 7;
+    EXPECT_FALSE(json::exactInteger(parsed("-1e19"), i64));
+    EXPECT_FALSE(json::exactInteger(parsed("-9007199254740994"), i64));
+    EXPECT_TRUE(json::exactInteger(parsed("-9007199254740992"), i64));
+    EXPECT_EQ(u32, 7u); // a refused read leaves the field alone
+    EXPECT_EQ(u64, 7u);
+    EXPECT_EQ(i32, 7);
+
+    // Reader: the first failure wins, under the caller's prefix.
+    std::string error;
+    json::Reader in(error, "doc: ");
+    const json::Value doc = parsed("{\"a\": 1.5, \"b\": [1, 2]}");
+    std::array<double, 3> three{};
+    EXPECT_FALSE(in.member(doc, "a", u64));
+    EXPECT_FALSE(in.member(doc, "b", three));
+    EXPECT_FALSE(in.member(doc, "c", u64));
+    EXPECT_EQ(error,
+              "doc: \"a\" must be an integer in 0..18446744073709551615");
+    std::string second;
+    json::Reader again(second, "doc: ");
+    EXPECT_FALSE(again.member(doc, "b", three));
+    EXPECT_EQ(second, "doc: \"b\" must be an array of 3 numbers");
 }
 
 // ---------------------------------------------------------------- //

@@ -85,6 +85,26 @@ slurp(const std::string &path)
     return text.str();
 }
 
+/** @p text with the first @p from replaced by @p to. */
+std::string
+withEdit(std::string text, const std::string &from, const std::string &to)
+{
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
+}
+
+/** One malformed-number case: the edit, and the member the
+ *  rejection must name. */
+struct NumberEdit
+{
+    const char *from;
+    const char *to;
+    const char *member;
+};
+
 // ---------------------------------------------------------------- //
 // Estimator snapshots                                               //
 // ---------------------------------------------------------------- //
@@ -208,6 +228,63 @@ TEST(TaskCodec, RejectsMalformedLines)
             harness::codec::decodeTaskResult(line, decoded, error))
             << "accepted: " << line;
         EXPECT_FALSE(error.empty());
+    }
+
+    // A number of the wrong kind, fractional, negative, past 2^64 or
+    // past its field's width is rejected with the codec's prefix and
+    // the member's name, never read as 0 or truncated.
+    harness::TaskResult task;
+    task.index = 2;
+    task.name = "codec:2";
+    task.result.benchmark = "bzip2";
+    task.result.intervals.resize(1);
+    task.result.intervals[0].occupancy = 0.5;
+    task.result.summary.cycles = 1000;
+    task.result.summary.retired = 900;
+    core::EstimatorState state;
+    state.name = "online:iq";
+    state.counters = {{"injections", 10}};
+    task.result.estimatorStates.push_back(state);
+    task.result.attribution.enabled = true;
+    task.result.attribution.units = {"iq"};
+    obs::AttributionRow row;
+    row.phase = 3;
+    row.pc = 64;
+    row.op = 2;
+    row.windows = 5;
+    row.live = 4;
+    row.failures = 1;
+    task.result.attribution.rows.push_back(row);
+    const std::string good = harness::codec::encodeTaskResult(task);
+    ASSERT_TRUE(harness::codec::decodeTaskResult(good, decoded, error))
+        << error;
+
+    const char *rowText = "[0,3,64,2,5,4,1]";
+    const NumberEdit edits[] = {
+        {"\"index\":2", "\"index\":\"2\"", "index"},
+        {"\"index\":2", "\"index\":2.5", "index"},
+        {"\"cycles\":1000", "\"cycles\":-3", "cycles"},
+        {"\"retired\":900", "\"retired\":1e20", "retired"},
+        {"\"occupancy\":0.5", "\"occupancy\":null", "occupancy"},
+        {"[\"injections\",10]", "[\"injections\",1e20]", "injections"},
+        {"[\"injections\",10]", "[\"injections\",-1]", "injections"},
+        {rowText, "[0,3,64,2,5,4,1.5]", "failures"},
+        {rowText, "[0,3,-64,2,5,4,1]", "pc"},
+        {rowText, "[0,3,64,2,5,1e20,1]", "live"},
+        {rowText, "[4294967296,3,64,2,5,4,1]", "unit"},
+        {rowText, "[0,4294967296,64,2,5,4,1]", "phase"},
+        {rowText, "[0,3,64,2147483648,5,4,1]", "op"},
+        {rowText, "[0,3,64,-2147483649,5,4,1]", "op"},
+        {rowText, "[0,3,64,\"2\",5,4,1]", "op"},
+    };
+    for (const auto &[from, to, member] : edits) {
+        EXPECT_FALSE(harness::codec::decodeTaskResult(
+            withEdit(good, from, to), decoded, error))
+            << "accepted " << to;
+        EXPECT_EQ(error.rfind("task codec: ", 0), 0u) << error;
+        EXPECT_NE(error.find(std::string("\"") + member + "\""),
+                  std::string::npos)
+            << error;
     }
 }
 
@@ -490,17 +567,6 @@ TEST(ServeCheckpoint, EncodeDecodeRoundTrip)
     EXPECT_EQ(decoded.lastStates[0].counterValue("failures"), 2u);
 }
 
-/** @p text with the first @p from replaced by @p to. */
-std::string
-withEdit(std::string text, const std::string &from, const std::string &to)
-{
-    const std::size_t at = text.find(from);
-    EXPECT_NE(at, std::string::npos) << from;
-    if (at != std::string::npos)
-        text.replace(at, from.size(), to);
-    return text;
-}
-
 TEST(ServeCheckpoint, DecodeValidatesTheCampaignLikeARequest)
 {
     serve::Checkpoint checkpoint;
@@ -511,28 +577,52 @@ TEST(ServeCheckpoint, DecodeValidatesTheCampaignLikeARequest)
     ASSERT_TRUE(serve::decodeCheckpoint(good, decoded, error)) << error;
 
     // The campaign object comes first, so the first match of each
-    // key is the campaign's member, not the rollup's.
-    const std::pair<const char *, const char *> edits[] = {
-        {"\"intervals\":6", "\"intervals\":0"},
-        {"\"intervals\":6", "\"intervals\":1000001"},
-        {"\"slice_intervals\":2", "\"slice_intervals\":0"},
-        {"\"slice_intervals\":2", "\"slice_intervals\":7"},
-        {"\"m\":200", "\"m\":0"},
-        {"\"m\":200", "\"m\":100000001"},
-        {"\"n\":40", "\"n\":0"},
-        {"\"n\":40", "\"n\":1000001"},
-        {"\"lanes\":0", "\"lanes\":65"},
-        {"\"seed_salt\":7", "\"seed_salt\":0"},
-        {"\"checkpoint_every\":1", "\"checkpoint_every\":0"},
-        {"\"benchmark\":\"bzip2\"", "\"benchmark\":\"gcc\""},
-        {"\"name\":\"ckpt\"", "\"name\":\"../ckpt\""},
+    // key is the campaign's member, not the rollup's. tinySpec has 3
+    // slices.
+    const NumberEdit edits[] = {
+        {"\"intervals\":6", "\"intervals\":0", "intervals"},
+        {"\"intervals\":6", "\"intervals\":1000001", "intervals"},
+        {"\"slice_intervals\":2", "\"slice_intervals\":0",
+         "slice_intervals"},
+        {"\"slice_intervals\":2", "\"slice_intervals\":7",
+         "slice_intervals"},
+        {"\"m\":200", "\"m\":0", "m"},
+        {"\"m\":200", "\"m\":100000001", "m"},
+        {"\"n\":40", "\"n\":0", "n"},
+        {"\"n\":40", "\"n\":1000001", "n"},
+        {"\"n\":40", "\"n\":4294967336", "n"},
+        {"\"lanes\":0", "\"lanes\":65", "lanes"},
+        {"\"lanes\":0", "\"lanes\":2147483648", "lanes"},
+        {"\"seed_salt\":7", "\"seed_salt\":0", "seed_salt"},
+        {"\"checkpoint_every\":1", "\"checkpoint_every\":0",
+         "checkpoint_every"},
+        {"\"benchmark\":\"bzip2\"", "\"benchmark\":\"gcc\"",
+         "benchmark"},
+        {"\"name\":\"ckpt\"", "\"name\":\"../ckpt\"", "name"},
+        // Malformed numbers used to load as 0 or wrap.
+        {"\"slices_done\":0", "\"slices_done\":\"0\"", "slices_done"},
+        {"\"slices_done\":0", "\"slices_done\":1.5", "slices_done"},
+        {"\"slices_done\":0", "\"slices_done\":-3", "slices_done"},
+        {"\"feed_bytes\":0", "\"feed_bytes\":1e20", "feed_bytes"},
+        {"\"injections\":0", "\"injections\":0.5", "injections"},
+        {"\"online_sum\":[0,", "\"online_sum\":[true,", "online_sum"},
+        // A resume past the last slice would run nothing and close the
+        // feed with interval rows missing.
+        {"\"slices_done\":0", "\"slices_done\":4", "slices_done"},
+        {"\"complete\":false", "\"complete\":true", "slices"},
     };
-    for (const auto &[from, to] : edits) {
+    for (const auto &[from, to, member] : edits) {
         EXPECT_FALSE(serve::decodeCheckpoint(withEdit(good, from, to),
                                              decoded, error))
             << "accepted " << to;
         EXPECT_EQ(error.rfind("checkpoint: ", 0), 0u) << error;
+        EXPECT_NE(error.find(member), std::string::npos) << error;
     }
+    // The last slice done, not yet marked complete, still loads.
+    EXPECT_TRUE(serve::decodeCheckpoint(
+        withEdit(good, "\"slices_done\":0", "\"slices_done\":3"),
+        decoded, error))
+        << error;
 }
 
 TEST(ServeCheckpoint, StatusReportsAnInvalidCheckpointAsUnreadable)

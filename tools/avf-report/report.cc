@@ -38,15 +38,30 @@ validMetricsObject(const json::Value &metrics, std::string &error,
                    const std::string &where)
 {
     if (!metrics.isObject()) {
-        error = where + ": \"metrics\" is not an object";
+        error = where + "\"metrics\" is not an object";
         return false;
     }
     for (const char *section : metricsSections) {
         if (!metrics.find(section, json::Value::Kind::Object)) {
-            error = where + ": missing \"" + section + "\" section";
+            error = where + "missing \"" + section + "\" section";
             return false;
         }
     }
+    // The numbers the printers read: counters are exact counts,
+    // gauges numbers, series arrays of numbers.
+    json::Reader in(error, where);
+    std::uint64_t count = 0;
+    double number = 0.0;
+    std::vector<double> points;
+    for (const auto &[name, value] : metrics.find("counters")->members)
+        if (!in.read(value, name.c_str(), count))
+            return false;
+    for (const auto &[name, value] : metrics.find("gauges")->members)
+        if (!in.read(value, name.c_str(), number))
+            return false;
+    for (const auto &[name, value] : metrics.find("series")->members)
+        if (!in.read(value, name.c_str(), points))
+            return false;
     return true;
 }
 
@@ -131,18 +146,18 @@ loadMetricsDoc(const std::string &text, json::Value &doc,
     }
     for (std::size_t i = 0; i < tasks->items.size(); ++i) {
         const auto &task = tasks->items[i];
-        const std::string where = "task " + std::to_string(i);
+        const std::string where = "task " + std::to_string(i) + ": ";
         if (!task.isObject()) {
-            error = where + ": not an object";
+            error = where + "not an object";
             return false;
         }
         if (!task.find("name", json::Value::Kind::String)) {
-            error = where + ": missing \"name\"";
+            error = where + "missing \"name\"";
             return false;
         }
         const auto *metrics = task.find("metrics");
         if (!metrics) {
-            error = where + ": missing \"metrics\"";
+            error = where + "missing \"metrics\"";
             return false;
         }
         if (!validMetricsObject(*metrics, error, where))
@@ -153,7 +168,7 @@ loadMetricsDoc(const std::string &text, json::Value &doc,
         error = "missing \"totals\" object";
         return false;
     }
-    if (!validMetricsObject(*totals, error, "totals"))
+    if (!validMetricsObject(*totals, error, "totals: "))
         return false;
     return true;
 }
@@ -403,6 +418,16 @@ printBudget(std::ostream &out, const json::Value &doc,
         return false;
     }
 
+    // Target indices are series entries read back as ints; refuse a
+    // malformed one before printing anything.
+    std::vector<int> targets;
+    std::string error;
+    json::Reader in(error, "budget: ");
+    if (!in.read(*target, "budget_target_structure", targets)) {
+        out << error << "\n";
+        return false;
+    }
+
     double budgetHours = 0.0;
     const auto *budgetGauge = gauges
         ? gauges->find("budget_mttf_hours")
@@ -428,8 +453,7 @@ printBudget(std::ostream &out, const json::Value &doc,
         {fit->items.size(), mttf->items.size(), target->items.size(),
          engagedTrail->items.size()});
     for (std::size_t k = 0; k < rows; ++k) {
-        int targetIndex = static_cast<int>(
-            target->items[k].asDouble());
+        const int targetIndex = targets[k];
         std::string targetName = "?";
         double coverage = 0.0;
         if (targetIndex >= 0 && targetIndex < core::numStructures) {
@@ -523,10 +547,12 @@ printLifecycle(std::ostream &out, const std::string &jsonl,
                     ": record lacks structure/outcome";
             return false;
         }
-        const auto *lane = rec.find("lane");
-        int laneId = lane && lane->isNumber()
-                         ? static_cast<int>(lane->asDouble())
-                         : -1;
+        int laneId = -1;
+        json::Reader in(error, "");
+        if (rec.find("lane") && !in.member(rec, "lane", laneId)) {
+            error.insert(0, "line " + std::to_string(lineNo) + ": ");
+            return false;
+        }
         auto &agg = perGroup[{structure->text, laneId}];
         ++agg.records;
         ++agg.outcomes[outcome->text];
@@ -603,25 +629,25 @@ loadRootCauseDoc(const std::string &text, json::Value &doc,
     }
     for (std::size_t i = 0; i < rows->items.size(); ++i) {
         const auto &row = rows->items[i];
-        const std::string where = "row " + std::to_string(i);
+        const std::string where = "row " + std::to_string(i) + ": ";
         if (!row.isObject()) {
-            error = where + ": not an object";
+            error = where + "not an object";
             return false;
         }
         if (!row.find("unit", json::Value::Kind::String) ||
             !row.find("op", json::Value::Kind::String)) {
-            error = where + ": missing \"unit\"/\"op\" strings";
+            error = where + "missing \"unit\"/\"op\" strings";
             return false;
         }
-        for (const char *key :
-             {"phase", "pc", "windows", "live", "failures"}) {
-            const auto *value = row.find(key);
-            if (!value || value->kind != json::Value::Kind::Uint) {
-                error = where + ": missing integer \"" +
-                        std::string(key) + "\"";
-                return false;
-            }
-        }
+        // phase is a 32-bit bucket index (obs::AttributionRow).
+        json::Reader in(error, where);
+        std::uint32_t phase = 0;
+        std::uint64_t count = 0;
+        if (!in.member(row, "phase", phase) || !in.member(row, "pc", count) ||
+            !in.member(row, "windows", count) ||
+            !in.member(row, "live", count) ||
+            !in.member(row, "failures", count))
+            return false;
     }
     return true;
 }
@@ -822,24 +848,21 @@ loadLintDoc(const std::string &text, json::Value &doc,
     }
     for (std::size_t i = 0; i < checks->items.size(); ++i) {
         const auto &check = checks->items[i];
-        const std::string where = "check " + std::to_string(i);
+        const std::string where = "check " + std::to_string(i) + ": ";
         if (!check.isObject()) {
-            error = where + ": not an object";
+            error = where + "not an object";
             return false;
         }
         if (!check.find("id", json::Value::Kind::String) ||
             !check.find("severity", json::Value::Kind::String)) {
-            error = where + ": missing \"id\"/\"severity\"";
+            error = where + "missing \"id\"/\"severity\"";
             return false;
         }
-        const auto *count = check.find("findings");
-        const auto *micros = check.find("micros");
-        if (!count || !count->isNumber() || !micros ||
-            !micros->isNumber()) {
-            error = where + ": missing numeric "
-                            "\"findings\"/\"micros\"";
+        json::Reader in(error, where);
+        std::uint64_t count = 0;
+        if (!in.member(check, "findings", count) ||
+            !in.member(check, "micros", count))
             return false;
-        }
     }
     const auto *findings = doc.find("findings",
                                     json::Value::Kind::Array);
@@ -849,25 +872,30 @@ loadLintDoc(const std::string &text, json::Value &doc,
     }
     for (std::size_t i = 0; i < findings->items.size(); ++i) {
         const auto &f = findings->items[i];
-        const std::string where = "finding " + std::to_string(i);
+        const std::string where = "finding " + std::to_string(i) + ": ";
         if (!f.isObject()) {
-            error = where + ": not an object";
+            error = where + "not an object";
             return false;
         }
         if (!f.find("file", json::Value::Kind::String) ||
             !f.find("check", json::Value::Kind::String) ||
             !f.find("severity", json::Value::Kind::String) ||
             !f.find("message", json::Value::Kind::String)) {
-            error = where + ": missing "
-                            "file/check/severity/message strings";
+            error = where + "missing file/check/severity/message "
+                            "strings";
             return false;
         }
-        const auto *lineNo = f.find("line");
-        if (!lineNo || !lineNo->isNumber()) {
-            error = where + ": missing numeric \"line\"";
+        json::Reader in(error, where);
+        std::uint64_t lineNo = 0;
+        if (!in.member(f, "line", lineNo))
             return false;
-        }
     }
+    // The optional pass-1 totals printLintReport shows.
+    json::Reader in(error, "");
+    std::uint64_t count = 0;
+    for (const char *key : {"filesScanned", "lexParseMicros"})
+        if (doc.find(key) && !in.member(doc, key, count))
+            return false;
     if (!doc.find("ok", json::Value::Kind::Bool)) {
         error = "missing boolean \"ok\"";
         return false;

@@ -1,5 +1,6 @@
 #include "serve_report.hh"
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "core/structures.hh"
+#include "harness/task_codec.hh"
 #include "serve/campaign.hh"
 #include "serve/checkpoint.hh"
 #include "serve/protocol.hh"
@@ -29,24 +31,6 @@ cell(double value)
     char buffer[32];
     std::snprintf(buffer, sizeof(buffer), "%8.4f", value);
     return buffer;
-}
-
-/** Array of doubles → vector; false on shape mismatch. */
-bool
-doubleArray(const json::Value *value, std::size_t count,
-            std::vector<double> &out)
-{
-    if (!value || value->kind != json::Value::Kind::Array ||
-        value->items.size() != count)
-        return false;
-    out.clear();
-    for (const auto &item : value->items) {
-        if (item.kind != json::Value::Kind::Double &&
-            item.kind != json::Value::Kind::Uint)
-            return false;
-        out.push_back(item.asDouble());
-    }
-    return true;
 }
 
 /** The "iq reg fxu fpu freg" column header. */
@@ -87,17 +71,18 @@ printFeedRow(std::ostream &out, const std::string &line,
             error = "feed header has unsupported version";
             return false;
         }
-        const json::Value *campaign = row.find("campaign");
-        const json::Value *benchmark = row.find("benchmark");
-        const json::Value *intervals = row.find("intervals");
-        if (!campaign || campaign->kind != json::Value::Kind::String ||
-            !benchmark || benchmark->kind != json::Value::Kind::String ||
-            !intervals || intervals->kind != json::Value::Kind::Uint) {
-            error = "feed header is missing campaign fields";
+        json::Reader in(error, "feed header: ");
+        const json::Value *campaign =
+            row.find("campaign", json::Value::Kind::String);
+        const json::Value *benchmark =
+            row.find("benchmark", json::Value::Kind::String);
+        int intervals = 0;
+        if (!campaign || !benchmark)
+            return in.fail("missing campaign or benchmark");
+        if (!in.member(row, "intervals", intervals))
             return false;
-        }
         out << "campaign " << campaign->text << " (" << benchmark->text
-            << ", " << intervals->asUint() << " intervals)\n";
+            << ", " << intervals << " intervals)\n";
         out << "intvl slice" << structureColumns() << "   occup\n";
         sawHeader = true;
         return true;
@@ -108,79 +93,62 @@ printFeedRow(std::ostream &out, const std::string &line,
         // compact attribution table. The tail renders a one-line
         // digest; `avf-report root-cause` on the ROOTCAUSE.json
         // export is the full view.
-        const json::Value *table =
-            row.find("table", json::Value::Kind::Object);
-        const json::Value *tableRows =
-            table ? table->find("rows", json::Value::Kind::Array)
-                  : nullptr;
-        if (!tableRows) {
-            error = "feed attribution row is malformed";
+        json::Reader in(error, "feed attribution row: ");
+        const json::Value *table = row.find("table");
+        obs::AttributionSnapshot attr;
+        if (!table)
+            return in.fail("missing table");
+        if (!harness::codec::readAttributionSnapshot(*table, attr, in))
             return false;
-        }
         std::uint64_t windows = 0;
         std::uint64_t failures = 0;
         std::size_t blamed = 0;
-        for (const json::Value &entry : tableRows->items) {
-            if (!entry.isArray() || entry.items.size() != 7) {
-                error = "feed attribution row is malformed";
-                return false;
-            }
-            windows += entry.items[4].asUint();
-            failures += entry.items[6].asUint();
-            if (entry.items[2].asUint() != 0)
+        for (const obs::AttributionRow &entry : attr.rows) {
+            windows += entry.windows;
+            failures += entry.failures;
+            if (entry.pc != 0)
                 ++blamed;
         }
-        out << "root-cause: " << tableRows->items.size()
+        out << "root-cause: " << attr.rows.size()
             << " blame sites (" << blamed
             << " instruction-attributed), " << failures << "/"
             << windows << " failures/windows\n";
         return true;
     }
 
+    std::array<double, core::numStructures> online{};
     if (row.find("summary")) {
-        std::vector<double> online;
-        const json::Value *intervals = row.find("intervals");
-        const json::Value *injections = row.find("injections");
-        const json::Value *failures = row.find("failures");
-        if (!doubleArray(row.find("online_mean"),
-                         static_cast<std::size_t>(
-                             core::numStructures), online) ||
-            !intervals || intervals->kind != json::Value::Kind::Uint ||
-            !injections || injections->kind != json::Value::Kind::Uint ||
-            !failures || failures->kind != json::Value::Kind::Uint) {
-            error = "feed summary row is malformed";
+        json::Reader in(error, "feed summary row: ");
+        std::uint64_t intervals = 0, injections = 0, failures = 0;
+        if (!in.member(row, "online_mean", online) ||
+            !in.member(row, "intervals", intervals) ||
+            !in.member(row, "injections", injections) ||
+            !in.member(row, "failures", failures))
             return false;
-        }
-        out << "summary over " << intervals->asUint()
-            << " intervals: online mean";
+        out << "summary over " << intervals << " intervals: online mean";
         for (double value : online)
             out << cell(value);
-        out << "  (" << failures->asUint() << "/"
-            << injections->asUint() << " failures/injections)\n";
+        out << "  (" << failures << "/" << injections
+            << " failures/injections)\n";
         done = true;
         return true;
     }
 
-    const json::Value *interval = row.find("interval");
-    const json::Value *slice = row.find("slice");
-    const json::Value *occupancy = row.find("occupancy");
-    std::vector<double> online;
-    if (!interval || interval->kind != json::Value::Kind::Uint || !slice ||
-        slice->kind != json::Value::Kind::Uint || !occupancy ||
-        !doubleArray(row.find("online"),
-                     static_cast<std::size_t>(core::numStructures),
-                     online)) {
-        error = "feed interval row is malformed";
+    json::Reader in(error, "feed interval row: ");
+    std::uint64_t interval = 0, slice = 0;
+    double occupancy = 0.0;
+    if (!in.member(row, "interval", interval) ||
+        !in.member(row, "slice", slice) || !in.member(row, "online", online) ||
+        !in.member(row, "occupancy", occupancy))
         return false;
-    }
     char prefix[32];
     std::snprintf(prefix, sizeof(prefix), "%5llu %5llu",
-                  static_cast<unsigned long long>(interval->asUint()),
-                  static_cast<unsigned long long>(slice->asUint()));
+                  static_cast<unsigned long long>(interval),
+                  static_cast<unsigned long long>(slice));
     out << prefix;
     for (double value : online)
         out << cell(value);
-    out << cell(occupancy->asDouble()) << "\n";
+    out << cell(occupancy) << "\n";
     return true;
 }
 
