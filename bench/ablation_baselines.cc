@@ -26,7 +26,6 @@
 #include "stats/running_stats.hh"
 #include "stats/table_printer.hh"
 #include "trace/spec_profiles.hh"
-#include "util/logging.hh"
 
 int
 main()
@@ -34,6 +33,7 @@ main()
     using namespace avf;
     using namespace avf::harness;
     using core::Structure;
+    using stats::mean;
     using stats::TablePrinter;
 
     auto options = loadRunOptions();
@@ -45,11 +45,7 @@ main()
                      "counter", "counter type"});
 
     ExperimentEngine engine(options);
-    engine.onTaskDone([](const std::string &name, double wall_ms,
-                         const RunSummary &) {
-        std::fprintf(stderr, "finished %s in %.0f ms\n", name.c_str(),
-                     wall_ms);
-    });
+    engine.onTaskDone(progressLine(options));
     for (const auto &name : trace::specBenchmarkNames()) {
         ExperimentConfig conf;
         conf.profile = trace::specProfile(name);
@@ -57,19 +53,9 @@ main()
         engine.submit(name, conf);
     }
 
-    auto mean = [](const std::vector<double> &v) {
-        stats::RunningStats s;
-        for (double x : v)
-            s.add(x);
-        return s.mean();
-    };
-
-    auto tasks = engine.collect();
-    exportCampaignMetrics("ablation_baselines", engine, tasks);
-    for (auto &task : tasks) {
-        if (!task.ok())
-            fatal("%s failed: %s", task.name.c_str(),
-                  task.errorText.c_str());
+    auto tasks = collectOrDie(engine);
+    exportCampaign("ablation_baselines", engine, tasks);
+    for (const auto &task : tasks) {
         const auto &result = task.result;
         table.addRow({task.name, "iq",
                       TablePrinter::num(

@@ -27,7 +27,6 @@
 #include "stats/running_stats.hh"
 #include "stats/table_printer.hh"
 #include "trace/spec_profiles.hh"
-#include "util/logging.hh"
 
 int
 main()
@@ -35,6 +34,7 @@ main()
     using namespace avf;
     using namespace avf::harness;
     using core::Structure;
+    using stats::mean;
     using stats::TablePrinter;
 
     auto options = loadRunOptions();
@@ -49,6 +49,7 @@ main()
 
     // Tasks 2k are whole-entry granularity, tasks 2k+1 field-granular.
     ExperimentEngine engine(options);
+    engine.onTaskDone(progressLine(options));
     for (const auto &bench : benches) {
         ExperimentConfig conf;
         conf.profile = trace::specProfile(bench);
@@ -58,19 +59,8 @@ main()
         engine.submit(bench + ":field", conf);
     }
 
-    auto tasks = engine.collect();
-    exportCampaignMetrics("ablation_granularity", engine, tasks);
-    for (const auto &task : tasks)
-        if (!task.ok())
-            fatal("%s failed: %s", task.name.c_str(),
-                  task.errorText.c_str());
-
-    auto mean = [](const std::vector<double> &v) {
-        stats::RunningStats s;
-        for (double x : v)
-            s.add(x);
-        return s.mean();
-    };
+    auto tasks = collectOrDie(engine);
+    exportCampaign("ablation_granularity", engine, tasks);
 
     for (std::size_t pair = 0; pair < benches.size(); ++pair) {
         const auto &whole = tasks[2 * pair].result;

@@ -19,7 +19,6 @@
 #include "stats/running_stats.hh"
 #include "stats/table_printer.hh"
 #include "trace/spec_profiles.hh"
-#include "util/logging.hh"
 
 int
 main()
@@ -27,6 +26,7 @@ main()
     using namespace avf;
     using namespace avf::harness;
     using core::Structure;
+    using stats::mean;
     using stats::TablePrinter;
 
     const std::vector<Cycle> ms = {50, 100, 250, 500, 1000, 2000,
@@ -41,6 +41,7 @@ main()
 
     // One engine task per M value; the sweep points are independent.
     ExperimentEngine engine(options);
+    engine.onTaskDone(progressLine(options));
     std::vector<Cycle> task_m;
     for (auto m : ms) {
         ExperimentConfig conf;
@@ -51,21 +52,11 @@ main()
         task_m.push_back(m);
     }
 
-    auto tasks = engine.collect();
-    exportCampaignMetrics("ablation_m_sweep", engine, tasks);
-    for (auto &task : tasks) {
-        if (!task.ok())
-            fatal("%s failed: %s", task.name.c_str(),
-                  task.errorText.c_str());
+    auto tasks = collectOrDie(engine);
+    exportCampaign("ablation_m_sweep", engine, tasks);
+    for (const auto &task : tasks) {
         Cycle m = task_m[task.index];
         const auto &result = task.result;
-
-        auto mean = [](const std::vector<double> &v) {
-            stats::RunningStats s;
-            for (double x : v)
-                s.add(x);
-            return s.mean();
-        };
         double iq_on = mean(result.onlineSeries(Structure::IQ));
         double iq_sa = mean(result.softarchSeries(Structure::IQ));
         double reg_on = mean(result.onlineSeries(Structure::REG));

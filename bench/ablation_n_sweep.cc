@@ -21,7 +21,6 @@
 #include "stats/sample_size.hh"
 #include "stats/table_printer.hh"
 #include "trace/spec_profiles.hh"
-#include "util/logging.hh"
 
 int
 main()
@@ -46,6 +45,7 @@ main()
                      "predicted sd at this AVF"});
 
     ExperimentEngine engine(options);
+    engine.onTaskDone(progressLine(options));
     for (auto n : ns) {
         ExperimentConfig conf;
         conf.profile = trace::specProfile("bzip2");
@@ -57,12 +57,9 @@ main()
         engine.submit("N=" + std::to_string(n), conf);
     }
 
-    auto tasks = engine.collect();
-    exportCampaignMetrics("ablation_n_sweep", engine, tasks);
-    for (auto &task : tasks) {
-        if (!task.ok())
-            fatal("%s failed: %s", task.name.c_str(),
-                  task.errorText.c_str());
+    auto tasks = collectOrDie(engine);
+    exportCampaign("ablation_n_sweep", engine, tasks);
+    for (const auto &task : tasks) {
         std::uint32_t n = ns[task.index];
         const auto &result = task.result;
 

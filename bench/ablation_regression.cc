@@ -29,7 +29,6 @@
 #include "stats/error_metrics.hh"
 #include "stats/table_printer.hh"
 #include "trace/spec_profiles.hh"
-#include "util/logging.hh"
 
 namespace
 {
@@ -62,11 +61,7 @@ main()
         "art", "facerec", "mesa", "sixtrack", "wupwise"};
 
     ExperimentEngine engine(options);
-    engine.onTaskDone([](const std::string &name, double wall_ms,
-                         const RunSummary &) {
-        std::fprintf(stderr, "finished %s in %.0f ms\n", name.c_str(),
-                     wall_ms);
-    });
+    engine.onTaskDone(progressLine(options));
     for (const auto &set : {train_set, test_set}) {
         for (const auto &bench : set) {
             ExperimentConfig conf;
@@ -77,12 +72,9 @@ main()
     }
 
     std::map<std::string, AppData> data;
-    auto tasks = engine.collect();
-    exportCampaignMetrics("ablation_regression", engine, tasks);
-    for (auto &task : tasks) {
-        if (!task.ok())
-            fatal("%s failed: %s", task.name.c_str(),
-                  task.errorText.c_str());
+    auto tasks = collectOrDie(engine);
+    exportCampaign("ablation_regression", engine, tasks);
+    for (const auto &task : tasks) {
         AppData d;
         d.features = task.result.features;
         d.reference = task.result.softarchSeries(Structure::IQ);

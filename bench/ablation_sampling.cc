@@ -19,7 +19,6 @@
 #include "stats/error_metrics.hh"
 #include "stats/table_printer.hh"
 #include "trace/spec_profiles.hh"
-#include "util/logging.hh"
 
 int
 main()
@@ -41,6 +40,7 @@ main()
     // Both sampling modes of every benchmark run concurrently: tasks
     // 2k are fixed-timing, tasks 2k+1 randomized.
     ExperimentEngine engine(options);
+    engine.onTaskDone(progressLine(options));
     for (const auto &name : benches) {
         ExperimentConfig conf;
         conf.profile = trace::specProfile(name);
@@ -50,12 +50,8 @@ main()
         engine.submit(name + ":randomized", conf);
     }
 
-    auto tasks = engine.collect();
-    exportCampaignMetrics("ablation_sampling", engine, tasks);
-    for (const auto &task : tasks)
-        if (!task.ok())
-            fatal("%s failed: %s", task.name.c_str(),
-                  task.errorText.c_str());
+    auto tasks = collectOrDie(engine);
+    exportCampaign("ablation_sampling", engine, tasks);
 
     for (std::size_t pair = 0; pair < benches.size(); ++pair) {
         const auto &name = benches[pair];

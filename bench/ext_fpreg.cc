@@ -19,7 +19,6 @@
 #include "stats/running_stats.hh"
 #include "stats/table_printer.hh"
 #include "trace/spec_profiles.hh"
-#include "util/logging.hh"
 
 int
 main()
@@ -27,6 +26,7 @@ main()
     using namespace avf;
     using namespace avf::harness;
     using core::Structure;
+    using stats::mean;
     using stats::TablePrinter;
 
     auto options = loadRunOptions(40);
@@ -39,11 +39,7 @@ main()
                      "abs err max", "reg real"});
 
     ExperimentEngine engine(options);
-    engine.onTaskDone([](const std::string &name, double wall_ms,
-                         const RunSummary &) {
-        std::fprintf(stderr, "finished %s in %.0f ms\n", name.c_str(),
-                     wall_ms);
-    });
+    engine.onTaskDone(progressLine(options));
     for (const auto &name : trace::specBenchmarkNames()) {
         ExperimentConfig conf;
         conf.profile = trace::specProfile(name);
@@ -51,21 +47,11 @@ main()
         engine.submit(name, conf);
     }
 
-    auto tasks = engine.collect();
-    exportCampaignMetrics("ext_fpreg", engine, tasks);
-    for (auto &task : tasks) {
-        if (!task.ok())
-            fatal("%s failed: %s", task.name.c_str(),
-                  task.errorText.c_str());
+    auto tasks = collectOrDie(engine);
+    exportCampaign("ext_fpreg", engine, tasks);
+    for (const auto &task : tasks) {
         const auto &name = task.name;
         const auto &result = task.result;
-
-        auto mean = [](const std::vector<double> &v) {
-            stats::RunningStats s;
-            for (double x : v)
-                s.add(x);
-            return s.mean();
-        };
         auto reference = result.softarchSeries(Structure::FREG);
         auto online = result.onlineSeries(Structure::FREG);
         auto err = stats::summarizeErrors(

@@ -22,7 +22,6 @@
 #include "reliability/mttf_tracker.hh"
 #include "stats/table_printer.hh"
 #include "trace/spec_profiles.hh"
-#include "util/logging.hh"
 
 int
 main()
@@ -53,11 +52,7 @@ main()
                      "cov needed (worst)"});
 
     ExperimentEngine engine(options);
-    engine.onTaskDone([](const std::string &name, double wall_ms,
-                         const RunSummary &) {
-        std::fprintf(stderr, "finished %s in %.0f ms\n", name.c_str(),
-                     wall_ms);
-    });
+    engine.onTaskDone(progressLine(options));
     for (const auto &name : trace::specBenchmarkNames()) {
         ExperimentConfig conf;
         conf.profile = trace::specProfile(name);
@@ -65,12 +60,9 @@ main()
         engine.submit(name, conf);
     }
 
-    auto tasks = engine.collect();
-    exportCampaignMetrics("ext_mttf", engine, tasks);
-    for (auto &task : tasks) {
-        if (!task.ok())
-            fatal("%s failed: %s", task.name.c_str(),
-                  task.errorText.c_str());
+    auto tasks = collectOrDie(engine);
+    exportCampaign("ext_mttf", engine, tasks);
+    for (const auto &task : tasks) {
         const auto &name = task.name;
         const auto &result = task.result;
 

@@ -10,8 +10,9 @@
  * Interval count defaults to the paper's 100 per application;
  * override with AVF_INTERVALS or AVF_FAST=1. AVF_LIFECYCLE=1 traces
  * every injection's lifecycle: per-task outcome digests go to stderr
- * and the retained records land in fig3_<app>_lifecycle.jsonl; the
- * stdout tables are byte-identical either way (tracing is passive).
+ * and the retained records land in
+ * fig3_accuracy_<app>_lifecycle.jsonl; the stdout tables are
+ * byte-identical either way (tracing is passive).
  * The eleven applications are independent tasks fanned out over the
  * ExperimentEngine's worker pool; output is byte-identical at any
  * thread count.
@@ -28,7 +29,6 @@
 #include "stats/error_metrics.hh"
 #include "stats/table_printer.hh"
 #include "trace/spec_profiles.hh"
-#include "util/logging.hh"
 
 namespace
 {
@@ -110,48 +110,19 @@ main()
                 options.intervals);
 
     ExperimentEngine engine(options);
-    engine.onTaskDone([&options](const std::string &name,
-                                 double wall_ms,
-                                 const RunSummary &summary) {
-        std::fprintf(stderr, "finished %s in %.0f ms (%.2f IPC)\n",
-                     name.c_str(), wall_ms, summary.ipc);
-        if (options.lifecycle) {
-            std::fprintf(
-                stderr,
-                "  lifecycle: %llu injections, %llu failures, "
-                "%llu killed, %llu expired\n",
-                static_cast<unsigned long long>(
-                    summary.lifecycleRecords),
-                static_cast<unsigned long long>(
-                    summary.lifecycleFailures),
-                static_cast<unsigned long long>(
-                    summary.lifecycleKilled),
-                static_cast<unsigned long long>(
-                    summary.lifecycleExpired));
-        }
-    });
+    engine.onTaskDone(progressLine(options));
     for (const auto &name : trace::specBenchmarkNames()) {
         ExperimentConfig conf;
         conf.profile = trace::specProfile(name);
         conf.numIntervals = options.intervals;
-        conf.lifecycle.enabled = options.lifecycle;
         engine.submit(name, conf);
     }
 
+    auto tasks = collectOrDie(engine);
+    exportCampaign("fig3_accuracy", engine, tasks);
     std::vector<AppResult> apps;
-    auto tasks = engine.collect();
-    exportCampaignMetrics("fig3_accuracy", engine, tasks);
-    for (auto &task : tasks) {
-        if (!task.ok())
-            fatal("%s failed: %s", task.name.c_str(),
-                  task.errorText.c_str());
-        if (options.lifecycle) {
-            std::string out = "fig3_" + task.name + "_lifecycle.jsonl";
-            writeLifecycleJsonl(task.result, out);
-            std::fprintf(stderr, "wrote %s\n", out.c_str());
-        }
+    for (auto &task : tasks)
         apps.push_back({task.name, std::move(task.result)});
-    }
 
     printStructure(apps, Structure::IQ, "(a) instruction queue",
                    false);

@@ -19,7 +19,6 @@
 #include "harness/export.hh"
 #include "stats/table_printer.hh"
 #include "trace/spec_profiles.hh"
-#include "util/logging.hh"
 
 namespace
 {
@@ -61,12 +60,9 @@ main()
 {
     // mesa uses the paper's 100 intervals, ammp its 200; both runs
     // proceed in parallel on the engine.
-    ExperimentEngine engine(loadRunOptions(100));
-    engine.onTaskDone([](const std::string &name, double wall_ms,
-                         const RunSummary &) {
-        std::fprintf(stderr, "finished %s in %.0f ms\n", name.c_str(),
-                     wall_ms);
-    });
+    const auto options = loadRunOptions(100);
+    ExperimentEngine engine(options);
+    engine.onTaskDone(progressLine(options));
     for (const auto &[name, paper_intervals] :
          {std::pair<std::string, int>{"mesa", 100},
           std::pair<std::string, int>{"ammp", 200}}) {
@@ -75,13 +71,9 @@ main()
         conf.numIntervals = loadRunOptions(paper_intervals).intervals;
         engine.submit(name, conf);
     }
-    auto tasks = engine.collect();
-    exportCampaignMetrics("fig4_traces", engine, tasks);
-    for (auto &task : tasks) {
-        if (!task.ok())
-            fatal("%s failed: %s", task.name.c_str(),
-                  task.errorText.c_str());
+    auto tasks = collectOrDie(engine);
+    exportCampaign("fig4_traces", engine, tasks);
+    for (const auto &task : tasks)
         printApp(task.name, task.result);
-    }
     return 0;
 }

@@ -20,7 +20,6 @@
 #include "stats/running_stats.hh"
 #include "stats/table_printer.hh"
 #include "trace/spec_profiles.hh"
-#include "util/logging.hh"
 
 int
 main()
@@ -41,11 +40,7 @@ main()
                      "avg_real_AVF", "rel_error"});
 
     ExperimentEngine engine(options);
-    engine.onTaskDone([](const std::string &name, double wall_ms,
-                         const RunSummary &) {
-        std::fprintf(stderr, "finished %s in %.0f ms\n", name.c_str(),
-                     wall_ms);
-    });
+    engine.onTaskDone(progressLine(options));
     for (const auto &name : trace::specBenchmarkNames()) {
         ExperimentConfig conf;
         conf.profile = trace::specProfile(name);
@@ -55,12 +50,9 @@ main()
 
     double worst = 0.0;
     int above_005 = 0, cells = 0;
-    auto tasks = engine.collect();
-    exportCampaignMetrics("fig5_prediction", engine, tasks);
-    for (auto &task : tasks) {
-        if (!task.ok())
-            fatal("%s failed: %s", task.name.c_str(),
-                  task.errorText.c_str());
+    auto tasks = collectOrDie(engine);
+    exportCampaign("fig5_prediction", engine, tasks);
+    for (const auto &task : tasks) {
         const auto &name = task.name;
         const auto &result = task.result;
 
@@ -71,23 +63,18 @@ main()
                 predictor, result.onlineSeries(structure),
                 result.softarchSeries(structure));
 
-            stats::RunningStats err_stats, avf_stats;
-            for (double e : errors)
-                err_stats.add(e);
-            for (double v : result.softarchSeries(structure))
-                avf_stats.add(v);
-
-            double rel = avf_stats.mean() > 1e-6
-                ? err_stats.mean() / avf_stats.mean() * 100.0
-                : 0.0;
+            const double err = stats::mean(errors);
+            const double avf =
+                stats::mean(result.softarchSeries(structure));
+            double rel = avf > 1e-6 ? err / avf * 100.0 : 0.0;
             table.addRow({name,
                           std::string(core::structureName(structure)),
-                          TablePrinter::num(err_stats.mean()),
-                          TablePrinter::num(avf_stats.mean()),
+                          TablePrinter::num(err),
+                          TablePrinter::num(avf),
                           TablePrinter::pct(rel)});
-            worst = std::max(worst, err_stats.mean());
+            worst = std::max(worst, err);
             ++cells;
-            if (err_stats.mean() > 0.05)
+            if (err > 0.05)
                 ++above_005;
         }
     }

@@ -15,18 +15,16 @@
  * `avf-report budget <prefix>_METRICS.json --task controlled`.
  */
 
-#include <algorithm>
 #include <cstdio>
 
+#include "budget_pin.hh"
 #include "core/structures.hh"
 #include "harness/config_loader.hh"
 #include "harness/engine.hh"
 #include "harness/experiment.hh"
 #include "harness/export.hh"
-#include "reliability/fit_model.hh"
 #include "stats/running_stats.hh"
 #include "stats/table_printer.hh"
-#include "util/logging.hh"
 
 namespace
 {
@@ -57,22 +55,12 @@ stormProfile()
     return profile;
 }
 
-/** Mean SoftArch IQ AVF over a run (independent of the controller). */
-double
-meanIqAvf(const ExperimentResult &result)
-{
-    stats::RunningStats avf;
-    for (const auto &row : result.intervals)
-        avf.add(row.softarch[static_cast<std::size_t>(
-            core::Structure::IQ)]);
-    return avf.mean();
-}
-
 } // namespace
 
 int
 main()
 {
+    using core::Structure;
     using stats::TablePrinter;
 
     auto options = loadRunOptions(24);
@@ -81,61 +69,36 @@ main()
     conf.numIntervals = options.intervals;
 
     ExperimentEngine engine(options);
+    engine.onTaskDone(progressLine(options));
 
     // Pass 1: measure the uncontrolled failure-rate range.
     engine.submit("baseline", conf);
-    auto baseTasks = engine.collect();
-    auto &base = baseTasks.front();
-    if (!base.ok())
-        fatal("baseline failed: %s", base.errorText.c_str());
-
-    reliability::FitModel model(
-        reliability::defaultFitModel(conf.cpu));
-    double fitLo = 0.0, fitHi = 0.0;
-    bool first = true;
-    for (const auto &row : base.result.intervals) {
-        double fit = model.fit(row.softarch);
-        fitLo = first ? fit : std::min(fitLo, fit);
-        fitHi = first ? fit : std::max(fitHi, fit);
-        first = false;
-    }
-    // Pin the budget between the calm and storm regimes: calm phases
-    // comply, storms exceed. Degenerate (flat) runs fall back to a
-    // budget below the observed rate so the loop still has work.
-    double budgetFit = (fitLo + fitHi) / 2.0;
-    if (budgetFit <= 0.0)
-        budgetFit = 1.0;
-    const double budgetHours = 1e9 / budgetFit;
+    auto tasks = collectOrDie(engine);
+    const auto pin = bench::pinBudget(conf.cpu, tasks.front().result);
 
     std::printf("Scenario: budget-exceeded storms (uncontrolled FIT "
                 "%.3f..%.3f; budget %.3f FIT = %.4g h MTTF)\n\n",
-                fitLo, fitHi, budgetFit, budgetHours);
+                pin.fitLo, pin.fitHi, pin.budgetFit, pin.budgetHours);
 
     // Pass 2: same workload under the closed loop.
     ExperimentConfig controlled = conf;
     controlled.control.enabled = true;
-    controlled.control.mttfBudgetHours = budgetHours;
+    controlled.control.mttfBudgetHours = pin.budgetHours;
     engine.submit("controlled", controlled);
-    auto ctlTasks = engine.collect();
-    auto &ctl = ctlTasks.front();
-    if (!ctl.ok())
-        fatal("controlled failed: %s", ctl.errorText.c_str());
-
-    // Baseline stats before the merge below: push_back may
-    // reallocate baseTasks and invalidate the `base` reference.
-    const double baseIqAvf = meanIqAvf(base.result);
-    const double baseIpc = base.result.summary.ipc;
+    tasks.push_back(std::move(collectOrDie(engine).front()));
 
     // One METRICS.json carrying both runs, decision trail included.
-    baseTasks.push_back(std::move(ctlTasks.front()));
-    exportCampaignMetrics("scenario_budget_storm", engine, baseTasks);
-    const auto &result = baseTasks.back().result;
+    exportCampaign("scenario_budget_storm", engine, tasks);
+    const auto &base = tasks.front().result;
+    const auto &result = tasks.back().result;
 
     TablePrinter table("Budget storms: uncontrolled vs closed loop");
     table.setHeader({"mode", "IQ AVF", "IPC", "over budget",
                      "throttled", "first target"});
-    table.addRow({"baseline", TablePrinter::num(baseIqAvf),
-                  TablePrinter::num(baseIpc, 2), "0",
+    table.addRow({"baseline",
+                  TablePrinter::num(
+                      stats::mean(base.softarchSeries(Structure::IQ))),
+                  TablePrinter::num(base.summary.ipc, 2), "0",
                   TablePrinter::pct(0.0, 0), "-"});
     const auto &cs = result.control;
     double throttledShare = cs.intervals
@@ -144,9 +107,11 @@ main()
         : 0.0;
     std::string target = cs.firstTarget >= 0
         ? std::string(core::structureName(
-              static_cast<core::Structure>(cs.firstTarget)))
+              static_cast<Structure>(cs.firstTarget)))
         : "-";
-    table.addRow({"controlled", TablePrinter::num(meanIqAvf(result)),
+    table.addRow({"controlled",
+                  TablePrinter::num(
+                      stats::mean(result.softarchSeries(Structure::IQ))),
                   TablePrinter::num(result.summary.ipc, 2),
                   std::to_string(cs.budgetExceededIntervals),
                   TablePrinter::pct(throttledShare * 100, 0),

@@ -11,18 +11,16 @@
  * unthrottled through it.
  */
 
-#include <algorithm>
 #include <cstdio>
 
+#include "budget_pin.hh"
 #include "core/structures.hh"
 #include "harness/config_loader.hh"
 #include "harness/engine.hh"
 #include "harness/experiment.hh"
 #include "harness/export.hh"
-#include "reliability/fit_model.hh"
 #include "stats/running_stats.hh"
 #include "stats/table_printer.hh"
-#include "util/logging.hh"
 
 namespace
 {
@@ -52,103 +50,69 @@ stormProfile()
     return profile;
 }
 
-double
-meanIqAvf(const ExperimentResult &result)
-{
-    stats::RunningStats avf;
-    for (const auto &row : result.intervals)
-        avf.add(row.softarch[static_cast<std::size_t>(
-            core::Structure::IQ)]);
-    return avf.mean();
-}
-
 } // namespace
 
 int
 main()
 {
+    using core::Structure;
     using stats::TablePrinter;
 
     auto options = loadRunOptions(24);
     ExperimentConfig conf;
     conf.profile = stormProfile();
     conf.numIntervals = options.intervals;
-
-    // One estimation interval in cycles, mirroring the harness's
-    // lane-compression arithmetic (ceil(N / per-estimator lanes)
-    // window boundaries of M cycles each).
-    core::OnlineConfig online = conf.online;
-    const int perEst = std::max(
-        1, std::min(options.lanes, 64 / core::numStructures));
-    const Cycle intervalLen = online.m *
-        ((online.n + static_cast<std::uint32_t>(perEst) - 1) /
-         static_cast<std::uint32_t>(perEst));
+    // The campaign's lane count, set here rather than inherited at
+    // submit() so the interval length below sees it.
+    conf.online.lanes = options.lanes;
+    const Cycle intervalLen = intervalGeometry(conf).intervalCycles;
 
     ExperimentEngine engine(options);
+    engine.onTaskDone(progressLine(options));
     engine.submit("baseline", conf);
-    auto baseTasks = engine.collect();
-    auto &base = baseTasks.front();
-    if (!base.ok())
-        fatal("baseline failed: %s", base.errorText.c_str());
-
-    reliability::FitModel model(
-        reliability::defaultFitModel(conf.cpu));
-    double fitLo = 0.0, fitHi = 0.0;
-    bool first = true;
-    for (const auto &row : base.result.intervals) {
-        double fit = model.fit(row.softarch);
-        fitLo = first ? fit : std::min(fitLo, fit);
-        fitHi = first ? fit : std::max(fitHi, fit);
-        first = false;
-    }
-    double budgetFit = (fitLo + fitHi) / 2.0;
-    if (budgetFit <= 0.0)
-        budgetFit = 1.0;
-    const double budgetHours = 1e9 / budgetFit;
+    auto tasks = collectOrDie(engine);
+    const auto &base = tasks.front().result;
+    const auto pin = bench::pinBudget(conf.cpu, base);
 
     std::printf("Scenario: delayed error reporting (budget %.3f FIT; "
-                "interval %llu cycles)\n\n", budgetFit,
+                "interval %llu cycles)\n\n", pin.budgetFit,
                 static_cast<unsigned long long>(intervalLen));
 
     TablePrinter table("Reporting latency vs control effectiveness");
     table.setHeader({"latency", "IQ AVF", "IPC", "over budget",
                      "throttled"});
     table.addRow({"(none)",
-                  TablePrinter::num(meanIqAvf(base.result)),
-                  TablePrinter::num(base.result.summary.ipc, 2), "0",
+                  TablePrinter::num(
+                      stats::mean(base.softarchSeries(Structure::IQ))),
+                  TablePrinter::num(base.summary.ipc, 2), "0",
                   TablePrinter::pct(0.0, 0)});
 
     for (int mult : {0, 1, 4, 16}) {
         ExperimentConfig delayed = conf;
         delayed.control.enabled = true;
-        delayed.control.mttfBudgetHours = budgetHours;
+        delayed.control.mttfBudgetHours = pin.budgetHours;
         delayed.control.reportLatencyCycles =
             intervalLen * static_cast<Cycle>(mult);
         char name[32];
         std::snprintf(name, sizeof(name), "latency_%dx", mult);
         engine.submit(name, delayed);
     }
-    auto tasks = engine.collect();
-    for (auto &task : tasks) {
-        if (!task.ok())
-            fatal("%s failed: %s", task.name.c_str(),
-                  task.errorText.c_str());
+    for (auto &task : collectOrDie(engine)) {
         const auto &cs = task.result.control;
         double share = cs.intervals
             ? static_cast<double>(cs.throttledIntervals) /
                   static_cast<double>(cs.intervals)
             : 0.0;
         table.addRow({task.name.substr(8),
-                      TablePrinter::num(meanIqAvf(task.result)),
+                      TablePrinter::num(stats::mean(
+                          task.result.softarchSeries(Structure::IQ))),
                       TablePrinter::num(task.result.summary.ipc, 2),
                       std::to_string(cs.budgetExceededIntervals),
                       TablePrinter::pct(share * 100, 0)});
+        tasks.push_back(std::move(task));
     }
     table.print();
-    for (auto &task : tasks)
-        baseTasks.push_back(std::move(task));
-    exportCampaignMetrics("scenario_delayed_report", engine,
-                          baseTasks);
+    exportCampaign("scenario_delayed_report", engine, tasks);
 
     std::printf("\nReading: at zero latency the loop throttles the "
                 "storms as they happen; each added interval of "

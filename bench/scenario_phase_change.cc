@@ -19,7 +19,6 @@
 #include "harness/export.hh"
 #include "stats/running_stats.hh"
 #include "stats/table_printer.hh"
-#include "util/logging.hh"
 
 namespace
 {
@@ -48,21 +47,12 @@ phasedProfile()
     return profile;
 }
 
-double
-meanIqAvf(const ExperimentResult &result)
-{
-    stats::RunningStats avf;
-    for (const auto &row : result.intervals)
-        avf.add(row.softarch[static_cast<std::size_t>(
-            core::Structure::IQ)]);
-    return avf.mean();
-}
-
 } // namespace
 
 int
 main()
 {
+    using core::Structure;
     using stats::TablePrinter;
 
     auto options = loadRunOptions(24);
@@ -71,18 +61,17 @@ main()
     conf.numIntervals = options.intervals;
 
     ExperimentEngine engine(options);
+    engine.onTaskDone(progressLine(options));
     engine.submit("baseline", conf);
-    auto baseTasks = engine.collect();
-    auto &base = baseTasks.front();
-    if (!base.ok())
-        fatal("baseline failed: %s", base.errorText.c_str());
+    auto tasks = collectOrDie(engine);
+    const auto &base = tasks.front().result;
 
     // Engage halfway between the phases' online IQ AVF extremes, so
     // the controller must follow every phase flip.
     double avfLo = 1.0, avfHi = 0.0;
-    for (const auto &row : base.result.intervals) {
+    for (const auto &row : base.intervals) {
         double avf = row.online[static_cast<std::size_t>(
-            core::Structure::IQ)];
+            Structure::IQ)];
         avfLo = std::min(avfLo, avf);
         avfHi = std::max(avfHi, avf);
     }
@@ -97,8 +86,9 @@ main()
     table.setHeader({"alpha", "IQ AVF", "IPC", "engagements",
                      "actuations", "throttled"});
     table.addRow({"(none)",
-                  TablePrinter::num(meanIqAvf(base.result)),
-                  TablePrinter::num(base.result.summary.ipc, 2), "0",
+                  TablePrinter::num(
+                      stats::mean(base.softarchSeries(Structure::IQ))),
+                  TablePrinter::num(base.summary.ipc, 2), "0",
                   "0", TablePrinter::pct(0.0, 0)});
 
     for (double alpha : {0.2, 0.5, 0.9, 1.0}) {
@@ -111,27 +101,23 @@ main()
         std::snprintf(name, sizeof(name), "alpha_%.1f", alpha);
         engine.submit(name, swept);
     }
-    auto tasks = engine.collect();
-    for (auto &task : tasks) {
-        if (!task.ok())
-            fatal("%s failed: %s", task.name.c_str(),
-                  task.errorText.c_str());
+    for (auto &task : collectOrDie(engine)) {
         const auto &cs = task.result.control;
         double share = cs.intervals
             ? static_cast<double>(cs.throttledIntervals) /
                   static_cast<double>(cs.intervals)
             : 0.0;
         table.addRow({task.name.substr(6),
-                      TablePrinter::num(meanIqAvf(task.result)),
+                      TablePrinter::num(stats::mean(
+                          task.result.softarchSeries(Structure::IQ))),
                       TablePrinter::num(task.result.summary.ipc, 2),
                       std::to_string(cs.engagements),
                       std::to_string(cs.actuations),
                       TablePrinter::pct(share * 100, 0)});
+        tasks.push_back(std::move(task));
     }
     table.print();
-    for (auto &task : tasks)
-        baseTasks.push_back(std::move(task));
-    exportCampaignMetrics("scenario_phase_change", engine, baseTasks);
+    exportCampaign("scenario_phase_change", engine, tasks);
 
     std::printf("\nReading: alpha = 1.0 is last-value prediction — "
                 "the controller transitions at (nearly) every phase "

@@ -87,13 +87,10 @@ main()
     conf.attribution.enabled = true;
 
     ExperimentEngine engine(options);
+    engine.onTaskDone(progressLine(options));
     engine.submit("hot_loop", conf);
-    auto tasks = engine.collect();
-    auto &task = tasks.front();
-    if (!task.ok())
-        fatal("hot_loop failed: %s", task.errorText.c_str());
-
-    const obs::AttributionSnapshot &attr = task.result.attribution;
+    const auto tasks = collectOrDie(engine);
+    const obs::AttributionSnapshot &attr = tasks.front().result.attribution;
     const std::uint64_t failures = attr.totalFailures();
     const std::uint64_t windows = attr.totalWindows();
     std::printf("Scenario: root-cause attribution (%llu failures "
@@ -168,7 +165,7 @@ main()
                 "%.1f%% of all attributed failures.\n",
                 hotLoopSites, hex(branchPcBase).c_str(), loopShare);
 
-    exportCampaignRootCause("scenario_root_cause", engine, tasks);
+    exportCampaign("scenario_root_cause", engine, tasks);
 
     std::printf("\nReading: the loop phase's few static branches "
                 "retire most of the corrupted bits, so a handful of "

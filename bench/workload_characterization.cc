@@ -22,7 +22,6 @@
 #include "stats/table_printer.hh"
 #include "trace/spec_profiles.hh"
 #include "trace/synthetic.hh"
-#include "util/logging.hh"
 
 int
 main()
@@ -44,6 +43,7 @@ main()
     avf.setHeader({"app", "iq", "reg", "fxu", "fpu", "freg"});
 
     ExperimentEngine engine(options);
+    engine.onTaskDone(progressLine(options));
     for (const auto &name : trace::specBenchmarkNames()) {
         ExperimentConfig conf;
         conf.profile = trace::specProfile(name);
@@ -83,12 +83,9 @@ main()
         mixes[name] = mix;
     }
 
-    auto tasks = engine.collect();
-    exportCampaignMetrics("workload_characterization", engine, tasks);
-    for (auto &task : tasks) {
-        if (!task.ok())
-            fatal("%s failed: %s", task.name.c_str(),
-                  task.errorText.c_str());
+    auto tasks = collectOrDie(engine);
+    exportCampaign("workload_characterization", engine, tasks);
+    for (const auto &task : tasks) {
         const auto &name = task.name;
         const auto &summary = task.result.summary;
 

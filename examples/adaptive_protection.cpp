@@ -17,8 +17,9 @@
  */
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "core/predictor.hh"
 #include "harness/experiment.hh"
 #include "trace/spec_profiles.hh"
+#include "util/cli.hh"
 
 namespace
 {
@@ -62,9 +64,11 @@ int
 main(int argc, char **argv)
 {
     std::string bench = argc > 1 ? argv[1] : "mesa";
-    int intervals = argc > 2 ? std::atoi(argv[2]) : 20;
-    if (intervals <= 0)
-        intervals = 20;
+    std::uint64_t count = 20;
+    if (argc > 2 && !parseCount("adaptive_protection", "intervals",
+                                argv[2], 1, INT_MAX, count))
+        return 1;
+    const int intervals = static_cast<int>(count);
 
     std::printf("Adaptive protection driven by online AVF "
                 "(benchmark %s, %d intervals)\n\n", bench.c_str(),

@@ -15,15 +15,17 @@
  *   Usage: custom_machine <config-a.json> <config-b.json> [intervals]
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "harness/config_loader.hh"
 #include "harness/engine.hh"
 #include "harness/experiment.hh"
+#include "harness/export.hh"
 #include "stats/running_stats.hh"
-#include "util/logging.hh"
+#include "util/cli.hh"
 
 namespace
 {
@@ -35,23 +37,13 @@ harness::ExperimentConfig
 configFrom(const std::string &path, int intervals)
 {
     auto conf = harness::loadExperimentConfig(path);
-    if (intervals > 0)
-        conf.numIntervals = intervals;
+    conf.numIntervals = intervals;
     std::printf("running %s on machine '%s' (%d intervals, "
                 "dispatch %d-wide, IQ %d entries, ROB %d)\n",
                 conf.profile.name.c_str(), path.c_str(),
                 conf.numIntervals, conf.cpu.dispatchWidth,
                 conf.cpu.totalIqEntries(), conf.cpu.robEntries);
     return conf;
-}
-
-double
-meanAvf(const harness::ExperimentResult &result, Structure s)
-{
-    stats::RunningStats acc;
-    for (double v : result.softarchSeries(s))
-        acc.add(v);
-    return acc.mean();
 }
 
 } // namespace
@@ -65,18 +57,22 @@ main(int argc, char **argv)
                      "<config-b.json> [intervals]\n");
         return 1;
     }
-    int intervals = argc > 3 ? std::atoi(argv[3]) : 8;
+    std::uint64_t intervals = 8;
+    if (argc > 3 && !parseCount("custom_machine", "intervals", argv[3], 1,
+                                INT_MAX, intervals))
+        return 1;
 
     // Both machine configurations simulate concurrently on one
     // engine; results come back in submission order.
-    harness::ExperimentEngine engine;
-    engine.submit("machine A", configFrom(argv[1], intervals));
-    engine.submit("machine B", configFrom(argv[2], intervals));
-    auto tasks = engine.collect();
-    for (const auto &task : tasks)
-        if (!task.ok())
-            fatal("%s failed: %s", task.name.c_str(),
-                  task.errorText.c_str());
+    const harness::RunOptions options;
+    harness::ExperimentEngine engine(options);
+    engine.onTaskDone(harness::progressLine(options));
+    engine.submit("machine A",
+                  configFrom(argv[1], static_cast<int>(intervals)));
+    engine.submit("machine B",
+                  configFrom(argv[2], static_cast<int>(intervals)));
+    auto tasks = harness::collectOrDie(engine);
+    harness::exportCampaign("custom_machine", engine, tasks);
     const auto &a = tasks[0].result;
     const auto &b = tasks[1].result;
 
@@ -87,7 +83,8 @@ main(int argc, char **argv)
         std::printf("%-6s %14.3f %14.3f\n",
                     std::string(core::structureName(structure))
                         .c_str(),
-                    meanAvf(a, structure), meanAvf(b, structure));
+                    stats::mean(a.softarchSeries(structure)),
+                    stats::mean(b.softarchSeries(structure)));
     }
     std::printf("\nIPC: %.2f vs %.2f\n", a.summary.ipc, b.summary.ipc);
     std::printf("\nSame program, different machine, different "

@@ -10,8 +10,9 @@
  *   Usage: mttf_monitor [benchmark] [intervals] [output-prefix]
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "harness/experiment.hh"
@@ -19,6 +20,7 @@
 #include "reliability/fit_model.hh"
 #include "reliability/mttf_tracker.hh"
 #include "trace/spec_profiles.hh"
+#include "util/cli.hh"
 
 int
 main(int argc, char **argv)
@@ -27,9 +29,11 @@ main(int argc, char **argv)
     using namespace avf::reliability;
 
     std::string bench = argc > 1 ? argv[1] : "mesa";
-    int intervals = argc > 2 ? std::atoi(argv[2]) : 15;
-    if (intervals <= 0)
-        intervals = 15;
+    std::uint64_t count = 15;
+    if (argc > 2 && !parseCount("mttf_monitor", "intervals", argv[2], 1,
+                                INT_MAX, count))
+        return 1;
+    const int intervals = static_cast<int>(count);
     std::string prefix = argc > 3 ? argv[3] : "";
 
     harness::ExperimentConfig conf;

@@ -10,8 +10,9 @@
  *   Usage: phase_explorer [benchmark] [intervals]
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "harness/experiment.hh"
 #include "stats/running_stats.hh"
 #include "trace/spec_profiles.hh"
+#include "util/cli.hh"
 
 int
 main(int argc, char **argv)
@@ -27,9 +29,11 @@ main(int argc, char **argv)
     using core::Structure;
 
     std::string bench = argc > 1 ? argv[1] : "mesa";
-    int intervals = argc > 2 ? std::atoi(argv[2]) : 25;
-    if (intervals <= 0)
-        intervals = 25;
+    std::uint64_t count = 25;
+    if (argc > 2 && !parseCount("phase_explorer", "intervals", argv[2], 1,
+                                INT_MAX, count))
+        return 1;
+    const int intervals = static_cast<int>(count);
 
     harness::ExperimentConfig conf;
     conf.profile = trace::specProfile(bench);

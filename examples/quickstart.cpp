@@ -8,8 +8,9 @@
  *   e.g.   quickstart mesa 5
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "cpu/pipeline.hh"
 #include "trace/spec_profiles.hh"
 #include "trace/synthetic.hh"
+#include "util/cli.hh"
 
 int
 main(int argc, char **argv)
@@ -25,9 +27,11 @@ main(int argc, char **argv)
     using namespace avf;
 
     std::string bench = argc > 1 ? argv[1] : "mesa";
-    int intervals = argc > 2 ? std::atoi(argv[2]) : 5;
-    if (intervals <= 0)
-        intervals = 5;
+    std::uint64_t count = 5;
+    if (argc > 2 && !parseCount("quickstart", "intervals", argv[2], 1,
+                                INT_MAX, count))
+        return 1;
+    const int intervals = static_cast<int>(count);
 
     // 1. A workload. Here a synthetic SPEC-like trace; any
     //    trace::TraceSource works (e.g. trace::TraceFileReader).

@@ -10,8 +10,9 @@
  *   trace_tools run <path> [intervals]
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -22,6 +23,7 @@
 #include "trace/spec_profiles.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_file.hh"
+#include "util/cli.hh"
 
 namespace
 {
@@ -131,13 +133,21 @@ main(int argc, char **argv)
         return 1;
     }
     std::string cmd = argv[1];
-    if (cmd == "gen" && argc >= 5)
-        return cmdGen(argv[2], argv[3],
-                      std::strtoull(argv[4], nullptr, 10));
+    std::uint64_t count = 3;
+    if (cmd == "gen" && argc >= 5) {
+        if (!parseCount("trace_tools", "count", argv[4], 1, UINT64_MAX,
+                        count))
+            return 1;
+        return cmdGen(argv[2], argv[3], count);
+    }
     if (cmd == "info")
         return cmdInfo(argv[2]);
-    if (cmd == "run")
-        return cmdRun(argv[2], argc > 3 ? std::atoi(argv[3]) : 3);
+    if (cmd == "run") {
+        if (argc > 3 && !parseCount("trace_tools", "intervals", argv[3],
+                                    1, INT_MAX, count))
+            return 1;
+        return cmdRun(argv[2], static_cast<int>(count));
+    }
     usage();
     return 1;
 }

@@ -25,8 +25,12 @@
 #                ci_METRICS.json / ci_TRACE.json,
 #                a closed-loop scenario_budget_storm run whose
 #                decision trail `avf-report budget` renders back,
-#                a scenario_root_cause run whose ci_ROOTCAUSE.json
-#                every `avf-report root-cause` grouping renders back,
+#                an ablation_m_sweep run with AVF_LIFECYCLE and
+#                AVF_METRICS whose stdout must match a plain run and
+#                whose METRICS and lifecycle JSONL render back,
+#                a scenario_root_cause run whose
+#                ci_rootcause_ROOTCAUSE.json every `avf-report
+#                root-cause` grouping renders back,
 #                and a custom_machine run over the shipped
 #                configs/*.json; then `bench/e2e/avfbench.py --smoke`,
 #                which builds the end-to-end benchmark (build-e2e/)
@@ -186,20 +190,41 @@ run_bench_smoke() {
         "$BUILD-bench/ci_control_METRICS.json" --task controlled \
         > /dev/null
     echo "bench-smoke: control-loop decision trail round-trip ok"
+    echo "=== bench-smoke: export knobs are passive (ablation_m_sweep) ==="
+    # AVF_LIFECYCLE and AVF_METRICS apply to every campaign bench and
+    # must leave its stdout byte-identical. Lifecycle JSONL lands in
+    # the working directory, so the traced run gets its own.
+    PASSIVE=$(cd "$BUILD-bench" && pwd)/ci_passive
+    rm -rf "$PASSIVE"
+    mkdir -p "$PASSIVE"
+    AVF_FAST=1 "$BUILD-bench/bench/ablation_m_sweep" \
+        > "$PASSIVE/plain.txt"
+    (cd "$PASSIVE" && AVF_FAST=1 AVF_LIFECYCLE=1 \
+        AVF_METRICS="$PASSIVE/ci" ../bench/ablation_m_sweep \
+        > "$PASSIVE/traced.txt")
+    cmp "$PASSIVE/plain.txt" "$PASSIVE/traced.txt"
+    "$BUILD-bench/tools/avf-report/avf-report" summary \
+        "$PASSIVE/ci_METRICS.json" > /dev/null
+    "$BUILD-bench/tools/avf-report/avf-report" lifecycle \
+        "$PASSIVE/ablation_m_sweep_M=1000_lifecycle.jsonl" > /dev/null
+    echo "bench-smoke: traced ablation_m_sweep stdout identical, exports ok"
     echo "=== bench-smoke: root-cause attribution scenario ==="
-    # The hot-loop scenario exports ci_ROOTCAUSE.json; every
-    # `avf-report root-cause` grouping must render it back.
-    AVF_FAST=1 AVF_METRICS="$BUILD-bench/ci" \
+    # The hot-loop scenario exports ci_rootcause_ROOTCAUSE.json next
+    # to its own METRICS/TRACE pair (its own prefix, so fig3's
+    # ci_METRICS.json stays intact); every `avf-report root-cause`
+    # grouping must render it back.
+    AVF_FAST=1 AVF_METRICS="$BUILD-bench/ci_rootcause" \
         "$BUILD-bench/bench/scenario_root_cause" > /dev/null
     "$BUILD-bench/tools/avf-report/avf-report" root-cause \
-        "$BUILD-bench/ci_ROOTCAUSE.json" --top 5 > /dev/null
+        "$BUILD-bench/ci_rootcause_ROOTCAUSE.json" --top 5 > /dev/null
     for BY in structure opcode phase; do
         "$BUILD-bench/tools/avf-report/avf-report" root-cause \
-            "$BUILD-bench/ci_ROOTCAUSE.json" --by "$BY" > /dev/null
+            "$BUILD-bench/ci_rootcause_ROOTCAUSE.json" --by "$BY" \
+            > /dev/null
     done
     "$BUILD-bench/tools/avf-report/avf-report" root-cause \
-        "$BUILD-bench/ci_ROOTCAUSE.json" --json > /dev/null
-    echo "bench-smoke: ci_ROOTCAUSE.json round-trip ok"
+        "$BUILD-bench/ci_rootcause_ROOTCAUSE.json" --json > /dev/null
+    echo "bench-smoke: ci_rootcause_ROOTCAUSE.json round-trip ok"
     echo "=== bench-smoke: custom_machine on the shipped configs ==="
     # Loads both configs/*.json through the config loader and runs
     # one interval on each; any load error exits nonzero.

@@ -333,15 +333,10 @@ loadExperimentConfig(const json::Value &doc)
     mem.itlb.missPenalty = tlb_penalty;
 
     const Section lifecycle(doc, "lifecycle",
-                            {"enabled", "max_records", "latency_bins",
-                             "hop_bins"});
+                            {"enabled", "max_records"});
     auto &lc = conf.lifecycle;
     lifecycle.flag("enabled", lc.enabled);
     lifecycle.integer("max_records", lc.maxRecordsPerStructure);
-    lifecycle.integer("latency_bins", lc.latencyBins);
-    lifecycle.integer("hop_bins", lc.hopCountBins);
-    if (lc.latencyBins == 0 || lc.hopCountBins == 0)
-        fatal("config: lifecycle histogram bins must be positive");
 
     const Section workload(doc, "workload",
                            {"load_frac", "store_frac", "branch_frac",

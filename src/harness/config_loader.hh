@@ -14,9 +14,8 @@
  *   "mem"        l1d_kb, l1d_ways, l1i_kb, l1i_ways, l2_kb, l2_ways,
  *                line_bytes, l1_lat, l2_lat, mem_lat, tlb_entries,
  *                tlb_penalty
- *   "lifecycle"  enabled=false max_records=2048 latency_bins=50
- *                hop_bins=32 (injection-lifecycle tracing; see
- *                obs/lifecycle.hh)
+ *   "lifecycle"  enabled=false max_records=2048 (injection-lifecycle
+ *                tracing; see obs/lifecycle.hh)
  *   "workload"   (overrides applied on top of the named benchmark's
  *                profile) load_frac, store_frac, branch_frac,
  *                fp_frac, dead_frac, dep_recency, footprint_kb,
@@ -69,17 +68,19 @@ ExperimentConfig loadExperimentConfig(const json::Value &doc);
  *                      AVF_INTERVALS; accepts 1/true/yes/on and
  *                      0/false/no/off)
  *   AVF_LIFECYCLE=1    injection-lifecycle tracing (obs/lifecycle.hh):
- *                      benches enable ExperimentConfig::lifecycle on
- *                      every task, report outcome digests, and export
- *                      the JSONL record stream (same boolean syntax
- *                      as AVF_FAST)
+ *                      ExperimentEngine::submit enables
+ *                      ExperimentConfig::lifecycle on every task of
+ *                      every campaign bench, progressLine() reports
+ *                      each task's outcome digest, and exportCampaign
+ *                      writes <campaign>_<task>_lifecycle.jsonl per
+ *                      task (same boolean syntax as AVF_FAST)
  *   AVF_METRICS=<p>    metrics layer (obs/metrics.hh): enable
  *                      ExperimentConfig::metrics on every task and
  *                      write <p>_METRICS.json plus <p>_TRACE.json
- *                      per campaign (see export.hh:
- *                      exportCampaignMetrics). The value is a path
- *                      prefix; whitespace/control characters are
- *                      rejected.
+ *                      per campaign, and <p>_ROOTCAUSE.json when its
+ *                      tasks carry attribution (see export.hh:
+ *                      exportCampaign). The value is a path prefix;
+ *                      whitespace/control characters are rejected.
  *   AVF_MTTF_BUDGET_HOURS=<h>
  *                      closed-loop control (control/
  *                      throttle_controller.hh): arm the budget-mode

@@ -1,8 +1,10 @@
 #include "harness/engine.hh"
 
+#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
+#include "util/logging.hh"
 #include "util/random.hh"
 #include "util/timing.hh"
 
@@ -56,10 +58,12 @@ ExperimentEngine::submit(std::string name, ExperimentConfig config)
 {
     if (opts.seedSalt != 0)
         deriveTaskSeeds(config, opts.seedSalt, batch.size());
-    // A campaign-level metrics prefix opts every task in; a config
-    // that already asked for metrics keeps them either way.
+    // A campaign-level metrics prefix or lifecycle flag opts every
+    // task in; a config that already asked for either keeps it.
     if (!opts.metricsPrefix.empty())
         config.metrics = true;
+    if (opts.lifecycle)
+        config.lifecycle.enabled = true;
     // A campaign-level MTTF budget arms the control loop on every
     // task; a config that already configured control keeps its own
     // (more specific) settings untouched.
@@ -128,6 +132,36 @@ ExperimentEngine::collect()
         out.push_back(std::move(slot));
     batch.clear();
     return out;
+}
+
+ExperimentEngine::ProgressFn
+progressLine(const RunOptions &options)
+{
+    // stderr, not stdout: campaign stdout is byte-compared.
+    return [lifecycle = options.lifecycle](const std::string &name,
+                                           double wallMs,
+                                           const RunSummary &s) {
+        using ull = unsigned long long;
+        std::fprintf(stderr, "finished %s in %.0f ms (%.2f IPC)\n",
+                     name.c_str(), wallMs, s.ipc);
+        if (lifecycle)
+            std::fprintf(stderr,
+                         "  lifecycle: %llu injections, %llu failures, "
+                         "%llu killed, %llu expired\n",
+                         ull{s.lifecycleRecords}, ull{s.lifecycleFailures},
+                         ull{s.lifecycleKilled}, ull{s.lifecycleExpired});
+    };
+}
+
+std::vector<TaskResult>
+collectOrDie(ExperimentEngine &engine)
+{
+    auto tasks = engine.collect();
+    for (const auto &task : tasks)
+        if (!task.ok())
+            fatal("%s failed: %s", task.name.c_str(),
+                  task.errorText.c_str());
+    return tasks;
 }
 
 } // namespace avf::harness

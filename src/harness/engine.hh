@@ -59,8 +59,12 @@ struct RunOptions
      */
     int lanes = 64;
     /**
-     * Enable injection-lifecycle tracing (ExperimentConfig::lifecycle)
-     * on every task the bench builds from these options.
+     * Injection-lifecycle tracing (resolved from AVF_LIFECYCLE by
+     * loadRunOptions). True enables ExperimentConfig::lifecycle on
+     * every task submit() builds from these options; exportCampaign()
+     * (export.hh) then writes each task's record stream as
+     * <campaign>_<task>_lifecycle.jsonl and progressLine() adds the
+     * outcome digest to every task's line.
      */
     bool lifecycle = false;
     /**
@@ -74,10 +78,10 @@ struct RunOptions
     /**
      * Metrics export prefix (resolved from AVF_METRICS by
      * loadRunOptions). Non-empty enables ExperimentConfig::metrics on
-     * every task submit() builds from these options, and benches pass
-     * it to exportCampaignMetrics() (export.hh) to write
-     * <prefix>_METRICS.json (deterministic snapshot) and
-     * <prefix>_TRACE.json (wall-clock trace_event side channel).
+     * every task submit() builds from these options, and
+     * exportCampaign() (export.hh) writes <prefix>_METRICS.json
+     * (deterministic snapshot) and <prefix>_TRACE.json (wall-clock
+     * trace_event side channel).
      * Empty (the default) keeps the metrics layer fully disabled.
      */
     std::string metricsPrefix{};
@@ -196,9 +200,6 @@ class ExperimentEngine
     /** Pool queue/dispatch counters (trace side channel). */
     ThreadPool::PoolStats poolStats() const;
 
-    /** Tasks submitted in the current batch so far. */
-    std::size_t submitted() const { return batch.size(); }
-
     /** Options the engine was built with. */
     const RunOptions &options() const { return opts; }
 
@@ -213,6 +214,21 @@ class ExperimentEngine
      *  while workers fill earlier slots and submit() appends. */
     std::deque<TaskResult> batch;
 };
+
+/**
+ * The campaign progress callback every bench installs with
+ * ExperimentEngine::onTaskDone: one stderr line per finished task
+ * with its name, wall-clock milliseconds and IPC, followed by the
+ * lifecycle outcome digest when @p options.lifecycle is set.
+ */
+ExperimentEngine::ProgressFn progressLine(const RunOptions &options);
+
+/**
+ * ExperimentEngine::collect() for campaigns that cannot use a
+ * partial result: the tasks in submission order, or fatal() on the
+ * first failed one, naming the task and its error.
+ */
+std::vector<TaskResult> collectOrDie(ExperimentEngine &engine);
 
 } // namespace avf::harness
 

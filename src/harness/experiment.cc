@@ -199,6 +199,39 @@ appendSnapshot(obs::MetricsSnapshot &dst,
 
 } // namespace
 
+IntervalGeometry
+intervalGeometry(const ExperimentConfig &config)
+{
+    // Fair-share lane split: the five online estimators divide the
+    // 64-lane error plane, each getting min(requested, 64/5 = 12)
+    // lanes. With L lanes per estimator an N-injection estimation
+    // interval closes in ceil(N/L) window boundaries, so the interval
+    // length every fixed-period observer (utilization, occupancy,
+    // SoftArch reference) must march to compresses accordingly.
+    // lanes = 1 keeps the historical serial interval exactly; lanes
+    // = 0 is the default lane count, RunOptions{}.lanes.
+    const int requested = config.online.lanes > 0
+                              ? config.online.lanes
+                              : RunOptions{}.lanes;
+    IntervalGeometry g;
+    g.lanesPerEstimator = std::max(
+        1, std::min(requested,
+                    numErrorChannels / core::numStructures));
+    const auto lanes = static_cast<std::uint32_t>(g.lanesPerEstimator);
+    g.boundaries = (config.online.n + lanes - 1) / lanes;
+    g.intervalCycles = config.online.m * g.boundaries;
+    // Lane-compressed intervals can be shorter than the configured
+    // ACE lookahead, which would make the reference's tail dominate
+    // the run again and forfeit the compression. Clamp it to one
+    // interval — but only in lane-parallel runs: serial (lanes=1)
+    // campaigns keep the configured lookahead untouched so their
+    // output stays byte-identical to the historical runs.
+    g.lookahead = config.lookahead;
+    if (g.lanesPerEstimator > 1)
+        g.lookahead = std::min(g.lookahead, g.intervalCycles);
+    return g;
+}
+
 namespace detail
 {
 
@@ -216,24 +249,8 @@ runExperimentDirect(const ExperimentConfig &config)
         throw std::invalid_argument(
             "experiment: online lanes out of 0..64");
 
-    // Fair-share lane split: the five online estimators divide the
-    // 64-lane error plane, each getting min(requested, 64/5 = 12)
-    // lanes. With L lanes per estimator an N-injection estimation
-    // interval closes in ceil(N/L) window boundaries, so the interval
-    // length every fixed-period observer (utilization, occupancy,
-    // SoftArch reference) must march to compresses accordingly.
-    // lanes = 1 keeps the historical serial interval exactly; lanes
-    // = 0 is the default lane count, RunOptions{}.lanes.
-    const int requested = config.online.lanes > 0
-                              ? config.online.lanes
-                              : RunOptions{}.lanes;
-    const int per_est = std::max(
-        1, std::min(requested,
-                    numErrorChannels / core::numStructures));
-    const auto boundaries = static_cast<Cycle>(
-        (config.online.n + static_cast<std::uint32_t>(per_est) - 1) /
-        static_cast<std::uint32_t>(per_est));
-    const Cycle interval_len = config.online.m * boundaries;
+    const auto [per_est, boundaries, interval_len, eff_lookahead] =
+        intervalGeometry(config);
 
     trace::SyntheticTraceGenerator generator(config.profile);
     cpu::Pipeline pipeline(config.cpu, generator);
@@ -269,16 +286,6 @@ runExperimentDirect(const ExperimentConfig &config)
 
     // SoftArch reference (attached between the online estimators and
     // the counter baselines, matching the historical observer order).
-    // Lane-compressed intervals can be shorter than the configured
-    // ACE lookahead, which would make the reference's tail dominate
-    // the run again and forfeit the compression. Clamp it to one
-    // interval — but only in lane-parallel runs: serial (lanes=1)
-    // campaigns keep the configured lookahead untouched so their
-    // output stays byte-identical to the historical runs.
-    Cycle eff_lookahead = config.lookahead;
-    if (per_est > 1)
-        eff_lookahead = std::min(eff_lookahead, interval_len);
-
     softarch::SoftArchConfig sa_conf;
     sa_conf.intervalCycles = interval_len;
     sa_conf.lookahead = eff_lookahead;

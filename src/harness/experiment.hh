@@ -83,6 +83,8 @@ struct ExperimentConfig
      * estimators' own counters. windowCycles is overridden with the
      * resolved online.m automatically. Purely observational: AVF
      * estimates are byte-identical either way.
+     * ExperimentEngine::submit turns this on automatically when
+     * RunOptions::lifecycle is set.
      */
     obs::LifecycleConfig lifecycle;
     /**
@@ -236,6 +238,23 @@ struct ExperimentResult
     /** Issue-queue occupancy baseline series. */
     std::vector<double> occupancySeries() const;
 };
+
+/** How an experiment lays out its estimation interval. */
+struct IntervalGeometry
+{
+    int lanesPerEstimator = 1; ///< lanes each online estimator gets
+    Cycle boundaries = 1;      ///< windows per interval: ceil(N/lanes)
+    Cycle intervalCycles = 1;  ///< M x boundaries
+    Cycle lookahead = 1;       ///< SoftArch lookahead after the clamp
+};
+
+/**
+ * Resolve @p config's lane split, interval length and SoftArch
+ * lookahead exactly as the experiment body does (online.lanes = 0
+ * requests RunOptions{}.lanes), for programs that must know the
+ * interval in cycles.
+ */
+IntervalGeometry intervalGeometry(const ExperimentConfig &config);
 
 /**
  * Run one full experiment: simulate numIntervals estimation

@@ -393,6 +393,26 @@ exportCampaignMetrics(const std::string &campaign,
 }
 
 void
+exportCampaign(const std::string &campaign,
+               const ExperimentEngine &engine,
+               const std::vector<TaskResult> &tasks)
+{
+    exportCampaignMetrics(campaign, engine, tasks);
+    if (std::any_of(tasks.begin(), tasks.end(), [](const auto &task) {
+            return task.result.attribution.enabled;
+        }))
+        exportCampaignRootCause(campaign, engine, tasks);
+    for (const auto &task : tasks) {
+        if (!task.result.lifecycle.enabled)
+            continue;
+        const std::string path =
+            campaign + "_" + task.name + "_lifecycle.jsonl";
+        writeLifecycleJsonl(task.result, path);
+        inform("lifecycle: wrote %s", path.c_str());
+    }
+}
+
+void
 writeGnuplotScript(const std::string &csvPath,
                    const std::string &scriptPath,
                    const std::string &title)

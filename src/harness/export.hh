@@ -89,9 +89,7 @@ void writeRootCauseJson(const std::string &path,
  * Companion to exportCampaignMetrics() for attribution campaigns:
  * when the engine was built with a RunOptions::metricsPrefix
  * (AVF_METRICS), write <prefix>_ROOTCAUSE.json and report the path
- * on stderr. Written separately from the metrics pair so a bench can
- * export attribution without clobbering another campaign's
- * <prefix>_METRICS.json.
+ * on stderr. fatal() when no task carries attribution data.
  *
  * @return true when the file was written, false when metrics are off.
  */
@@ -112,16 +110,34 @@ void writeTraceJson(const std::string &path,
                     const std::vector<TaskResult> &tasks);
 
 /**
- * The one-liner benches call after collect(): when the engine was
- * built with a RunOptions::metricsPrefix (AVF_METRICS), write
- * <prefix>_METRICS.json and <prefix>_TRACE.json for this campaign
- * and report the paths on stderr.
+ * When the engine was built with a RunOptions::metricsPrefix
+ * (AVF_METRICS), write <prefix>_METRICS.json and <prefix>_TRACE.json
+ * for this campaign and report the paths on stderr.
  *
  * @return true when files were written, false when metrics are off.
  */
 bool exportCampaignMetrics(const std::string &campaign,
                            const ExperimentEngine &engine,
                            const std::vector<TaskResult> &tasks);
+
+/**
+ * The export step every campaign bench ends with, after
+ * collectOrDie(): write whatever the engine's options and the tasks
+ * ask for, reporting each path on stderr —
+ *
+ *  - <prefix>_METRICS.json and <prefix>_TRACE.json when AVF_METRICS
+ *    set a prefix (exportCampaignMetrics);
+ *  - <prefix>_ROOTCAUSE.json as well when any task carries
+ *    attribution (exportCampaignRootCause);
+ *  - <campaign>_<task>_lifecycle.jsonl in the working directory for
+ *    every task that ran with lifecycle tracing (writeLifecycleJsonl).
+ *
+ * Every file is deterministic but TRACE.json, and campaign stdout is
+ * untouched, so the export knobs stay passive.
+ */
+void exportCampaign(const std::string &campaign,
+                    const ExperimentEngine &engine,
+                    const std::vector<TaskResult> &tasks);
 
 } // namespace avf::harness
 

@@ -73,9 +73,9 @@ LifecycleSummary::totalWithOutcome(Outcome o) const
 LifecycleTracker::PerStructure::PerStructure(const LifecycleConfig &conf)
     : latencyHist(0.0,
                   static_cast<double>(conf.windowCycles) + 1.0,
-                  conf.latencyBins),
-      hopCountHist(0.0, static_cast<double>(conf.hopCountBins),
-                   conf.hopCountBins)
+                  latencyBins),
+      hopCountHist(0.0, static_cast<double>(hopCountBins),
+                   hopCountBins)
 {
     // Retention is capped, so one up-front reservation keeps
     // closeRecord() off the allocator for the simulation's lifetime.
@@ -87,8 +87,6 @@ LifecycleTracker::LifecycleTracker(LifecycleConfig config)
 {
     avf_assert(conf.windowCycles > 0,
                "lifecycle windowCycles must be positive");
-    avf_assert(conf.latencyBins > 0 && conf.hopCountBins > 0,
-               "lifecycle histograms need at least one bin");
     perStructure.reserve(static_cast<std::size_t>(core::numStructures));
     for (int s = 0; s < core::numStructures; ++s)
         perStructure.emplace_back(conf);

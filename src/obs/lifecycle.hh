@@ -105,10 +105,6 @@ struct LifecycleConfig
      * latency-to-outcome histogram (expiry latency equals M).
      */
     Cycle windowCycles = 1000;
-    /** Bins of the latency histogram. */
-    std::size_t latencyBins = 50;
-    /** Bins (and upper edge) of the per-record hop-count histogram. */
-    std::size_t hopCountBins = 32;
 };
 
 /** One injection's full lifecycle. */
@@ -256,6 +252,11 @@ class LifecycleTracker : public cpu::PipelineObserver,
         int blameOp = -1;
         LifecycleRecord rec;
     };
+
+    /** Bins of the latency histogram. */
+    static constexpr std::size_t latencyBins = 50;
+    /** Bins (and upper edge) of the per-record hop-count histogram. */
+    static constexpr std::size_t hopCountBins = 32;
 
     /** Per-structure aggregates over closed records. */
     struct PerStructure

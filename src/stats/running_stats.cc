@@ -19,6 +19,15 @@ RunningStats::add(double x)
 }
 
 double
+mean(const std::vector<double> &values)
+{
+    RunningStats acc;
+    for (double x : values)
+        acc.add(x);
+    return acc.mean();
+}
+
+double
 RunningStats::variance() const
 {
     if (n < 2)

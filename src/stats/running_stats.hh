@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace avf::stats
 {
@@ -57,6 +58,13 @@ class RunningStats
     double minVal = std::numeric_limits<double>::infinity();
     double maxVal = -std::numeric_limits<double>::infinity();
 };
+
+/**
+ * The mean of @p values as a RunningStats accumulates it, in order
+ * (0 when empty) — not sum-then-divide, so the last digit can differ
+ * from a plain average.
+ */
+double mean(const std::vector<double> &values);
 
 } // namespace avf::stats
 

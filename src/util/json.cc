@@ -162,13 +162,13 @@ struct Parser
             while (std::isdigit(static_cast<unsigned char>(peek())))
                 ++pos;
         }
-        std::string token(in.substr(start, pos - start));
+        const char *first = in.data() + start;
+        const char *last = in.data() + pos;
         // An integer past 2^64-1 stays a Double rather than
         // saturating, so no reader takes it for UINT64_MAX.
-        if (integral && token[0] != '-') {
-            const char *last = token.data() + token.size();
+        if (integral && *first != '-') {
             std::uint64_t u = 0;
-            auto [end, ec] = std::from_chars(token.data(), last, u);
+            auto [end, ec] = std::from_chars(first, last, u);
             if (ec == std::errc{} && end == last) {
                 out.kind = Value::Kind::Uint;
                 out.uintValue = u;
@@ -177,7 +177,13 @@ struct Parser
             }
         }
         out.kind = Value::Kind::Double;
-        out.number = std::strtod(token.c_str(), nullptr);
+        // Beyond a double's range from_chars leaves the value unset;
+        // only there (never in practice) does the token get copied,
+        // for strtod's +-inf / +-0.
+        if (std::from_chars(first, last, out.number).ec ==
+            std::errc::result_out_of_range)
+            out.number = std::strtod(std::string(first, last).c_str(),
+                                     nullptr);
         return true;
     }
 

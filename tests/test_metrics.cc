@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -807,6 +808,45 @@ TEST(JsonParser, HandlesEscapesNumbersAndNesting)
     ASSERT_NE(deep, nullptr);
     EXPECT_TRUE(
         deep->items[0].items[0].items[0].find("x")->isNull());
+}
+
+// Numbers parse straight from the input with std::from_chars. Where
+// a double cannot hold the magnitude, from_chars reports
+// result_out_of_range and leaves the value unset; the parser returns
+// what strtod would: +-inf above the range, +-0 below it.
+TEST(JsonParser, OutOfRangeNumbersReadAsStrtodDoes)
+{
+    const struct
+    {
+        const char *text;
+        double want;
+    } cases[] = {
+        {"1e400", HUGE_VAL},
+        {"-1e400", -HUGE_VAL},
+        {"123456789e305", HUGE_VAL},
+        {"0.0001e313", HUGE_VAL},
+        {"1e-400", 0.0},
+        {"-1e-400", -0.0},
+        {"2.4e-324", 0.0},
+        {"0.00001e-320", 0.0},
+        {"1e99999999999999999999", HUGE_VAL},
+        {"-1e-99999999999999999999", -0.0},
+        {"-0.0", -0.0},
+        {"-0", -0.0},
+        {"4.9e-324", std::strtod("4.9e-324", nullptr)},
+        {"1.7976931348623157e308", std::strtod("1.7976931348623157e308",
+                                               nullptr)},
+    };
+    for (const auto &c : cases) {
+        json::Value doc;
+        std::string error;
+        ASSERT_TRUE(json::parse(c.text, doc, error)) << c.text << error;
+        EXPECT_EQ(doc.kind, json::Value::Kind::Double) << c.text;
+        EXPECT_EQ(doc.number, c.want) << c.text;
+        EXPECT_EQ(std::signbit(doc.number), std::signbit(c.want))
+            << c.text;
+        EXPECT_EQ(doc.number, std::strtod(c.text, nullptr)) << c.text;
+    }
 }
 
 TEST(JsonParser, RejectsMalformedInput)

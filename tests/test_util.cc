@@ -1,12 +1,14 @@
 /**
  * @file
  * Unit tests for the util library: PRNG determinism and statistical
- * sanity, bit vector behaviour, and string hashing.
+ * sanity, bit vector behaviour, string hashing, and command-line
+ * counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -16,6 +18,7 @@
 
 #include "trace/spec_profiles.hh"
 #include "util/bitvector.hh"
+#include "util/cli.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 
@@ -26,6 +29,7 @@ using avf::BitVector;
 using avf::isQuiet;
 using avf::LogLevel;
 using avf::logLevel;
+using avf::parseCount;
 using avf::parseLogLevel;
 using avf::Rng;
 using avf::setLogLevel;
@@ -88,6 +92,34 @@ TEST(LoggingDeathTest, RejectsJunkLogLevel)
     // config error, not a silent default.
     EXPECT_DEATH(parseLogLevel("verbose"), "not a log level");
     EXPECT_DEATH(parseLogLevel("INFO"), "not a log level");
+}
+
+// A count is all decimal digits inside its range. Anything else is a
+// usage error named on stderr — not atoi's silent 0, a silently
+// accepted prefix, or a value cut to size by a later cast.
+TEST(ParseCount, RejectsAnythingButAnInRangeNumber)
+{
+    for (const char *bad : {"abc", "8x", "99999999999", "", "-1", "+5",
+                            " 5", "5 ", "0", "0x10",
+                            "99999999999999999999999"}) {
+        std::uint64_t out = 7;
+        testing::internal::CaptureStderr();
+        EXPECT_FALSE(parseCount("prog", "intervals", bad, 1, INT_MAX, out))
+            << bad;
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(err, "prog: intervals wants an integer in 1..2147483647"
+                       ", got '" + std::string(bad) + "'\n");
+        EXPECT_EQ(out, 7u) << bad;
+    }
+    std::uint64_t out = 0;
+    EXPECT_TRUE(parseCount("prog", "intervals", "8", 1, INT_MAX, out));
+    EXPECT_EQ(out, 8u);
+    EXPECT_TRUE(parseCount("prog", "intervals", "2147483647", 1, INT_MAX,
+                           out));
+    EXPECT_EQ(out, 2147483647u);
+    EXPECT_TRUE(parseCount("prog", "--m", "18446744073709551615", 0,
+                           UINT64_MAX, out));
+    EXPECT_EQ(out, UINT64_MAX);
 }
 
 TEST(Rng, DeterministicForSameSeed)

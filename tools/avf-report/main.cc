@@ -40,7 +40,6 @@
  * can distinguish "lint failed" from "report unreadable".
  */
 
-#include <charconv>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -50,6 +49,7 @@
 
 #include "report.hh"
 #include "serve_report.hh"
+#include "util/cli.hh"
 
 namespace
 {
@@ -74,30 +74,6 @@ usage()
         "  tail FEED.jsonl [--follow] [--max-polls N]\n"
         "  serve-status DIR\n");
     return 1;
-}
-
-/**
- * Strict numeric flag value: all of @p text is decimal digits and the
- * value lies in [@p lo, @p hi]. A sign, trailing junk or overflow is
- * rejected with a message naming @p flag; the caller then answers
- * with usage().
- */
-bool
-parseCount(const char *flag, const char *text, std::uint64_t lo,
-           std::uint64_t hi, std::uint64_t &out)
-{
-    const char *end = text + std::strlen(text);
-    std::uint64_t value = 0;
-    auto [ptr, ec] = std::from_chars(text, end, value);
-    if (ec != std::errc() || ptr != end || value < lo || value > hi) {
-        std::fprintf(stderr, "avf-report: %s wants an integer in "
-                     "%llu..%llu, got '%s'\n", flag,
-                     static_cast<unsigned long long>(lo),
-                     static_cast<unsigned long long>(hi), text);
-        return false;
-    }
-    out = value;
-    return true;
 }
 
 /** Load + validate one METRICS.json; exits 2 on failure. */
@@ -162,7 +138,8 @@ main(int argc, char **argv)
         std::uint64_t top = 10;
         for (int i = 3; i < argc; ++i) {
             if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-                if (!parseCount("--top", argv[++i], 1, SIZE_MAX, top))
+                if (!parseCount("avf-report", "--top", argv[++i], 1,
+                                SIZE_MAX, top))
                     return usage();
             } else {
                 return usage();
@@ -261,7 +238,8 @@ main(int argc, char **argv)
                 by = argv[++i];
             } else if (std::strcmp(argv[i], "--top") == 0 &&
                        i + 1 < argc) {
-                if (!parseCount("--top", argv[++i], 1, SIZE_MAX, top))
+                if (!parseCount("avf-report", "--top", argv[++i], 1,
+                                SIZE_MAX, top))
                     return usage();
             } else if (std::strcmp(argv[i], "--json") == 0) {
                 jsonOut = true;
@@ -298,8 +276,8 @@ main(int argc, char **argv)
                 follow = true;
             } else if (std::strcmp(argv[i], "--max-polls") == 0 &&
                        i + 1 < argc) {
-                if (!parseCount("--max-polls", argv[++i], 1, INT_MAX,
-                                maxPolls))
+                if (!parseCount("avf-report", "--max-polls", argv[++i],
+                                1, INT_MAX, maxPolls))
                     return usage();
             } else {
                 return usage();

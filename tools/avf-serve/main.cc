@@ -32,7 +32,6 @@
  * failed.
  */
 
-#include <charconv>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -42,6 +41,7 @@
 #include "serve/campaign.hh"
 #include "serve/daemon.hh"
 #include "serve/protocol.hh"
+#include "util/cli.hh"
 #include "util/json.hh"
 
 namespace
@@ -69,39 +69,6 @@ usage()
 }
 
 /**
- * Strict unsigned parse: the whole string is decimal digits, with no
- * sign, space or trailing junk, and fits a uint64_t.
- */
-bool
-parseU64(const char *text, std::uint64_t &out)
-{
-    const char *end = text + std::strlen(text);
-    auto [ptr, ec] = std::from_chars(text, end, out);
-    return ec == std::errc() && ptr == end;
-}
-
-/**
- * parseU64 for a flag whose CampaignSpec field holds at most @p max.
- * A larger value is refused here, naming @p flag, rather than cut to
- * size by the cast, so parseRequest's range checks see the number as
- * typed.
- */
-bool
-parseFieldValue(const char *flag, const char *text, std::uint64_t max,
-                std::uint64_t &out)
-{
-    if (!parseU64(text, out))
-        return false;
-    if (out > max) {
-        std::fprintf(stderr, "avf-serve: %s %s does not fit its field "
-                     "(at most %llu)\n", flag, text,
-                     static_cast<unsigned long long>(max));
-        return false;
-    }
-    return true;
-}
-
-/**
  * Parse the shared campaign flags into @p spec. Range validation is
  * deliberately NOT done here — the spec round-trips through
  * serve::parseRequest below, which applies the wire protocol's rules.
@@ -125,30 +92,29 @@ parseCampaignFlags(int argc, char **argv, int first,
             return false;
         const char *value = argv[++i];
         std::uint64_t number = 0;
+        auto count = [&](std::uint64_t max) {
+            return parseCount("avf-serve", flag, value, 0, max, number);
+        };
         if (std::strcmp(flag, "--name") == 0) {
             spec.name = value;
         } else if (std::strcmp(flag, "--benchmark") == 0) {
             spec.benchmark = value;
-        } else if (std::strcmp(flag, "--intervals") == 0 &&
-                   parseFieldValue(flag, value, INT_MAX, number)) {
+        } else if (std::strcmp(flag, "--intervals") == 0 && count(INT_MAX)) {
             spec.intervals = static_cast<int>(number);
         } else if (std::strcmp(flag, "--slice-intervals") == 0 &&
-                   parseFieldValue(flag, value, INT_MAX, number)) {
+                   count(INT_MAX)) {
             spec.sliceIntervals = static_cast<int>(number);
-        } else if (std::strcmp(flag, "--m") == 0 &&
-                   parseU64(value, number)) {
+        } else if (std::strcmp(flag, "--m") == 0 && count(UINT64_MAX)) {
             spec.m = number;
-        } else if (std::strcmp(flag, "--n") == 0 &&
-                   parseFieldValue(flag, value, UINT32_MAX, number)) {
+        } else if (std::strcmp(flag, "--n") == 0 && count(UINT32_MAX)) {
             spec.n = static_cast<std::uint32_t>(number);
-        } else if (std::strcmp(flag, "--lanes") == 0 &&
-                   parseFieldValue(flag, value, INT_MAX, number)) {
+        } else if (std::strcmp(flag, "--lanes") == 0 && count(INT_MAX)) {
             spec.lanes = static_cast<int>(number);
         } else if (std::strcmp(flag, "--seed-salt") == 0 &&
-                   parseU64(value, number)) {
+                   count(UINT64_MAX)) {
             spec.seedSalt = number;
         } else if (std::strcmp(flag, "--checkpoint-every") == 0 &&
-                   parseFieldValue(flag, value, INT_MAX, number)) {
+                   count(INT_MAX)) {
             spec.checkpointEverySlices = static_cast<int>(number);
         } else {
             return false;
@@ -215,8 +181,8 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--procs") == 0 &&
                    i + 1 < argc) {
             std::uint64_t number = 0;
-            if (!parseU64(argv[i + 1], number) || number < 1 ||
-                number > 64)
+            if (!parseCount("avf-serve", "--procs", argv[i + 1], 1, 64,
+                            number))
                 return usage();
             procs = static_cast<int>(number);
             i += 2;
