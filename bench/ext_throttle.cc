@@ -2,134 +2,97 @@
  * @file
  * Closed-loop experiment: instruction throttling driven by the
  * online AVF estimate (the Soundararajan-style adaptation the paper
- * says *requires* real-time estimation). Three runs per benchmark on
- * identical workloads:
+ * says *requires* real-time estimation). Three engine tasks per
+ * benchmark on identical workloads, each the standard experiment at
+ * one lane (the paper's serial Algorithm 1):
  *
- *   baseline   — no throttling;
- *   always     — statically throttled (worst-case provisioning);
- *   adaptive   — the ThrottleController engages only when the
- *                predicted IQ AVF crosses its threshold, deciding
- *                from the published metrics series (ControlFeed),
- *                never from the estimator's private history.
+ *   baseline        — no throttling;
+ *   always-throttle — statically throttled (worst-case provisioning):
+ *                     the machine's dispatch width is the throttled
+ *                     width;
+ *   adaptive        — the control loop in threshold mode: the throttle
+ *                     controller engages only when the predicted IQ
+ *                     AVF crosses its threshold, deciding from the
+ *                     published metrics series (ControlFeed), never
+ *                     from the estimator's private history.
  *
  * Reported: mean IQ AVF (from the independent SoftArch reference,
  * so the controller cannot grade its own homework) and IPC. The
  * throttle genuinely lowers AVF in this simulator because fewer
  * in-flight instructions mean lower ACE occupancy — the effect
  * emerges from the microarchitecture, it is not scripted.
+ *
+ * As in every engine bench, AVF_LIFECYCLE and AVF_METRICS export the
+ * campaign, and AVF_MTTF_BUDGET_HOURS arms budget-mode control on the
+ * tasks that configure none (baseline and always-throttle).
  */
 
 #include <cstdio>
+#include <iterator>
+#include <string>
 
 #include "control/throttle_controller.hh"
-#include "core/online_estimator.hh"
-#include "cpu/pipeline.hh"
-#include "obs/control_feed.hh"
-#include "softarch/ace_analyzer.hh"
+#include "harness/config_loader.hh"
+#include "harness/engine.hh"
+#include "harness/experiment.hh"
+#include "harness/export.hh"
 #include "stats/running_stats.hh"
 #include "stats/table_printer.hh"
 #include "trace/spec_profiles.hh"
-#include "trace/synthetic.hh"
-#include "harness/config_loader.hh"
-
-namespace
-{
-
-using namespace avf;
-using core::Structure;
-
-enum class Mode { Baseline, AlwaysThrottled, Adaptive };
-
-struct Outcome
-{
-    double iqAvf = 0.0;
-    double ipc = 0.0;
-    double throttledShare = 0.0;
-};
-
-Outcome
-runMode(const std::string &bench, Mode mode, int intervals)
-{
-    trace::SyntheticTraceGenerator gen(trace::specProfile(bench));
-    cpu::Pipeline pipe(cpu::CpuConfig{}, gen);
-
-    core::OnlineConfig online; // M = N = 1000
-    core::OnlineAvfEstimator est(pipe, Structure::IQ, online);
-    pipe.addObserver(&est);
-
-    softarch::SoftArchConfig sa;
-    softarch::AceAnalyzer reference(pipe, sa);
-    pipe.addObserver(&reference);
-
-    // The controller's only input: the published per-interval series.
-    obs::ControlFeed feed;
-    feed.attachAvf(Structure::IQ, est);
-    control::ThrottleConfig policy;
-    control::ThrottleController controller(pipe, feed, policy);
-    if (mode == Mode::Adaptive) {
-        pipe.addObserver(&feed);
-        pipe.addObserver(&controller);
-    } else if (mode == Mode::AlwaysThrottled) {
-        pipe.setDispatchThrottle(policy.throttledWidth);
-    }
-
-    const Cycle interval_len = online.m * online.n;
-    pipe.run(interval_len * static_cast<Cycle>(intervals) +
-             sa.lookahead + online.m);
-    reference.finalizeAll(static_cast<std::size_t>(intervals - 1));
-
-    Outcome out;
-    stats::RunningStats avf;
-    for (std::size_t k = 0;
-         k < static_cast<std::size_t>(intervals) &&
-         k < reference.results().size();
-         ++k)
-        avf.add(reference.results()[k][Structure::IQ]);
-    out.iqAvf = avf.mean();
-    out.ipc = pipe.stats().ipc();
-    if (mode == Mode::Adaptive && controller.intervals() > 0)
-        out.throttledShare =
-            static_cast<double>(controller.throttledIntervals()) /
-            static_cast<double>(controller.intervals());
-    else if (mode == Mode::AlwaysThrottled)
-        out.throttledShare = 1.0;
-    return out;
-}
-
-} // namespace
 
 int
 main()
 {
+    using namespace avf;
+    using namespace avf::harness;
+    using core::Structure;
     using stats::TablePrinter;
-    const int intervals =
-        harness::loadRunOptions().fastMode ? 4 : 15;
+
+    // The three runs per benchmark, in submission order.
+    constexpr const char *modes[] = {"baseline", "always-throttle",
+                                     "adaptive"};
+    constexpr std::size_t alwaysThrottled = 1;
+    constexpr std::size_t adaptive = 2;
+
+    auto options = loadRunOptions();
+    ExperimentEngine engine(options);
+    engine.onTaskDone(progressLine(options));
+    for (const char *bench : {"mesa", "bzip2", "sixtrack", "art"}) {
+        for (std::size_t mode = 0; mode < std::size(modes); ++mode) {
+            ExperimentConfig conf;
+            conf.profile = trace::specProfile(bench);
+            conf.numIntervals = options.fastMode ? 4 : 15;
+            conf.online.lanes = 1; // M = N = 1000, serial Algorithm 1
+            if (mode == alwaysThrottled)
+                conf.cpu.dispatchWidth =
+                    control::ThrottleConfig{}.throttledWidth;
+            else if (mode == adaptive)
+                conf.control.enabled = true; // threshold mode, IQ
+            engine.submit(std::string(bench) + "_" + modes[mode], conf);
+        }
+    }
+    auto tasks = collectOrDie(engine);
+    exportCampaign("ext_throttle", engine, tasks);
 
     TablePrinter table("Closed-loop instruction throttling from "
                        "online AVF (IQ AVF from SoftArch; lower is "
                        "safer)");
     table.setHeader({"app", "mode", "IQ AVF", "IPC", "throttled"});
-
-    for (const char *bench : {"mesa", "bzip2", "sixtrack", "art"}) {
-        std::fprintf(stderr, "running %s...\n", bench);
-        auto base = runMode(bench, Mode::Baseline, intervals);
-        auto always = runMode(bench, Mode::AlwaysThrottled, intervals);
-        auto adaptive = runMode(bench, Mode::Adaptive, intervals);
-
-        table.addRow({bench, "baseline",
-                      TablePrinter::num(base.iqAvf),
-                      TablePrinter::num(base.ipc, 2),
-                      TablePrinter::pct(0.0, 0)});
-        table.addRow({bench, "always-throttle",
-                      TablePrinter::num(always.iqAvf),
-                      TablePrinter::num(always.ipc, 2),
-                      TablePrinter::pct(always.throttledShare * 100,
-                                        0)});
-        table.addRow({bench, "adaptive",
-                      TablePrinter::num(adaptive.iqAvf),
-                      TablePrinter::num(adaptive.ipc, 2),
-                      TablePrinter::pct(
-                          adaptive.throttledShare * 100, 0)});
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        const std::size_t mode = i % std::size(modes);
+        const auto &result = tasks[i].result;
+        const auto &cs = result.control;
+        double share = cs.intervals
+            ? static_cast<double>(cs.throttledIntervals) /
+                  static_cast<double>(cs.intervals)
+            : 0.0;
+        if (mode == alwaysThrottled)
+            share = 1.0;
+        table.addRow({result.benchmark, modes[mode],
+                      TablePrinter::num(stats::mean(
+                          result.softarchSeries(Structure::IQ))),
+                      TablePrinter::num(result.summary.ipc, 2),
+                      TablePrinter::pct(share * 100, 0)});
     }
     table.print();
     std::printf("\nReading: throttling measurably lowers IQ AVF (an "

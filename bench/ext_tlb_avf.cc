@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/injection_port.hh"
 #include "core/tlb_estimator.hh"
 #include "cpu/pipeline.hh"
 #include "stats/table_printer.hh"
@@ -52,7 +53,9 @@ main()
         core::TlbEstimatorConfig conf;
         conf.m = m;
         conf.n = n;
-        core::TlbAvfEstimator est(pipe, conf);
+        core::InjectionPort port(pipe);
+        pipe.addObserver(&port);
+        core::TlbAvfEstimator est(pipe, port, conf);
         pipe.addObserver(&est);
 
         pipe.run(m * static_cast<Cycle>(n) + m);

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/injection_port.hh"
 #include "core/propagation_probe.hh"
 #include "cpu/pipeline.hh"
 #include "stats/histogram.hh"
@@ -69,8 +70,12 @@ main()
     conf.maxWait = 20'000;
     conf.targetSamples = target;
 
-    PropagationProbe reg_probe(pipe, Structure::REG, conf);
-    PropagationProbe fxu_probe(pipe, Structure::FXU, conf);
+    // Both probes reserve a lane from one port, attached first so it
+    // latches a failure before a probe's onRetire polls it.
+    core::InjectionPort port(pipe);
+    pipe.addObserver(&port);
+    PropagationProbe reg_probe(pipe, port, Structure::REG, conf);
+    PropagationProbe fxu_probe(pipe, port, Structure::FXU, conf);
     pipe.addObserver(&reg_probe);
     pipe.addObserver(&fxu_probe);
 

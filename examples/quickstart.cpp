@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/injection_port.hh"
 #include "core/online_estimator.hh"
 #include "cpu/pipeline.hh"
 #include "trace/spec_profiles.hh"
@@ -42,14 +43,19 @@ main(int argc, char **argv)
     cpu::CpuConfig machine;
     cpu::Pipeline pipeline(machine, workload);
 
-    // 3. One online estimator per structure of interest. M = N = 1000
-    //    means an AVF estimate every million cycles.
+    // 3. One online estimator per structure of interest, each taking
+    //    its error-bit lane from one injection port. The port latches
+    //    failures as instructions retire, so it is attached first.
+    //    M = N = 1000 means an AVF estimate every million cycles.
+    core::InjectionPort port(pipeline);
+    pipeline.addObserver(&port);
     core::OnlineConfig online; // defaults: m = 1000, n = 1000
     std::vector<std::unique_ptr<core::OnlineAvfEstimator>> estimators;
     for (int s = 0; s < core::numPaperStructures; ++s) {
         estimators.push_back(
             std::make_unique<core::OnlineAvfEstimator>(
-                pipeline, static_cast<core::Structure>(s), online));
+                pipeline, static_cast<core::Structure>(s), online,
+                &port));
         pipeline.addObserver(estimators.back().get());
     }
 

@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 
+#include "core/injection_port.hh"
 #include "core/online_estimator.hh"
 #include "cpu/pipeline.hh"
 #include "trace/spec_profiles.hh"
@@ -85,11 +86,15 @@ cmdRun(const std::string &path, int intervals)
     trace::TraceFileReader reader(path, /*loop=*/true);
     cpu::Pipeline pipe(cpu::CpuConfig{}, reader);
 
+    // The port every estimator reserves its lane from; attached
+    // first so it latches failures before the estimators poll.
+    core::InjectionPort port(pipe);
+    pipe.addObserver(&port);
     core::OnlineConfig online;
     std::vector<std::unique_ptr<core::OnlineAvfEstimator>> ests;
     for (int s = 0; s < core::numPaperStructures; ++s) {
         ests.push_back(std::make_unique<core::OnlineAvfEstimator>(
-            pipe, static_cast<core::Structure>(s), online));
+            pipe, static_cast<core::Structure>(s), online, &port));
         pipe.addObserver(ests.back().get());
     }
 

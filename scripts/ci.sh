@@ -47,7 +47,8 @@
 #   golden       bench stdout vs tests/golden in a Release build: the
 #                tier-1 `ctest -L golden` set (fig3_accuracy and
 #                fig4_traces at one lane and the default lanes) plus
-#                the slow fig2_propagation and ext_tlb_avf
+#                the slow fig2_propagation, ext_tlb_avf and
+#                ext_throttle
 #   all          tier1 + lint + tidy + ubsan + tsan (bench-smoke,
 #                serve-smoke and golden are opt-in: each has its own
 #                CI job)
@@ -190,7 +191,7 @@ run_bench_smoke() {
         "$BUILD-bench/ci_control_METRICS.json" --task controlled \
         > /dev/null
     echo "bench-smoke: control-loop decision trail round-trip ok"
-    echo "=== bench-smoke: export knobs are passive (ablation_m_sweep) ==="
+    echo "=== bench-smoke: export knobs are passive (ablation_m_sweep, ext_throttle) ==="
     # AVF_LIFECYCLE and AVF_METRICS apply to every campaign bench and
     # must leave its stdout byte-identical. Lifecycle JSONL lands in
     # the working directory, so the traced run gets its own.
@@ -208,6 +209,19 @@ run_bench_smoke() {
     "$BUILD-bench/tools/avf-report/avf-report" lifecycle \
         "$PASSIVE/ablation_m_sweep_M=1000_lifecycle.jsonl" > /dev/null
     echo "bench-smoke: traced ablation_m_sweep stdout identical, exports ok"
+    # The closed-loop campaign: 12 tasks, one lifecycle file each.
+    AVF_FAST=1 "$BUILD-bench/bench/ext_throttle" \
+        > "$PASSIVE/throttle_plain.txt"
+    (cd "$PASSIVE" && AVF_FAST=1 AVF_LIFECYCLE=1 \
+        AVF_METRICS="$PASSIVE/ci_throttle" ../bench/ext_throttle \
+        > "$PASSIVE/throttle_traced.txt")
+    cmp "$PASSIVE/throttle_plain.txt" "$PASSIVE/throttle_traced.txt"
+    test -s "$PASSIVE/ci_throttle_METRICS.json"
+    test -s "$PASSIVE/ci_throttle_TRACE.json"
+    test "$(ls "$PASSIVE" | grep -c '^ext_throttle_.*_lifecycle\.jsonl$')" = 12
+    "$BUILD-bench/tools/avf-report/avf-report" lifecycle \
+        "$PASSIVE/ext_throttle_mesa_adaptive_lifecycle.jsonl" > /dev/null
+    echo "bench-smoke: traced ext_throttle stdout identical, exports ok"
     echo "=== bench-smoke: root-cause attribution scenario ==="
     # The hot-loop scenario exports ci_rootcause_ROOTCAUSE.json next
     # to its own METRICS/TRACE pair (its own prefix, so fig3's
@@ -344,9 +358,9 @@ run_golden() {
     echo "=== golden: bench stdout vs tests/golden (Release) ==="
     configure_and_build "$BUILD-golden" -DCMAKE_BUILD_TYPE=Release
     ctest --test-dir "$BUILD-golden" -L golden --output-on-failure
-    # Too slow for tier-1, and the only benches that drive the
-    # propagation probe and the dTLB estimator.
-    for BENCH in fig2_propagation ext_tlb_avf; do
+    # Too slow for tier-1: the propagation probe, the dTLB estimator
+    # and the closed-loop throttling campaign.
+    for BENCH in fig2_propagation ext_tlb_avf ext_throttle; do
         echo "--- golden: $BENCH ---"
         sh tests/golden/golden.sh check "$BUILD-golden/bench/$BENCH" \
             "tests/golden/$BENCH.default.txt" default

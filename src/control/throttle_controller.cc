@@ -18,6 +18,9 @@ namespace
  */
 constexpr double mttfSeriesCapHours = 1e12;
 
+/** The structure whose published AVF series drives the predictor. */
+constexpr core::Structure drivingStructure = core::Structure::IQ;
+
 } // namespace
 
 ThrottleController::ThrottleController(
@@ -31,8 +34,8 @@ ThrottleController::ThrottleController(
                "(release < engage)");
     avf_assert(conf.throttledWidth > 0,
                "throttled width must be positive");
-    avf_assert(feed.hasAvf(conf.structure),
-               "control feed does not publish the driving structure");
+    avf_assert(feed.hasAvf(drivingStructure),
+               "control feed does not publish the issue queue's AVF");
 
     auto &m = feed.shard();
     engagementsId = m.registerCounter("control_engagements_total");
@@ -67,7 +70,7 @@ void
 ThrottleController::processRow(std::size_t row)
 {
     auto &m = feed.shard();
-    predictor.observe(feed.avfSeries(conf.structure)[row]);
+    predictor.observe(feed.avfSeries(drivingStructure)[row]);
 
     bool want = engaged;
     if (arbiter) {

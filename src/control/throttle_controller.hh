@@ -11,9 +11,9 @@
  * IPC cost.
  *
  * Two policies share the actuator:
- *  - threshold mode (no arbiter): an EMA predictor over the driving
- *    structure's AVF series, with hysteresis between engage and
- *    release thresholds;
+ *  - threshold mode (no arbiter): an EMA predictor over the issue
+ *    queue's AVF series (the structure dispatch throttling acts on),
+ *    with hysteresis between engage and release thresholds;
  *  - budget mode (arbiter attached): every structure's AVF row is
  *    handed to a reliability::BudgetArbiter, which checks the SOFR
  *    failure rate against an MTTF budget and names the structure to
@@ -46,8 +46,6 @@ namespace avf::control
 /** Threshold-mode policy (budget mode takes these as fallbacks). */
 struct ThrottleConfig
 {
-    /** Structure whose published AVF series drives the predictor. */
-    core::Structure structure = core::Structure::IQ;
     /** Predicted AVF at or above which throttling engages. */
     double engageThreshold = 0.30;
     /** Predicted AVF below which throttling releases; must be
@@ -70,7 +68,7 @@ class ThrottleController : public cpu::PipelineObserver
     /**
      * @param pipe pipeline to actuate.
      * @param feed the published per-interval series to decide from;
-     *        conf.structure must be attached. Decision metrics are
+     *        the issue queue's must be attached. Decision metrics are
      *        registered on the feed's shard here (never mid-run).
      * @param config policy.
      * @param arbiter optional MTTF-budget arbiter; non-null switches

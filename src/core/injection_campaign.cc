@@ -46,43 +46,17 @@ SiteSource::siteAt(int slot) const
 InjectionCampaign::InjectionCampaign(cpu::Pipeline &pipe,
                                      SiteSource sites,
                                      const OnlineConfig &config,
-                                     InjectionPort *sharedPort,
-                                     LaneId privateLane)
+                                     InjectionPort &lanePort)
     : pipeline(pipe), siteSource(sites), conf(checked(config)),
-      rng(config.seed), boundaryTick(config.m)
+      rng(config.seed), boundaryTick(config.m), port(lanePort)
 {
-    const int lanes = conf.lanes > 0 ? conf.lanes : 1;
-    std::vector<LaneId> reserved;
-    if (sharedPort) {
-        portPtr = sharedPort;
-        reserved = portPtr->reserveLanes(lanes);
-    } else {
-        // Private port: pin the first lane so directly-constructed
-        // campaigns of distinct targets land on disjoint lanes. (The
-        // private port is not on the observer list; onRetire below
-        // forwards to it.)
-        ownedPort = std::make_unique<InjectionPort>(pipe);
-        portPtr = ownedPort.get();
-        portPtr->reserveLane(privateLane);
-        reserved.push_back(privateLane);
-        for (int i = 1; i < lanes; ++i)
-            reserved.push_back(portPtr->reserveLane());
-    }
+    const std::vector<LaneId> reserved =
+        port.reserveLanes(conf.lanes > 0 ? conf.lanes : 1);
     windows.resize(reserved.size());
     for (std::size_t i = 0; i < reserved.size(); ++i) {
         windows[i].lane = reserved[i];
-        laneMask |= laneBit(reserved[i]);
+        reservedLanes |= laneBit(reserved[i]);
     }
-}
-
-void
-InjectionCampaign::onRetire(const cpu::DynInstr &instr,
-                            const cpu::RetireInfo &info)
-{
-    // A shared port sits on the pipeline's observer list itself; a
-    // private one sees retirements only through its owner.
-    if (ownedPort)
-        ownedPort->onRetire(instr, info);
 }
 
 double
@@ -110,7 +84,7 @@ void
 InjectionCampaign::openWindow(LaneSlot &slot, Cycle now)
 {
     Site site = siteSource.next();
-    slot.handle = portPtr->open(slot.lane, site, now);
+    slot.handle = port.open(slot.lane, site, now);
     slot.open = true;
     ++count.lifetimeInjections;
 
@@ -129,7 +103,7 @@ InjectionCampaign::windowBoundary(Cycle now)
         slot.scheduled = false;
         if (!slot.open)
             continue;
-        Outcome outcome = portPtr->closed(slot.handle);
+        Outcome outcome = port.closed(slot.handle);
         slot.open = false;
         ++count.injections;
         ++count.windowsClosed;
@@ -152,7 +126,7 @@ InjectionCampaign::windowBoundary(Cycle now)
 
     // One error at a time per lane: one batched sweep retires every
     // lane's bits before the next windows open.
-    portPtr->clearLanes(laneMask);
+    port.clearLanes(reservedLanes);
 
     // Open phase: saturate the lanes, capped so an interval closes on
     // exactly N windows (the cap only binds on the last boundary of

@@ -4,9 +4,12 @@
  * campaign closes its open windows in lane order, counts their
  * outcomes (an interval ends on exactly its Nth closed window),
  * sweeps its lanes clean with one batched clearLanes(), and opens the
- * next windows on the next round-robin sites. The online estimator,
- * the dTLB estimator and the coverage probes are this loop pointed at
- * different sites; they differ only in
+ * next windows on the next round-robin sites. Every campaign reserves
+ * its lanes from one InjectionPort the caller attached to the
+ * pipeline first, so campaigns on one pipeline never share a lane and
+ * one campaign's sweep never touches another's bits. The online
+ * estimator, the dTLB estimator and the coverage probes are this loop
+ * pointed at different sites; they differ only in
  *
  *  - the SiteSource they walk (a structure, the dTLB, a probe target),
  *  - their name() and the ordered counter keys their EstimatorState
@@ -23,7 +26,6 @@
 #define AVF_CORE_INJECTION_CAMPAIGN_HH
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -159,25 +161,16 @@ class InjectionCampaign : public AvfEstimator
      * @param pipe pipeline to instrument (the caller attaches).
      * @param sites the targets to walk.
      * @param config M, N, lanes (0 -> 1) and timing options.
-     * @param sharedPort port to reserve lanes from (attached to the
-     *        pipeline ahead of the campaigns). nullptr makes the
-     *        campaign own a private port whose first lane is pinned
-     *        to @p privateLane; the campaign forwards its onRetire.
-     * @param privateLane first lane of a private port (unused with
-     *        a shared one).
+     * @param port port to reserve the campaign's lanes from, the
+     *        lowest free ones; it must be attached to the pipeline
+     *        ahead of the campaigns, since it latches the failures
+     *        the campaign polls.
      */
     InjectionCampaign(cpu::Pipeline &pipe, SiteSource sites,
-                      const OnlineConfig &config,
-                      InjectionPort *sharedPort,
-                      LaneId privateLane = -1);
+                      const OnlineConfig &config, InjectionPort &port);
 
-    /** Retire only to forward it to a private port. */
-    unsigned hooks() const override
-    {
-        return ownedPort ? cpu::hookRetire : 0u;
-    }
-    void onRetire(const cpu::DynInstr &instr,
-                  const cpu::RetireInfo &info) override;
+    /** No instruction hooks: the port watches retirements. */
+    unsigned hooks() const override { return 0; }
     void onCycle(Cycle now) override;
     /** The next window boundary or pending randomized injection. */
     Cycle nextWake(Cycle now) const override;
@@ -220,6 +213,9 @@ class InjectionCampaign : public AvfEstimator
     /** Concurrent windows (config.lanes, 0 -> 1). */
     int laneCount() const { return static_cast<int>(windows.size()); }
 
+    /** Union bit mask of the lanes reserved from the port. */
+    ErrorMask laneMask() const { return reservedLanes; }
+
   protected:
     /** EstimatorState counter keys, in the family's order. */
     virtual std::span<const CounterKey> counterKeys() const = 0;
@@ -231,9 +227,6 @@ class InjectionCampaign : public AvfEstimator
 
     /** A window closed (before the lanes are swept). */
     virtual void onWindowClosed(const Outcome &, Cycle) {}
-
-    /** First reserved lane. */
-    LaneId firstLane() const { return windows.front().lane; }
 
     cpu::Pipeline &pipeline;
     CampaignCounters count;
@@ -262,13 +255,12 @@ class InjectionCampaign : public AvfEstimator
     /** Fires at window boundaries (now % M == 0). */
     IntervalTicker boundaryTick;
 
-    /** Port injected through; ownedPort when private. */
-    InjectionPort *portPtr = nullptr;
-    std::unique_ptr<InjectionPort> ownedPort;
+    /** Port the lanes are reserved from and injected through. */
+    InjectionPort &port;
     /** This campaign's windows, one per reserved lane, lane order. */
     std::vector<LaneSlot> windows;
     /** Union bit mask of the reserved lanes (boundary sweeps). */
-    ErrorMask laneMask = 0;
+    ErrorMask reservedLanes = 0;
     /** Lanes with a pending randomized-timing injection. */
     int scheduledCount = 0;
 

@@ -125,8 +125,9 @@ struct Outcome
  * The injection surface over one pipeline. Reserve lanes once, then
  * open/close tagged windows on them. The port watches retirements as
  * a PipelineObserver to latch per-lane failures; attach it to the
- * pipeline *before* the estimators that poll it (the harness does),
- * or — for a privately owned port — forward onRetire to it.
+ * pipeline *before* the estimators and probes that poll it. Every
+ * campaign on a pipeline reserves its lanes from the one port, so no
+ * two campaigns share a lane.
  *
  * The port is the only sanctioned writer of injected error bits
  * (avflint's injection-port-discipline check enforces this): every
@@ -144,7 +145,8 @@ class InjectionPort : public cpu::PipelineObserver
     /** Reserve the lowest free lane. Fatal when none remain. */
     LaneId reserveLane();
 
-    /** Reserve a specific lane (legacy channel pinning). */
+    /** Reserve lane @p lane, which must be free (the lane tests pin
+     *  lanes this way; campaigns take the lowest free ones). */
     void reserveLane(LaneId lane);
 
     /** Reserve @p count lowest free lanes, in ascending order. */

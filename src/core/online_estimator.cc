@@ -1,10 +1,21 @@
 #include "core/online_estimator.hh"
 
+#include "util/logging.hh"
+
 namespace avf::core
 {
 
 namespace
 {
+
+/** The port reference the campaign reserves from; never null. */
+InjectionPort &
+portOf(InjectionPort *port)
+{
+    avf_assert(port != nullptr,
+               "online estimator needs an injection port");
+    return *port;
+}
 
 /** Each structure draws randomized timing from its own stream. */
 OnlineConfig
@@ -29,14 +40,13 @@ constexpr CounterKey onlineKeys[] = {
 OnlineAvfEstimator::OnlineAvfEstimator(cpu::Pipeline &pipe,
                                        Structure structure,
                                        OnlineConfig config,
-                                       InjectionPort *sharedPort)
+                                       InjectionPort *port)
     : InjectionCampaign(pipe,
                         SiteSource(pipe,
                                    injectTargetOf(
                                        structure,
                                        config.fieldGranularIq)),
-                        seededFor(config, structure), sharedPort,
-                        channelOf(structure)),
+                        seededFor(config, structure), portOf(port)),
       target(structure)
 {}
 

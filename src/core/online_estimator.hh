@@ -15,9 +15,9 @@
  *
  *     AVF ~= failureCount / N,
  *
- * and a new estimation interval begins. With one lane (the default
- * for directly-constructed estimators) the behavior is exactly the
- * paper's serial Algorithm 1: one injection per M-cycle window, one
+ * and a new estimation interval begins. With one lane (what lanes = 0
+ * means to a directly-constructed estimator) the behavior is exactly
+ * the paper's serial Algorithm 1: one injection per M-cycle window, one
  * estimate per M*N cycles. With L lanes, L windows run concurrently
  * per boundary and an estimate needs only ceil(N/L) boundaries —
  * the flips do not interact (FastFlip's composability argument), so
@@ -43,9 +43,10 @@ namespace avf::core
 
 /**
  * Online AVF estimator for one structure, attached to the pipeline as
- * an observer. Multiple estimators (one per structure) may coexist;
- * each owns distinct error-bit lanes and individually obeys the
- * one-error-at-a-time rule within each lane.
+ * an observer. Multiple estimators (one per structure) may coexist on
+ * one InjectionPort; each reserves distinct error-bit lanes from it
+ * and individually obeys the one-error-at-a-time rule within each
+ * lane.
  */
 class OnlineAvfEstimator : public InjectionCampaign
 {
@@ -55,18 +56,12 @@ class OnlineAvfEstimator : public InjectionCampaign
      *        pipe.addObserver(&estimator)).
      * @param structure which structure to estimate.
      * @param config M/N, lane count, and sampling options.
-     * @param sharedPort injection port to draw lanes from. Several
-     *        estimators on one pipeline share one port (the harness
-     *        wires this; the port must be attached as an observer
-     *        before the estimators). nullptr makes the estimator own
-     *        a private port whose first lane is pinned to the legacy
-     *        channel bit channelOf(structure) — so directly
-     *        constructed estimators of distinct structures coexist
-     *        exactly as the per-channel design did.
+     * @param port injection port to reserve the estimator's lanes
+     *        from (non-null). Every campaign on one pipeline shares
+     *        one port, attached as an observer before them.
      */
     OnlineAvfEstimator(cpu::Pipeline &pipe, Structure structure,
-                       OnlineConfig config = OnlineConfig{},
-                       InjectionPort *sharedPort = nullptr);
+                       OnlineConfig config, InjectionPort *port);
 
     /** "online:<structure>", e.g. "online:iq". */
     std::string name() const override;

@@ -6,42 +6,38 @@ namespace avf::core
 {
 
 PropagationProbe::PropagationProbe(cpu::Pipeline &pipe,
+                                   InjectionPort &lanePort,
                                    Structure structure,
                                    ProbeConfig config)
     : conf(config), sites(pipe, injectTargetOf(structure, false)),
-      port(std::make_unique<InjectionPort>(pipe)),
-      lane(channelOf(structure))
+      port(lanePort), lane(port.reserveLane())
 {
     avf_assert(conf.maxWait > 0, "probe maxWait must be positive");
-    port->reserveLane(lane);
 }
 
 void
 PropagationProbe::inject(Cycle now)
 {
-    port->clearLanes(laneBit(lane));
-    handle = port->open(lane, sites.next(), now);
+    port.clearLanes(laneBit(lane));
+    handle = port.open(lane, sites.next(), now);
     windowOpen = true;
     injectCycle = now;
     ++injectionsFired;
 }
 
 void
-PropagationProbe::onRetire(const cpu::DynInstr &instr,
-                           const cpu::RetireInfo &info)
+PropagationProbe::onRetire(const cpu::DynInstr &,
+                           const cpu::RetireInfo &)
 {
-    // The private port is not on the observer list; it sees
-    // retirements only through its owner.
-    port->onRetire(instr, info);
-    if (!windowOpen || !port->failureSeen(handle))
+    if (!windowOpen || !port.failureSeen(handle))
         return;
-    Outcome outcome = port->closed(handle);
+    Outcome outcome = port.closed(handle);
     windowOpen = false;
     // One latency sample per closed injection window, not per
     // retirement. avflint: allow(hot-path-alloc)
     samples.push_back(static_cast<double>(
         outcome.failCycle - outcome.openedAt));
-    port->clearLanes(laneBit(lane));
+    port.clearLanes(laneBit(lane));
 }
 
 void
@@ -52,9 +48,9 @@ PropagationProbe::onCycle(Cycle now)
     if (windowOpen && now - injectCycle >= conf.maxWait) {
         // The injected error never surfaced: masked.
         ++masked;
-        port->closed(handle);
+        port.closed(handle);
         windowOpen = false;
-        port->clearLanes(laneBit(lane));
+        port.clearLanes(laneBit(lane));
     }
     if (!windowOpen)
         inject(now);

@@ -6,14 +6,14 @@
  * repeat. Unlike the estimator, the probe waits indefinitely (up to
  * the cap) rather than a fixed window, because its purpose is to
  * characterize the distribution that a good M must cover. Injections
- * go through the InjectionPort API on a single private lane pinned to
- * the structure's legacy channel bit.
+ * go through the InjectionPort API on one lane reserved from the
+ * caller's port, so probes and estimators share a pipeline without
+ * sharing a lane.
  */
 
 #ifndef AVF_CORE_PROPAGATION_PROBE_HH
 #define AVF_CORE_PROPAGATION_PROBE_HH
 
-#include <memory>
 #include <vector>
 
 #include "core/injection_campaign.hh"
@@ -41,12 +41,17 @@ class PropagationProbe : public cpu::PipelineObserver
   public:
     /**
      * @param pipe pipeline to instrument (caller attaches).
+     * @param port port to reserve the probe's lane from, attached to
+     *        the pipeline before the probe so a failure is latched
+     *        before the probe's onRetire polls it.
      * @param structure structure to inject into.
      * @param config sampling bounds.
      */
-    PropagationProbe(cpu::Pipeline &pipe, Structure structure,
+    PropagationProbe(cpu::Pipeline &pipe, InjectionPort &port,
+                     Structure structure,
                      ProbeConfig config = ProbeConfig{});
 
+    /** Retire closes a window the moment its failure latches. */
     unsigned hooks() const override { return cpu::hookRetire; }
     void onRetire(const cpu::DynInstr &instr,
                   const cpu::RetireInfo &info) override;
@@ -67,6 +72,9 @@ class PropagationProbe : public cpu::PipelineObserver
     /** Total injections fired. */
     std::uint64_t injectionCount() const { return injectionsFired; }
 
+    /** Lane this probe injects on. */
+    LaneId laneId() const { return lane; }
+
     /** True once targetSamples failures have been timed. */
     bool finished() const { return samples.size() >= conf.targetSamples; }
 
@@ -76,7 +84,7 @@ class PropagationProbe : public cpu::PipelineObserver
     ProbeConfig conf;
     SiteSource sites;
 
-    std::unique_ptr<InjectionPort> port;
+    InjectionPort &port;
     LaneId lane;
     WindowHandle handle;
     bool windowOpen = false;

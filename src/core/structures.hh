@@ -38,7 +38,13 @@ inline constexpr int numStructures =
 /** Short display name ("iq", "reg", "fxu", "fpu" as in Figure 5). */
 std::string_view structureName(Structure s);
 
-/** Default channel assignment: one error-bit channel per structure. */
+/**
+ * Per-structure salt of the online estimator's randomized-timing
+ * seed. It is also the lane a structure's estimator holds at lanes = 1
+ * when the five estimators reserve from one port in structure order,
+ * as the harness builds them; the port, not this number, assigns
+ * lanes.
+ */
 constexpr int
 channelOf(Structure s)
 {

@@ -6,10 +6,6 @@ namespace avf::core
 namespace
 {
 
-/** The lane the estimator's private port pins: clear of the four
- *  paper structures and FREG, which pin lanes 0..4. */
-constexpr LaneId tlbLane = 6;
-
 constexpr CounterKey tlbKeys[] = {
     {"injections", &CampaignCounters::injections},
     {"failures", &CampaignCounters::failures},
@@ -19,10 +15,11 @@ constexpr CounterKey tlbKeys[] = {
 } // namespace
 
 TlbAvfEstimator::TlbAvfEstimator(cpu::Pipeline &pipe,
+                                 InjectionPort &port,
                                  TlbEstimatorConfig config)
     : InjectionCampaign(pipe, SiteSource(pipe, cpu::InjectTarget::Dtlb),
                         {.m = config.m, .n = config.n, .lanes = 1},
-                        nullptr, tlbLane)
+                        port)
 {}
 
 std::string

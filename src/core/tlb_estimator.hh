@@ -7,8 +7,9 @@
  * directly). The machinery is Algorithm 1 verbatim — the
  * core::InjectionCampaign loop over the dTLB entry slots
  * (cpu::InjectTarget::Dtlb), a wait window of M cycles, and failure when a
- * load or store retires having used the corrupted translation — on a
- * private port whose single lane is pinned to lane 6.
+ * load or store retires having used the corrupted translation — on one
+ * lane reserved from the caller's injection port, beside any other
+ * campaign on the same pipeline.
  */
 
 #ifndef AVF_CORE_TLB_ESTIMATOR_HH
@@ -36,9 +37,14 @@ struct TlbEstimatorConfig
 class TlbAvfEstimator : public InjectionCampaign
 {
   public:
-    explicit TlbAvfEstimator(
-        cpu::Pipeline &pipe,
-        TlbEstimatorConfig config = TlbEstimatorConfig{});
+    /**
+     * @param pipe pipeline to instrument (the caller attaches).
+     * @param port port to reserve the estimator's one lane from,
+     *        attached to the pipeline before the estimator.
+     * @param config M and N.
+     */
+    TlbAvfEstimator(cpu::Pipeline &pipe, InjectionPort &port,
+                    TlbEstimatorConfig config = TlbEstimatorConfig{});
 
     /** "online:dtlb". */
     std::string name() const override;

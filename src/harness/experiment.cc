@@ -255,11 +255,11 @@ runExperimentDirect(const ExperimentConfig &config)
     trace::SyntheticTraceGenerator generator(config.profile);
     cpu::Pipeline pipeline(config.cpu, generator);
 
-    // One InjectionPort serves every estimator of the run; it must
-    // observe retirements before the estimators poll window state, so
-    // it is the first observer attached. Reservation happens in
-    // estimator construction order (structure order), which at
-    // lanes=1 maps each estimator to exactly its legacy channel bit.
+    // One InjectionPort serves every estimator and probe of the run; it
+    // must observe retirements before they poll window state, so it is
+    // the first observer attached. Each reserves its lanes from it in
+    // construction order: the estimators in structure order (lane
+    // channelOf(s) at lanes=1), then the coverage probes.
     core::InjectionPort port(pipeline);
     pipeline.addObserver(&port);
 

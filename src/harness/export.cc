@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "core/structures.hh"
 #include "obs/attribution.hh"
@@ -392,22 +393,51 @@ exportCampaignMetrics(const std::string &campaign,
     return true;
 }
 
+std::string
+lifecycleFileName(std::string_view campaign, std::string_view task)
+{
+    std::string name;
+    name.append(campaign).append("_").append(task);
+    for (char &c : name) {
+        const bool plain = (c >= 'A' && c <= 'Z') ||
+                           (c >= 'a' && c <= 'z') ||
+                           (c >= '0' && c <= '9') ||
+                           std::string_view("._=+-").find(c) !=
+                               std::string_view::npos;
+        if (!plain)
+            c = '_';
+    }
+    return name + "_lifecycle.jsonl";
+}
+
 void
 exportCampaign(const std::string &campaign,
                const ExperimentEngine &engine,
                const std::vector<TaskResult> &tasks)
 {
+    // Name every lifecycle file first: two tasks mapping to one name
+    // would silently overwrite each other's records.
+    std::vector<std::pair<std::string, const TaskResult *>> lifecycle;
+    for (const auto &task : tasks) {
+        if (!task.result.lifecycle.enabled)
+            continue;
+        std::string path = lifecycleFileName(campaign, task.name);
+        for (const auto &[other, earlier] : lifecycle)
+            if (other == path)
+                fatal("%s: tasks '%s' and '%s' map to the same "
+                      "lifecycle file %s", campaign.c_str(),
+                      earlier->name.c_str(), task.name.c_str(),
+                      path.c_str());
+        lifecycle.emplace_back(std::move(path), &task);
+    }
+
     exportCampaignMetrics(campaign, engine, tasks);
     if (std::any_of(tasks.begin(), tasks.end(), [](const auto &task) {
             return task.result.attribution.enabled;
         }))
         exportCampaignRootCause(campaign, engine, tasks);
-    for (const auto &task : tasks) {
-        if (!task.result.lifecycle.enabled)
-            continue;
-        const std::string path =
-            campaign + "_" + task.name + "_lifecycle.jsonl";
-        writeLifecycleJsonl(task.result, path);
+    for (const auto &[path, task] : lifecycle) {
+        writeLifecycleJsonl(task->result, path);
         inform("lifecycle: wrote %s", path.c_str());
     }
 }

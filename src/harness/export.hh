@@ -121,6 +121,14 @@ bool exportCampaignMetrics(const std::string &campaign,
                            const std::vector<TaskResult> &tasks);
 
 /**
+ * `<campaign>_<task>_lifecycle.jsonl`, with every character outside
+ * [A-Za-z0-9._=+-] mapped to '_' so a task name such as
+ * "bzip2:fixed" or "machine A" yields a plain file name.
+ */
+std::string lifecycleFileName(std::string_view campaign,
+                              std::string_view task);
+
+/**
  * The export step every campaign bench ends with, after
  * collectOrDie(): write whatever the engine's options and the tasks
  * ask for, reporting each path on stderr —
@@ -129,8 +137,10 @@ bool exportCampaignMetrics(const std::string &campaign,
  *    set a prefix (exportCampaignMetrics);
  *  - <prefix>_ROOTCAUSE.json as well when any task carries
  *    attribution (exportCampaignRootCause);
- *  - <campaign>_<task>_lifecycle.jsonl in the working directory for
- *    every task that ran with lifecycle tracing (writeLifecycleJsonl).
+ *  - lifecycleFileName(campaign, task) in the working directory for
+ *    every task that ran with lifecycle tracing (writeLifecycleJsonl);
+ *    fatal() before writing any of them when two tasks would share
+ *    one file.
  *
  * Every file is deterministic but TRACE.json, and campaign stdout is
  * untouched, so the export knobs stay passive.

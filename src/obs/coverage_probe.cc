@@ -56,7 +56,7 @@ CoverageProbe::CoverageProbe(cpu::Pipeline &pipe,
                              CoverageProbeConfig config)
     : core::InjectionCampaign(pipe, sitesOf(pipe, target),
                               {.m = config.m, .n = config.n, .lanes = 1},
-                              &port),
+                              port),
       attribution(tracker), probeTarget(target)
 {
     unit = attribution.registerBlameUnit(

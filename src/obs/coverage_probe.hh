@@ -88,9 +88,6 @@ class CoverageProbe : public core::InjectionCampaign
     /** Probe target. */
     CoverageTarget target() const { return probeTarget; }
 
-    /** Lane this probe injects on. */
-    LaneId laneId() const { return firstLane(); }
-
     /** Windows whose bit the target killed (branch predictor only:
      *  the architecturally-masked-by-construction count). */
     std::uint64_t killedWindows() const { return count.killed; }

@@ -52,7 +52,7 @@ case "${1:-}" in
                 > "$GOLDEN_DIR/$bench.$lanes.txt"
         done
     done
-    for bench in fig2_propagation ext_tlb_avf; do
+    for bench in fig2_propagation ext_tlb_avf ext_throttle; do
         run_bench "$2/bench/$bench" default \
             > "$GOLDEN_DIR/$bench.default.txt"
     done

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/avf_estimator.hh"
+#include "core/injection_port.hh"
 #include "core/occupancy_estimator.hh"
 #include "core/tlb_estimator.hh"
 #include "core/utilization_estimator.hh"
@@ -283,10 +284,11 @@ TEST(AvfEstimatorInterface, NamesIdentifyMethodAndTarget)
     trace::SyntheticTraceGenerator gen(trace::specProfile("mesa"));
     cpu::Pipeline pipe(cpu::CpuConfig{}, gen);
 
-    core::OnlineAvfEstimator online(pipe, Structure::IQ);
+    core::InjectionPort port(pipe);
+    core::OnlineAvfEstimator online(pipe, Structure::IQ, {}, &port);
     core::UtilizationEstimator util(pipe, cpu::FuClass::Fxu, 10'000);
     core::OccupancyEstimator occ(pipe, 10'000);
-    core::TlbAvfEstimator tlb(pipe);
+    core::TlbAvfEstimator tlb(pipe, port);
 
     std::vector<core::AvfEstimator *> all = {&online, &util, &occ,
                                              &tlb};

@@ -271,6 +271,39 @@ TEST(LifecycleExport, JsonlWithoutTracingIsFatal)
                  "no lifecycle data");
 }
 
+TEST(LifecycleExport, FileNamesMapUnsafeCharactersToUnderscore)
+{
+    EXPECT_EQ(lifecycleFileName("ablation_sampling", "bzip2:fixed"),
+              "ablation_sampling_bzip2_fixed_lifecycle.jsonl");
+    EXPECT_EQ(lifecycleFileName("custom_machine", "machine A"),
+              "custom_machine_machine_A_lifecycle.jsonl");
+    EXPECT_EQ(lifecycleFileName("x", "a/b\\c\"d"),
+              "x_a_b_c_d_lifecycle.jsonl");
+    // Names already plain keep their bytes (CI reads this one).
+    EXPECT_EQ(lifecycleFileName("ablation_m_sweep", "M=1000"),
+              "ablation_m_sweep_M=1000_lifecycle.jsonl");
+    EXPECT_EQ(lifecycleFileName("t", "v1.2+rc-3"),
+              "t_v1.2+rc-3_lifecycle.jsonl");
+}
+
+TEST(LifecycleExport, TasksSharingAFileNameAreFatal)
+{
+    std::vector<TaskResult> tasks(2);
+    tasks[0].name = "machine A";
+    tasks[1].name = "machine:A";
+    for (auto &task : tasks)
+        task.result.lifecycle.enabled = true;
+    // Fatal before any file is written.
+    EXPECT_DEATH(
+        {
+            ExperimentEngine engine(RunOptions{.threads = 1});
+            exportCampaign("collide", engine, tasks);
+        },
+        "'machine A' and 'machine:A' map to the same lifecycle file "
+        "collide_machine_A_lifecycle.jsonl");
+    EXPECT_NE(access("collide_machine_A_lifecycle.jsonl", F_OK), 0);
+}
+
 TEST(LifecycleExport, JsonlAndSummaryBlockFromRealRun)
 {
     ExperimentConfig conf;

@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "core/occupancy_estimator.hh"
+#include "core/injection_port.hh"
 #include "core/online_estimator.hh"
 #include "core/tlb_estimator.hh"
 #include "cpu/pipeline.hh"
@@ -156,7 +157,9 @@ TEST(TlbEstimator, ProducesBoundedEstimates)
     TlbEstimatorConfig conf;
     conf.m = 2000;
     conf.n = 50;
-    TlbAvfEstimator est(pipe, conf);
+    InjectionPort port(pipe);
+    pipe.addObserver(&port);
+    TlbAvfEstimator est(pipe, port, conf);
     pipe.addObserver(&est);
 
     pipe.run(2000 * 50 * 2 + 2500);
@@ -179,7 +182,9 @@ TEST(TlbEstimator, LargerWindowCapturesMore)
         TlbEstimatorConfig conf;
         conf.m = m;
         conf.n = 400;
-        TlbAvfEstimator est(pipe, conf);
+        InjectionPort port(pipe);
+        pipe.addObserver(&port);
+        TlbAvfEstimator est(pipe, port, conf);
         pipe.addObserver(&est);
         pipe.run(m * 400 + m);
         return est.estimates().empty() ? est.partialAvf()
@@ -202,7 +207,9 @@ TEST(FregExtension, FpWorkloadShowsFregVulnerability)
         OnlineConfig conf;
         conf.m = 500;
         conf.n = 200;
-        OnlineAvfEstimator est(pipe, Structure::FREG, conf);
+        InjectionPort port(pipe);
+        pipe.addObserver(&port);
+        OnlineAvfEstimator est(pipe, Structure::FREG, conf, &port);
         pipe.addObserver(&est);
         pipe.run(500 * 200 * 2 + 550);
         double sum = 0;
@@ -225,7 +232,9 @@ TEST(FregExtension, SoftArchTracksOnlineForFreg)
     OnlineConfig conf;
     conf.m = 1000;
     conf.n = 500;
-    OnlineAvfEstimator est(pipe, Structure::FREG, conf);
+    InjectionPort port(pipe);
+    pipe.addObserver(&port);
+    OnlineAvfEstimator est(pipe, Structure::FREG, conf, &port);
     pipe.addObserver(&est);
     softarch::SoftArchConfig sa{1000 * 500, 16'384};
     softarch::AceAnalyzer analyzer(pipe, sa);

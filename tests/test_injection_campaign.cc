@@ -2,9 +2,9 @@
  * @file
  * Characterization of the injection-campaign families (ctest label
  * `campaign`): short fixed runs of the online estimator (serial and
- * lane-parallel, private and shared port, randomized timing,
- * field-granular IQ), the dTLB estimator, and every coverage probe,
- * pinned to recorded values. Each estimator's snapshotState() is
+ * lane-parallel, randomized timing, field-granular IQ), the dTLB
+ * estimator, and every coverage probe, each reserving its lanes from
+ * one port attached ahead of it, pinned to recorded values. Each estimator's snapshotState() is
  * serialized through the task codec and compared by FNV-1a digest,
  * so any change to the window loop — site order, open timing,
  * interval counting, counter keys — shows up as a changed digest.
@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -22,6 +23,7 @@
 
 #include "core/injection_port.hh"
 #include "core/online_estimator.hh"
+#include "core/propagation_probe.hh"
 #include "core/tlb_estimator.hh"
 #include "cpu/pipeline.hh"
 #include "harness/task_codec.hh"
@@ -101,26 +103,6 @@ constexpr std::uint32_t kN = 20;
 /** Two full intervals at one lane, plus a torn window. */
 constexpr Cycle kRun = kM * kN * 2 + 13;
 
-/** Online estimators for @p structures, private ports. */
-std::vector<Observed>
-runPrivate(const std::vector<Structure> &structures, OnlineConfig conf)
-{
-    Machine m;
-    std::vector<std::unique_ptr<OnlineAvfEstimator>> ests;
-    for (Structure s : structures) {
-        ests.push_back(
-            std::make_unique<OnlineAvfEstimator>(m.pipe, s, conf));
-        m.pipe.addObserver(ests.back().get());
-    }
-    m.pipe.run(kRun);
-    std::vector<Observed> out;
-    for (const auto &est : ests) {
-        EXPECT_EQ(est->laneCount(), conf.lanes > 0 ? conf.lanes : 1);
-        out.push_back(observed(*est));
-    }
-    return out;
-}
-
 /** Online estimators for @p structures on one shared port. */
 std::vector<Observed>
 runShared(const std::vector<Structure> &structures, OnlineConfig conf)
@@ -136,8 +118,10 @@ runShared(const std::vector<Structure> &structures, OnlineConfig conf)
     }
     m.pipe.run(kRun);
     std::vector<Observed> out;
-    for (const auto &est : ests)
+    for (const auto &est : ests) {
+        EXPECT_EQ(est->laneCount(), conf.lanes > 0 ? conf.lanes : 1);
         out.push_back(observed(*est));
+    }
     return out;
 }
 
@@ -155,25 +139,14 @@ onlineConf(int lanes)
     return conf;
 }
 
-TEST(CampaignCharacterization, OnlineSerialPrivatePorts)
+TEST(CampaignCharacterization, OnlineSerialSharedPort)
 {
-    expectMatches(runPrivate(kAllStructures, onlineConf(1)), {
+    expectMatches(runShared(kAllStructures, onlineConf(1)), {
         {"online:iq", 41, 2, 0x41df2d5f500853c3},
         {"online:reg", 41, 2, 0x9c7060a7f4cf33ed},
         {"online:fxu", 41, 2, 0xfa5c20f869bcc6a0},
         {"online:fpu", 41, 2, 0xe2864381e889a780},
         {"online:freg", 41, 2, 0x14b838599db5b940},
-    });
-}
-
-TEST(CampaignCharacterization, OnlineLanes12PrivatePorts)
-{
-    expectMatches(runPrivate(kAllStructures, onlineConf(12)), {
-        {"online:iq", 412, 20, 0x94aca933452720d6},
-        {"online:reg", 412, 20, 0x454708e115641159},
-        {"online:fxu", 412, 20, 0xd2aa17b5e2d333db},
-        {"online:fpu", 412, 20, 0x661af92ab282a2e6},
-        {"online:freg", 412, 20, 0x3de13701944613d7},
     });
 }
 
@@ -192,7 +165,7 @@ TEST(CampaignCharacterization, OnlineRandomizedTiming)
 {
     OnlineConfig serial = onlineConf(1);
     serial.randomizeInjectionTiming = true;
-    expectMatches(runPrivate({Structure::IQ, Structure::FXU}, serial), {
+    expectMatches(runShared({Structure::IQ, Structure::FXU}, serial), {
         {"online:iq", 40, 2, 0x589fe0a776fe3527},
         {"online:fxu", 40, 2, 0x9799c23274dcfca8},
     });
@@ -208,12 +181,12 @@ TEST(CampaignCharacterization, OnlineFieldGranularIq)
 {
     OnlineConfig serial = onlineConf(1);
     serial.fieldGranularIq = true;
-    expectMatches(runPrivate({Structure::IQ}, serial), {
+    expectMatches(runShared({Structure::IQ}, serial), {
         {"online:iq", 41, 2, 0xadc4fb2228bd5c2f},
     });
     OnlineConfig wide = onlineConf(12);
     wide.fieldGranularIq = true;
-    expectMatches(runPrivate({Structure::IQ}, wide), {
+    expectMatches(runShared({Structure::IQ}, wide), {
         {"online:iq", 412, 20, 0x2b763ebb0deaf3b7},
     });
 }
@@ -221,10 +194,12 @@ TEST(CampaignCharacterization, OnlineFieldGranularIq)
 TEST(CampaignCharacterization, Dtlb)
 {
     Machine m;
+    core::InjectionPort port(m.pipe);
+    m.pipe.addObserver(&port);
     core::TlbEstimatorConfig conf;
     conf.m = 1000;
     conf.n = 10;
-    core::TlbAvfEstimator est(m.pipe, conf);
+    core::TlbAvfEstimator est(m.pipe, port, conf);
     m.pipe.addObserver(&est);
     m.pipe.run(1000 * 10 * 3 + 50);
     expectMatches({observed(est)}, {
@@ -232,6 +207,57 @@ TEST(CampaignCharacterization, Dtlb)
     });
     EXPECT_EQ(est.totalInjections(),
               est.snapshotState().counterValue("lifetime_injections"));
+}
+
+// FastFlip's composability argument, end to end: a 12-lane IQ
+// estimator yields the same snapshot bytes alone on a port as it does
+// on lanes 14..25 beside a 12-lane REG estimator, the dTLB estimator
+// and a propagation probe that reserve from the same port first.
+TEST(CampaignCharacterization, LanesIndependentOnOnePort)
+{
+    const Expected iq = {"online:iq", 412, 20, 0xd88d7be82f086549};
+    {
+        Machine m;
+        core::InjectionPort port(m.pipe);
+        m.pipe.addObserver(&port);
+        OnlineAvfEstimator alone(m.pipe, Structure::IQ, onlineConf(12),
+                                 &port);
+        m.pipe.addObserver(&alone);
+        m.pipe.run(kRun);
+        expectMatches({observed(alone)}, {iq});
+    }
+
+    Machine m;
+    core::InjectionPort port(m.pipe);
+    m.pipe.addObserver(&port);
+    OnlineAvfEstimator reg(m.pipe, Structure::REG, onlineConf(12),
+                           &port);
+    core::TlbAvfEstimator tlb(m.pipe, port, {.m = 1000, .n = 10});
+    core::PropagationProbe probe(m.pipe, port, Structure::FXU,
+                                 {.maxWait = 2000, .targetSamples = 50});
+    OnlineAvfEstimator crowded(m.pipe, Structure::IQ, onlineConf(12),
+                               &port);
+    for (cpu::PipelineObserver *obs :
+         std::vector<cpu::PipelineObserver *>{&reg, &tlb, &probe,
+                                              &crowded})
+        m.pipe.addObserver(obs);
+    m.pipe.run(kRun);
+    expectMatches({observed(crowded)}, {iq});
+    EXPECT_GT(probe.injectionCount(), 0u);
+    EXPECT_GT(tlb.totalInjections(), 0u);
+
+    // 12 + 12 + 1 + 1 lanes, pairwise disjoint, covering the mask.
+    const std::vector<ErrorMask> lanes = {
+        reg.laneMask(), tlb.laneMask(), laneBit(probe.laneId()),
+        crowded.laneMask()};
+    EXPECT_EQ(std::popcount(port.reservedMask()), 26);
+    ErrorMask seen = 0;
+    for (ErrorMask mask : lanes) {
+        EXPECT_EQ(seen & mask, 0u);
+        seen |= mask;
+    }
+    EXPECT_EQ(seen, port.reservedMask());
+    EXPECT_EQ(crowded.laneMask(), ErrorMask{0xfff} << 14);
 }
 
 // The harness shape of a root-cause run: one shared port, the online
@@ -273,7 +299,8 @@ TEST(CampaignCharacterization, CoverageProbesWithAttribution)
     // Lane reservation order: estimators first (4 lanes each), then
     // the probes on the next free lanes.
     for (int t = 0; t < obs::numCoverageTargets; ++t)
-        EXPECT_EQ(probes[static_cast<std::size_t>(t)]->laneId(), 20 + t);
+        EXPECT_EQ(probes[static_cast<std::size_t>(t)]->laneMask(),
+                  laneBit(20 + t));
 
     std::vector<Observed> got;
     for (const auto &est : ests)

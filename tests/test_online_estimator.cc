@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/injection_port.hh"
 #include "core/online_estimator.hh"
 #include "core/propagation_probe.hh"
 #include "cpu/pipeline.hh"
@@ -45,7 +46,9 @@ TEST(OnlineEstimator, ProducesOneEstimatePerNWindows)
     OnlineConfig conf;
     conf.m = 10;
     conf.n = 20;
-    OnlineAvfEstimator est(pipe, Structure::REG, conf);
+    InjectionPort port(pipe);
+    pipe.addObserver(&port);
+    OnlineAvfEstimator est(pipe, Structure::REG, conf, &port);
     pipe.addObserver(&est);
 
     pipe.run(10 * 20 * 5 + 15); // five full estimates plus slack
@@ -63,7 +66,9 @@ TEST(OnlineEstimator, InjectionCountTracksWindows)
     OnlineConfig conf;
     conf.m = 25;
     conf.n = 1000; // never completes an estimate in this run
-    OnlineAvfEstimator est(pipe, Structure::IQ, conf);
+    InjectionPort port(pipe);
+    pipe.addObserver(&port);
+    OnlineAvfEstimator est(pipe, Structure::IQ, conf, &port);
     pipe.addObserver(&est);
 
     pipe.run(1000);
@@ -87,7 +92,9 @@ TEST(OnlineEstimator, DeadValuesSuppressFxuAvf)
         OnlineConfig conf;
         conf.m = 100;
         conf.n = 400;
-        OnlineAvfEstimator est(pipe, Structure::FXU, conf);
+        InjectionPort port(pipe);
+        pipe.addObserver(&port);
+        OnlineAvfEstimator est(pipe, Structure::FXU, conf, &port);
         pipe.addObserver(&est);
         pipe.run(100 * 400 * 2 + 150);
         double sum = 0;
@@ -113,7 +120,9 @@ TEST(OnlineEstimator, DeadValuesSuppressRegAvf)
         // failure point (Figure 2), so the window must be paper-scale.
         conf.m = 500;
         conf.n = 400;
-        OnlineAvfEstimator est(pipe, Structure::REG, conf);
+        InjectionPort port(pipe);
+        pipe.addObserver(&port);
+        OnlineAvfEstimator est(pipe, Structure::REG, conf, &port);
         pipe.addObserver(&est);
         pipe.run(500 * 400 * 2 + 550);
         double sum = 0;
@@ -139,10 +148,12 @@ TEST(OnlineEstimator, FourChannelsCoexist)
     OnlineConfig conf;
     conf.m = 100;
     conf.n = 100;
+    InjectionPort port(pipe);
+    pipe.addObserver(&port);
     std::vector<std::unique_ptr<OnlineAvfEstimator>> ests;
     for (int s = 0; s < numStructures; ++s) {
         ests.push_back(std::make_unique<OnlineAvfEstimator>(
-            pipe, static_cast<Structure>(s), conf));
+            pipe, static_cast<Structure>(s), conf, &port));
         pipe.addObserver(ests.back().get());
     }
     pipe.run(100 * 100 * 2 + 150);
@@ -166,7 +177,9 @@ TEST(OnlineEstimator, RandomizedTimingAgreesWithFixed)
         conf.m = 50;
         conf.n = 2000;
         conf.randomizeInjectionTiming = randomize;
-        OnlineAvfEstimator est(pipe, Structure::REG, conf);
+        InjectionPort port(pipe);
+        pipe.addObserver(&port);
+        OnlineAvfEstimator est(pipe, Structure::REG, conf, &port);
         pipe.addObserver(&est);
         pipe.run(50 * 2000 + 100);
         return est.estimates().empty() ? -1.0 : est.estimates()[0];
@@ -184,10 +197,20 @@ TEST(OnlineEstimator, RejectsZeroParameters)
 {
     trace::SyntheticTraceGenerator gen(intProfile(0.2, "bad"));
     Pipeline pipe(CpuConfig{}, gen);
+    InjectionPort port(pipe);
     OnlineConfig conf;
     conf.m = 0;
-    EXPECT_DEATH(OnlineAvfEstimator(pipe, Structure::REG, conf),
+    EXPECT_DEATH(OnlineAvfEstimator(pipe, Structure::REG, conf, &port),
                  "window length");
+}
+
+TEST(OnlineEstimator, RequiresAnInjectionPort)
+{
+    trace::SyntheticTraceGenerator gen(intProfile(0.2, "portless"));
+    Pipeline pipe(CpuConfig{}, gen);
+    EXPECT_DEATH(OnlineAvfEstimator(pipe, Structure::REG, OnlineConfig{},
+                                    nullptr),
+                 "needs an injection port");
 }
 
 TEST(PropagationProbe, CollectsDelays)
@@ -198,7 +221,9 @@ TEST(PropagationProbe, CollectsDelays)
     ProbeConfig conf;
     conf.maxWait = 2'500;
     conf.targetSamples = 120;
-    PropagationProbe probe(pipe, Structure::REG, conf);
+    InjectionPort port(pipe);
+    pipe.addObserver(&port);
+    PropagationProbe probe(pipe, port, Structure::REG, conf);
     pipe.addObserver(&probe);
 
     pipe.run(6'000'000);
@@ -223,7 +248,9 @@ TEST(PropagationProbe, FxuDelaysAreShortOnBusyMachine)
     ProbeConfig conf;
     conf.maxWait = 2'500;
     conf.targetSamples = 150;
-    PropagationProbe probe(pipe, Structure::FXU, conf);
+    InjectionPort port(pipe);
+    pipe.addObserver(&port);
+    PropagationProbe probe(pipe, port, Structure::FXU, conf);
     pipe.addObserver(&probe);
     pipe.run(5'000'000);
 

@@ -14,6 +14,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/injection_port.hh"
 #include "core/online_estimator.hh"
 #include "cpu/pipeline.hh"
 #include "mem/cache.hh"
@@ -48,10 +49,12 @@ TEST_P(BenchmarkSweep, StackInvariantsHold)
     OnlineConfig online;
     online.m = 200;
     online.n = 100; // 20k-cycle estimation intervals
+    InjectionPort port(pipe);
+    pipe.addObserver(&port);
     std::vector<std::unique_ptr<OnlineAvfEstimator>> ests;
     for (int s = 0; s < numStructures; ++s) {
         ests.push_back(std::make_unique<OnlineAvfEstimator>(
-            pipe, static_cast<Structure>(s), online));
+            pipe, static_cast<Structure>(s), online, &port));
         pipe.addObserver(ests.back().get());
     }
     softarch::SoftArchConfig sa{20'000, 5'000};
@@ -261,7 +264,9 @@ TEST_P(GeometrySweep, OneEstimatePerMNCycles)
     OnlineConfig conf;
     conf.m = static_cast<Cycle>(m);
     conf.n = static_cast<std::uint32_t>(n);
-    OnlineAvfEstimator est(pipe, Structure::IQ, conf);
+    InjectionPort port(pipe);
+    pipe.addObserver(&port);
+    OnlineAvfEstimator est(pipe, Structure::IQ, conf, &port);
     pipe.addObserver(&est);
 
     const int estimates = 3;
@@ -333,7 +338,9 @@ TEST_P(DeterminismSweep, OnlineEstimatesAreBitIdentical)
         OnlineConfig conf;
         conf.m = 100;
         conf.n = 100;
-        OnlineAvfEstimator est(pipe, Structure::FXU, conf);
+        InjectionPort port(pipe);
+        pipe.addObserver(&port);
+        OnlineAvfEstimator est(pipe, Structure::FXU, conf, &port);
         pipe.addObserver(&est);
         pipe.run(100 * 100 * 3 + 150);
         return est.estimates();

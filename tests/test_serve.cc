@@ -116,7 +116,9 @@ TEST(EstimatorSnapshot, OnlineRoundTrip)
     OnlineConfig conf;
     conf.m = 10;
     conf.n = 20;
-    OnlineAvfEstimator est(pipe, Structure::REG, conf);
+    core::InjectionPort port(pipe);
+    pipe.addObserver(&port);
+    OnlineAvfEstimator est(pipe, Structure::REG, conf, &port);
     pipe.addObserver(&est);
     pipe.run(10 * 20 * 3 + 7); // three estimates plus a torn window
 

@@ -224,19 +224,18 @@ onlineConf(int lanes, bool randomized = false)
     return conf;
 }
 
-/** Online estimators over every structure; a shared port or not. */
+/** Online estimators over @p structures on one port. */
 Parts
-runOnline(bool wrapped, OnlineConfig conf, bool sharedPort,
+runOnline(bool wrapped, OnlineConfig conf,
           const std::vector<Structure> &structures = kAllStructures)
 {
     Rig rig(wrapped);
     core::InjectionPort port(rig.pipe);
-    if (sharedPort)
-        rig.attach(port);
+    rig.attach(port);
     std::vector<std::unique_ptr<OnlineAvfEstimator>> ests;
     for (Structure s : structures) {
         ests.push_back(std::make_unique<OnlineAvfEstimator>(
-            rig.pipe, s, conf, sharedPort ? &port : nullptr));
+            rig.pipe, s, conf, &port));
         rig.attach(*ests.back());
     }
     rig.pipe.run(kRun);
@@ -251,7 +250,7 @@ TEST(WakeExactness, OnlineLanes1)
     for (bool randomized : {false, true}) {
         SCOPED_TRACE(randomized ? "randomized timing" : "fixed timing");
         expectWakeExact([&](bool wrapped) {
-            return runOnline(wrapped, onlineConf(1, randomized), false);
+            return runOnline(wrapped, onlineConf(1, randomized));
         });
     }
 }
@@ -261,7 +260,7 @@ TEST(WakeExactness, OnlineLanes12)
     for (bool randomized : {false, true}) {
         SCOPED_TRACE(randomized ? "randomized timing" : "fixed timing");
         expectWakeExact([&](bool wrapped) {
-            return runOnline(wrapped, onlineConf(12, randomized), true);
+            return runOnline(wrapped, onlineConf(12, randomized));
         });
     }
 }
@@ -272,7 +271,7 @@ TEST(WakeExactness, FieldGranularIq)
         OnlineConfig conf = onlineConf(lanes);
         conf.fieldGranularIq = true;
         expectWakeExact([&](bool wrapped) {
-            return runOnline(wrapped, conf, false, {Structure::IQ});
+            return runOnline(wrapped, conf, {Structure::IQ});
         });
     }
 }
@@ -284,7 +283,9 @@ TEST(WakeExactness, Dtlb)
         core::TlbEstimatorConfig conf;
         conf.m = 1000;
         conf.n = 10;
-        core::TlbAvfEstimator est(rig.pipe, conf);
+        core::InjectionPort port(rig.pipe);
+        rig.attach(port);
+        core::TlbAvfEstimator est(rig.pipe, port, conf);
         rig.attach(est);
         rig.pipe.run(1000 * 10 * 3 + 50);
         Parts parts;
@@ -524,8 +525,9 @@ fireLog(Cycle attachAt, Cycle until)
     Rig rig(false);
     rig.pipe.run(attachAt);
     EXPECT_EQ(rig.pipe.now(), attachAt);
+    core::InjectionPort port(rig.pipe);
     OnlineAvfEstimator est(rig.pipe, Structure::IQ,
-                           onlineConf(3, true));
+                           onlineConf(3, true), &port);
     OpenCycles opens;
     est.setLifecycleSink(&opens);
     core::OccupancyEstimator occupancy(rig.pipe, 1000);
@@ -537,7 +539,7 @@ fireLog(Cycle attachAt, Cycle until)
         [&] { return utilization.estimates().size(); });
     for (cpu::PipelineObserver *obs :
          std::vector<cpu::PipelineObserver *>{
-             &est, &occupancy, &utilization, &occupancyLog,
+             &port, &est, &occupancy, &utilization, &occupancyLog,
              &utilizationLog})
         rig.pipe.addObserver(obs);
     rig.pipe.run(until - attachAt);
