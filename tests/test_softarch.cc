@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "cpu/pipeline.hh"
@@ -282,6 +285,54 @@ TEST(AceAnalyzer, DeterministicAcrossRuns)
     for (std::size_t i = 0; i < a.size(); ++i)
         for (int s = 0; s < numStructures; ++s)
             EXPECT_DOUBLE_EQ(a[i].avf[s], b[i].avf[s]);
+}
+
+/** FNV-1a over the bit patterns of every finalized AVF. */
+std::uint64_t
+resultsDigest(const std::vector<SoftArchAvf> &rows)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const SoftArchAvf &row : rows) {
+        for (double v : row.avf) {
+            std::uint64_t bits = 0;
+            std::memcpy(&bits, &v, sizeof bits);
+            for (int byte = 0; byte < 8; ++byte) {
+                hash ^= (bits >> (8 * byte)) & 0xff;
+                hash *= 0x100000001b3ull;
+            }
+        }
+    }
+    return hash;
+}
+
+/** Short intervals over a real profile: the log holds several
+ *  thousand records at each finalize and drops a prefix of it. */
+std::vector<SoftArchAvf>
+shortIntervalResults(const std::string &profile, bool fieldGranular)
+{
+    trace::SyntheticTraceGenerator gen(trace::specProfile(profile));
+    Pipeline pipe(CpuConfig{}, gen);
+    SoftArchConfig conf;
+    conf.intervalCycles = 3000;
+    conf.lookahead = 1000;
+    conf.fieldGranularIq = fieldGranular;
+    AceAnalyzer analyzer(pipe, conf);
+    pipe.addObserver(&analyzer);
+    pipe.run(3000 * 24 + 1000);
+    analyzer.finalizeAll(23);
+    return analyzer.results();
+}
+
+TEST(AceAnalyzer, ShortIntervalResultsPinned)
+{
+    // Any change to the records, the backward pass or the order of
+    // addSpan calls moves these bits.
+    auto fp = shortIntervalResults("sixtrack", false);
+    auto integer = shortIntervalResults("perlbmk", true);
+    ASSERT_EQ(fp.size(), 24u);
+    ASSERT_EQ(integer.size(), 24u);
+    EXPECT_EQ(resultsDigest(fp), 0x718fb00d37658d9aull);
+    EXPECT_EQ(resultsDigest(integer), 0x1f3d73be8681a478ull);
 }
 
 } // namespace

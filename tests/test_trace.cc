@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "trace/instruction.hh"
 #include "trace/spec_profiles.hh"
@@ -322,6 +325,93 @@ TEST(Synthetic, AddressesStayInFootprint)
         }
     }
     EXPECT_LE(hi - lo, prof.base.footprint + 128);
+}
+
+/**
+ * FNV-1a digest of every TraceInstruction field over the first @p n
+ * instructions @p profile generates: the generator's stream, pinned.
+ */
+std::uint64_t
+streamDigest(WorkloadProfile profile, int n)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    auto mix = [&hash](std::uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (word >> (8 * byte)) & 0xff;
+            hash *= 0x100000001b3ull;
+        }
+    };
+    auto reg = [](RegIndex r) {
+        return static_cast<std::uint64_t>(static_cast<std::uint16_t>(r));
+    };
+    SyntheticTraceGenerator gen(std::move(profile));
+    TraceInstruction in;
+    for (int i = 0; i < n; ++i) {
+        gen.next(in);
+        mix(in.pc);
+        mix(in.effAddr);
+        mix(static_cast<std::uint64_t>(in.op) | reg(in.src[0]) << 8 |
+            reg(in.src[1]) << 24 | reg(in.src[2]) << 40);
+        mix(reg(in.dest) | std::uint64_t{in.memSize} << 16 |
+            std::uint64_t{in.taken} << 24);
+    }
+    return hash;
+}
+
+/** Instructions each profile's stream digest covers. */
+constexpr int pinnedInstrs = 250'000;
+
+/** The shipped phases run 18-28M instructions; this cut puts five
+ *  phase changes inside the pinned prefix. */
+constexpr std::uint64_t cutPhaseInstrs = 50'000;
+
+TEST(Synthetic, StreamPinnedPerProfile)
+{
+    // Any change to the generator's draws, their order or the pool
+    // semantics changes these digests (and every golden with them).
+    const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+        {"ammp", 0x7c91dfc917d58ac7ull},
+        {"art", 0xe9da4985d44d8a58ull},
+        {"bzip2", 0xc07f7388daf7b601ull},
+        {"equake", 0xcdc22e52384af818ull},
+        {"facerec", 0x4500eaff62217171ull},
+        {"lucas", 0x289c7bcd94f99b21ull},
+        {"mesa", 0x3f53b42f91177e6aull},
+        {"perlbmk", 0xb95ce98852229aa3ull},
+        {"sixtrack", 0x73aa1e0972df2898ull},
+        {"swim", 0x44b3c2cb7bb251d3ull},
+        {"wupwise", 0x2c1003955f55e122ull},
+    };
+    ASSERT_EQ(pinned.size(), specBenchmarkNames().size());
+    for (const auto &[name, digest] : pinned)
+        EXPECT_EQ(streamDigest(specProfile(name), pinnedInstrs), digest)
+            << name;
+}
+
+TEST(Synthetic, StreamPinnedAcrossPhaseChanges)
+{
+    const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+        {"ammp", 0x1baddac1a3e1bbcaull},
+        {"art", 0x7ec899544019541bull},
+        {"bzip2", 0xeb5d04358c34eb9cull},
+        {"equake", 0xd29e7c65129aa3dbull},
+        {"facerec", 0x523394f50cc528d2ull},
+        {"lucas", 0x2abb4cdbf66bdc57ull},
+        {"mesa", 0x6926c32110188275ull},
+        {"perlbmk", 0x4b05d87a0ea86e6full},
+        {"sixtrack", 0xbffda9194a3c93a2ull},
+        {"swim", 0x4f5244fca89d9380ull},
+        {"wupwise", 0xb659911bc727b0b0ull},
+    };
+    ASSERT_EQ(pinned.size(), specBenchmarkNames().size());
+    for (const auto &[name, digest] : pinned) {
+        WorkloadProfile prof = specProfile(name);
+        ASSERT_GE(prof.phases.size(), 2u) << name;
+        for (WorkloadPhase &phase : prof.phases)
+            phase.lengthInstrs = cutPhaseInstrs;
+        EXPECT_EQ(streamDigest(std::move(prof), pinnedInstrs), digest)
+            << name;
+    }
 }
 
 TEST(SpecProfiles, AllElevenPresent)
