@@ -17,7 +17,11 @@
 #                its snapshot digests), plus the malformed-number
 #                decoder tests (task codec, checkpoint, request,
 #                avf-report loaders, json::exactInteger), so a
-#                float-cast-overflow in any decoder fails the stage
+#                float-cast-overflow in any decoder fails the stage;
+#                then SoftArch's block log, the generator's register
+#                pools and the attribution fold (avf_tests and
+#                avf_attribution_tests, -R 'AceAnalyzer|SoftArch|
+#                Synthetic|Attribution')
 #   tsan         engine + obs tests under -DAVF_SANITIZE=thread (the
 #                thread pool and the metrics collect/merge path)
 #   bench-smoke  in a Release build: a metrics-enabled fig3_accuracy
@@ -155,11 +159,13 @@ run_ubsan() {
     cmake -B "$BUILD-ubsan" -S . $LAUNCHER -DAVF_SANITIZE=undefined
     cmake --build "$BUILD-ubsan" -j --target avf_engine_tests \
         avf_wake_tests avf_campaign_tests avf_serve_tests \
-        avf_metrics_tests
+        avf_metrics_tests avf_tests avf_attribution_tests
     ctest --test-dir "$BUILD-ubsan" -L 'engine|wake|campaign' \
         --output-on-failure
     ctest --test-dir "$BUILD-ubsan" --output-on-failure -R \
         'RejectsMalformed|DecodeValidates|FeedTailRejects|JsonReader|JsonParser'
+    ctest --test-dir "$BUILD-ubsan" --output-on-failure -R \
+        'AceAnalyzer|SoftArch|Synthetic|Attribution'
 }
 
 run_tsan() {

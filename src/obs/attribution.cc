@@ -1,5 +1,7 @@
 #include "obs/attribution.hh"
 
+#include <algorithm>
+
 #include "core/injection_port.hh"
 #include "obs/metrics.hh"
 #include "trace/instruction.hh"
@@ -48,33 +50,45 @@ AttributionSnapshot::mergeFrom(const AttributionSnapshot &other)
         remap.push_back(id);
     }
 
-    // Rebuild in canonical order. Both inputs are already sorted,
-    // but the remap can reorder the other's rows, so a keyed fold
-    // is the simple correct thing (this runs once per collected
-    // task, never per cycle).
-    std::map<std::tuple<std::uint32_t, std::uint32_t, Addr, int>,
-             AttributionRow>
-        merged;
-    for (const AttributionRow &row : rows)
-        merged.emplace(std::make_tuple(row.unit, row.phase, row.pc,
-                                       row.op),
-                       row);
-    for (const AttributionRow &row : other.rows) {
-        AttributionRow mapped = row;
-        mapped.unit = remap[row.unit];
-        auto key = std::make_tuple(mapped.unit, mapped.phase,
-                                   mapped.pc, mapped.op);
-        auto [it, inserted] = merged.emplace(key, mapped);
-        if (!inserted) {
-            it->second.windows += mapped.windows;
-            it->second.live += mapped.live;
-            it->second.failures += mapped.failures;
+    // Both tables come in canonical order. The remap keeps the
+    // other's rows sorted unless it reorders unit ids, so its copy is
+    // sorted only then; one pass then merges the two sorted lists.
+    // Rows with equal keys fold, so the result is canonical even for
+    // a decoded table that repeats a key.
+    auto key = [](const AttributionRow &row) {
+        return std::tie(row.unit, row.phase, row.pc, row.op);
+    };
+    auto before = [&key](const AttributionRow &x, const AttributionRow &y) {
+        return key(x) < key(y);
+    };
+    std::vector<AttributionRow> theirs = other.rows;
+    for (AttributionRow &row : theirs)
+        row.unit = remap[row.unit];
+    if (!std::is_sorted(theirs.begin(), theirs.end(), before))
+        std::sort(theirs.begin(), theirs.end(), before);
+    if (!std::is_sorted(rows.begin(), rows.end(), before))
+        std::sort(rows.begin(), rows.end(), before);
+
+    std::vector<AttributionRow> merged;
+    merged.reserve(rows.size() + theirs.size());
+    auto fold = [&merged, &key](const AttributionRow &row) {
+        if (!merged.empty() && key(merged.back()) == key(row)) {
+            merged.back().windows += row.windows;
+            merged.back().live += row.live;
+            merged.back().failures += row.failures;
+        } else {
+            merged.push_back(row);
         }
-    }
-    rows.clear();
-    rows.reserve(merged.size());
-    for (const auto &[key, row] : merged)
-        rows.push_back(row);
+    };
+    auto mine = rows.cbegin();
+    auto next = theirs.cbegin();
+    while (mine != rows.cend() && next != theirs.cend())
+        fold(before(*next, *mine) ? *next++ : *mine++);
+    for (; mine != rows.cend(); ++mine)
+        fold(*mine);
+    for (; next != theirs.cend(); ++next)
+        fold(*next);
+    rows = std::move(merged);
 }
 
 std::uint64_t

@@ -23,25 +23,46 @@ AceAnalyzer::onRetire(const cpu::DynInstr &instr, const cpu::RetireInfo &)
 {
     // Retirement is in program order in a trace-driven model, so the
     // sequence number indexes the log directly.
-    avf_assert(instr.seq == baseSeq + records.size(),
+    avf_assert(instr.seq == baseSeq + count,
                "retirement out of sequence order");
 
-    Record rec;
-    rec.dispatchCycle = instr.dispatchCycle;
-    rec.issueCycle = instr.issueCycle;
-    rec.completeCycle = instr.completeCycle;
-    rec.retireCycle = instr.retireCycle;
-    rec.srcProducer = instr.srcProducer;
-    rec.destPhys = instr.destPhys;
-    rec.op = static_cast<std::uint8_t>(instr.in.op);
-    rec.numSrcs = static_cast<std::uint8_t>(instr.in.numSrcs());
-    rec.inIq = instr.iqGlobalEntry >= 0;
-    rec.failurePoint = instr.isFailurePoint();
-    rec.fuClass = static_cast<std::uint8_t>(instr.fu);
-    // Post-hoc ACE analysis buffers the retire window by design; the
-    // front-erase in finalizeInterval() keeps capacity, so growth
-    // stops after warm-up. avflint: allow(hot-path-alloc)
-    records.push_back(rec);
+    if (head + count == liveBlocks * blockRecords) {
+        // Post-hoc ACE analysis buffers the retire window by design.
+        // A new block comes only while the log first grows to its
+        // longest interval plus lookahead; after that every block is
+        // a recycled one.
+        if (liveBlocks == blocks.size()) // avflint: allow(hot-path-alloc)
+            blocks.push_back(std::make_unique<Block>());
+        ++liveBlocks;
+    }
+
+    Link &link = linkAt(count);
+    link.issueCycle = instr.issueCycle;
+    for (std::size_t s = 0; s < link.producerDistance.size(); ++s) {
+        InstrSeq producer = instr.srcProducer[s];
+        std::uint32_t distance = 0;
+        if (producer != invalidSeq && producer >= baseSeq) {
+            avf_assert(producer < instr.seq,
+                       "producer does not precede consumer");
+            // The producer is buffered, so the distance is at most
+            // the record count.
+            distance = static_cast<std::uint32_t>(instr.seq - producer);
+        }
+        link.producerDistance[s] = distance;
+    }
+    link.failurePoint = instr.isFailurePoint();
+
+    Span &span = spanAt(count);
+    span.dispatchCycle = instr.dispatchCycle;
+    span.completeCycle = instr.completeCycle;
+    span.retireCycle = instr.retireCycle;
+    span.lastAceRead = 0;
+    span.destPhys = instr.destPhys;
+    span.numSrcs = static_cast<std::uint8_t>(instr.in.numSrcs());
+    span.fuClass = static_cast<std::uint8_t>(instr.fu);
+    span.inIq = instr.iqGlobalEntry >= 0;
+    span.ace = false;
+    ++count;
 }
 
 void
@@ -86,33 +107,36 @@ AceAnalyzer::finalizeInterval()
                       conf.intervalCycles;
 
     // ---- backward ACE dataflow pass over the whole buffer ----
-    const std::size_t count = records.size();
-    aceFlag.assign(count, 0);
-    lastAceRead.assign(count, 0);
-
+    // Records that survived the previous pass keep its marks. Those
+    // marks are a lower bound of this pass's: a surviving record's
+    // readers all survived with it and stay ACE, and new records only
+    // add readers. So this pass needs no reset and yields the marks
+    // a pass from zero would.
     for (std::size_t i = count; i-- > 0;) {
-        const Record &rec = records[i];
-        bool ace = rec.failurePoint || aceFlag[i];
-        aceFlag[i] = ace ? 1 : 0;
+        const Link &rec = linkAt(i);
+        Span &self = spanAt(i);
+        bool ace = rec.failurePoint || self.ace;
+        self.ace = ace;
         if (!ace)
             continue;
-        for (InstrSeq producer : rec.srcProducer) {
-            if (producer == invalidSeq || producer < baseSeq)
+        for (std::uint32_t distance : rec.producerDistance) {
+            // 0: no producer; beyond i: dropped since this retired.
+            if (distance == 0 || distance > i)
                 continue;
-            std::size_t idx =
-                static_cast<std::size_t>(producer - baseSeq);
-            avf_assert(idx < i, "producer does not precede consumer");
-            aceFlag[idx] = 1;
-            if (rec.issueCycle > lastAceRead[idx])
-                lastAceRead[idx] = rec.issueCycle;
+            Span &producer = spanAt(i - distance);
+            producer.ace = true;
+            if (rec.issueCycle > producer.lastAceRead)
+                producer.lastAceRead = rec.issueCycle;
         }
     }
 
     // ---- attribute and drop the prefix that retired before `end` ----
     const int int_regs = pipeline.numIntPhysRegs();
     std::size_t drop = 0;
-    while (drop < count && records[drop].retireCycle < end) {
-        const Record &rec = records[drop];
+    while (drop < count && spanAt(drop).retireCycle < end) {
+        const Span &rec = spanAt(drop);
+        const Cycle issue = linkAt(drop).issueCycle;
+        const bool failure_point = linkAt(drop).failurePoint;
 
         if (rec.inIq) {
             // An issue-queue entry is ACE while it holds an
@@ -121,47 +145,51 @@ AceAnalyzer::finalizeInterval()
             // points themselves) and any op with an ACE value. In
             // field-granular mode only the populated fields of the
             // entry are vulnerable.
-            bool iq_ace = rec.failurePoint || aceFlag[drop];
-            if (iq_ace) {
+            if (rec.ace) {
                 double weight = 1.0;
                 if (conf.fieldGranularIq) {
                     weight = (1.0 + static_cast<double>(rec.numSrcs)) /
                              static_cast<double>(
                                  cpu::Pipeline::iqFieldsPerEntry);
                 }
-                addSpan(Structure::IQ, rec.dispatchCycle,
-                        rec.issueCycle, weight);
+                addSpan(Structure::IQ, rec.dispatchCycle, issue,
+                        weight);
             }
         }
 
-        if (rec.destPhys >= 0 &&
-            lastAceRead[drop] > rec.completeCycle) {
+        if (rec.destPhys >= 0 && rec.lastAceRead > rec.completeCycle) {
             // The register holds an ACE value from writeback until
             // its last ACE read; integer and FP planes are separate
             // structures.
             addSpan(rec.destPhys < int_regs ? Structure::REG
                                             : Structure::FREG,
-                    rec.completeCycle, lastAceRead[drop]);
+                    rec.completeCycle, rec.lastAceRead);
         }
 
-        if (aceFlag[drop] && !rec.failurePoint) {
+        if (rec.ace && !failure_point) {
             // Compute ops occupy their unit from issue to writeback;
             // unit-cycles holding ACE work are vulnerable.
             auto cls = static_cast<cpu::FuClass>(rec.fuClass);
             if (cls == cpu::FuClass::Fxu)
-                addSpan(Structure::FXU, rec.issueCycle,
-                        rec.completeCycle);
+                addSpan(Structure::FXU, issue, rec.completeCycle);
             else if (cls == cpu::FuClass::Fpu)
-                addSpan(Structure::FPU, rec.issueCycle,
-                        rec.completeCycle);
+                addSpan(Structure::FPU, issue, rec.completeCycle);
         }
 
         ++drop;
     }
 
-    records.erase(records.begin(),
-                  records.begin() + static_cast<std::ptrdiff_t>(drop));
+    // Fully dropped blocks rotate behind the live ones, where the
+    // next appends reuse them; no record moves.
+    head += drop;
+    count -= drop;
     baseSeq += drop;
+    const std::size_t spent = head / blockRecords;
+    std::rotate(blocks.begin(),
+                blocks.begin() + static_cast<std::ptrdiff_t>(spent),
+                blocks.begin() + static_cast<std::ptrdiff_t>(liveBlocks));
+    liveBlocks -= spent;
+    head -= spent * blockRecords;
 
     // Bucket (nextFinalize - 1) can no longer receive spans: emit it.
     if (nextFinalize >= 1)

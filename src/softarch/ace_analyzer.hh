@@ -32,6 +32,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/structures.hh"
@@ -105,24 +106,76 @@ class AceAnalyzer : public cpu::PipelineObserver
     const std::vector<SoftArchAvf> &results() const { return output; }
 
     /** Records currently buffered (diagnostic). */
-    std::size_t bufferedRecords() const { return records.size(); }
+    std::size_t bufferedRecords() const { return count; }
+
+    /**
+     * Bytes of log blocks held, in use or on the free list
+     * (diagnostic): flat once the longest interval plus its
+     * lookahead has been buffered.
+     */
+    std::size_t reservedLogBytes() const
+    {
+        return blocks.size() * sizeof(Block);
+    }
 
   private:
-    /** Compact per-retired-instruction log entry. */
-    struct Record
+    /** What the backward pass reads of one retired instruction. */
+    struct Link
+    {
+        Cycle issueCycle;
+        /**
+         * Sequence distance back to each source's producer; 0 when
+         * the source has no producer or it had left the log before
+         * this instruction retired.
+         */
+        std::array<std::uint32_t, 3> producerDistance;
+        bool failurePoint;
+    };
+
+    /** What attribution reads of one retired instruction, plus the
+     *  marks the backward pass leaves for it. */
+    struct Span
     {
         Cycle dispatchCycle;
-        Cycle issueCycle;
         Cycle completeCycle;
         Cycle retireCycle;
-        std::array<InstrSeq, 3> srcProducer;
+        /** Latest issue cycle of an ACE reader of the destination. */
+        Cycle lastAceRead;
         std::int16_t destPhys;
-        std::uint8_t op;
         std::uint8_t numSrcs; ///< populated source-operand fields
-        bool inIq;
-        bool failurePoint;
         std::uint8_t fuClass; ///< cpu::FuClass, NumClasses when none
+        bool inIq;
+        bool ace;
     };
+
+    /** Records per log block. */
+    static constexpr std::size_t blockRecords = 512;
+
+    /**
+     * One fixed-size piece of the retire log. Blocks are recycled,
+     * so the log never reallocates or copies records, and its
+     * footprint is the most blocks one interval plus its lookahead
+     * ever held.
+     */
+    struct Block
+    {
+        std::array<Link, blockRecords> link;
+        std::array<Span, blockRecords> span;
+    };
+
+    /** Backward-pass fields of buffered record @p i. */
+    Link &linkAt(std::size_t i)
+    {
+        std::size_t pos = head + i;
+        return blocks[pos / blockRecords]->link[pos % blockRecords];
+    }
+
+    /** Attribution fields of buffered record @p i. */
+    Span &spanAt(std::size_t i)
+    {
+        std::size_t pos = head + i;
+        return blocks[pos / blockRecords]->span[pos % blockRecords];
+    }
 
     /** Accumulated ACE cycles per structure per interval bucket. */
     struct Bucket
@@ -144,20 +197,24 @@ class AceAnalyzer : public cpu::PipelineObserver
     const cpu::Pipeline &pipeline;
     SoftArchConfig conf;
 
-    std::vector<Record> records;
-    /** Sequence number of records[0]. */
+    /**
+     * Every block allocated. The first `liveBlocks` hold the log in
+     * sequence order, its oldest record at blocks[0] slot `head`; the
+     * rest are free, every record in them dropped.
+     */
+    std::vector<std::unique_ptr<Block>> blocks;
+    std::size_t liveBlocks = 0;
+    /** Slot of the oldest buffered record in blocks[0]. */
+    std::size_t head = 0;
+    /** Records buffered. */
+    std::size_t count = 0;
+    /** Sequence number of the oldest buffered record. */
     InstrSeq baseSeq = 0;
     /** Next interval index to *finalize* (attribute + drop). */
     std::size_t nextFinalize = 0;
-    /** Next interval index to emit (lags finalize by one). */
-    std::size_t nextEmit = 0;
 
     std::vector<Bucket> buckets;
     std::vector<SoftArchAvf> output;
-
-    // scratch for the backward pass (reused across finalizations)
-    std::vector<std::uint8_t> aceFlag;
-    std::vector<Cycle> lastAceRead;
 };
 
 } // namespace avf::softarch

@@ -7,13 +7,64 @@
 namespace avf::trace
 {
 
-namespace
+SyntheticTraceGenerator::RegPool::RegPool(RegIndex first, RegIndex n)
 {
+    liveAt.fill(none);
+    for (RegIndex r = first; r < first + n; ++r)
+        write(r);
+}
 
-/** Pool entries older than this are dropped (values long dead). */
-constexpr std::size_t maxPoolDepth = 48;
+RegIndex
+SyntheticTraceGenerator::RegPool::fromTop(std::size_t depth) const
+{
+    avf_assert(depth < live, "pool depth %zu of %zu", depth, live);
+    std::size_t i = used;
+    for (;;) {
+        --i;
+        if (liveAt[static_cast<std::size_t>(entry[i])] == i &&
+            depth-- == 0)
+            return entry[i];
+    }
+}
 
-} // namespace
+void
+SyntheticTraceGenerator::RegPool::kill(RegIndex reg)
+{
+    std::uint8_t &at = liveAt[static_cast<std::size_t>(reg)];
+    if (at != none) {
+        at = none;
+        --live;
+    }
+}
+
+void
+SyntheticTraceGenerator::RegPool::write(RegIndex reg)
+{
+    kill(reg);
+    if (used == slots)
+        compact();
+    entry[used] = reg;
+    liveAt[static_cast<std::size_t>(reg)] =
+        static_cast<std::uint8_t>(used);
+    ++used;
+    ++live;
+}
+
+void
+SyntheticTraceGenerator::RegPool::compact()
+{
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < used; ++i) {
+        RegIndex reg = entry[i];
+        std::uint8_t &at = liveAt[static_cast<std::size_t>(reg)];
+        if (at != i)
+            continue;
+        entry[kept] = reg;
+        at = static_cast<std::uint8_t>(kept);
+        ++kept;
+    }
+    used = kept;
+}
 
 SyntheticTraceGenerator::SyntheticTraceGenerator(WorkloadProfile profile)
     : prof(std::move(profile)),
@@ -55,16 +106,6 @@ SyntheticTraceGenerator::SyntheticTraceGenerator(WorkloadProfile profile)
     hotRegion.resize(24);
     for (auto &base : hotRegion)
         base = dataBase + rng.below(region_span);
-    // Seed the pools so the first instructions have sources to read:
-    // low registers model long-lived pointers/loop counters. Each
-    // pool is trimmed to maxPoolDepth, so reserving one extra slot
-    // keeps produce() off the allocator for good.
-    intPool.reserve(maxPoolDepth + 1);
-    fpPool.reserve(maxPoolDepth + 1);
-    for (RegIndex r = 0; r < 6; ++r)
-        intPool.push_back(r);
-    for (RegIndex r = numArchIntRegs; r < numArchIntRegs + 6; ++r)
-        fpPool.push_back(r);
 }
 
 void
@@ -93,12 +134,12 @@ SyntheticTraceGenerator::pickSource(bool fp)
     // low registers of each class.
     if (rng.chance(0.10))
         return base + static_cast<RegIndex>(rng.below(4));
-    auto &pool = fp ? fpPool : intPool;
-    if (pool.empty())
+    const RegPool &pool = fp ? fpPool : intPool;
+    if (pool.size() == 0)
         return base; // nothing readable: fall back to a stable reg
     std::uint64_t depth = rng.geometric(active.depRecency,
                                         pool.size() - 1);
-    return pool[pool.size() - 1 - depth];
+    return pool.fromTop(static_cast<std::size_t>(depth));
 }
 
 RegIndex
@@ -118,19 +159,14 @@ SyntheticTraceGenerator::pickDest(bool fp)
 void
 SyntheticTraceGenerator::produce(RegIndex reg, bool fp)
 {
-    auto &pool = fp ? fpPool : intPool;
-    // The old value in this register is gone either way.
-    pool.erase(std::remove(pool.begin(), pool.end(), reg), pool.end());
+    RegPool &pool = fp ? fpPool : intPool;
     // Dead values never enter the readable pool: no later instruction
-    // will source them, so they are pure architectural masking.
-    // `pool` aliases intPool/fpPool, both reserved to maxPoolDepth+1
-    // in the constructor.
-    if (!rng.chance(active.deadFrac))
-        pool.push_back(reg); // avflint: allow(hot-path-alloc)
-    if (pool.size() > maxPoolDepth)
-        pool.erase(pool.begin(),
-                   pool.begin() + static_cast<std::ptrdiff_t>(
-                       pool.size() - maxPoolDepth));
+    // will source them, so they are pure architectural masking. The
+    // old value in this register is gone either way.
+    if (rng.chance(active.deadFrac))
+        pool.kill(reg);
+    else
+        pool.write(reg);
 }
 
 Addr

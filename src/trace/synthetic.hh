@@ -11,6 +11,7 @@
 #ifndef AVF_TRACE_SYNTHETIC_HH
 #define AVF_TRACE_SYNTHETIC_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -72,9 +73,48 @@ class SyntheticTraceGenerator : public TraceSource
     std::uint64_t phaseRemaining = 0;
     std::uint64_t instrCount = 0;
 
-    /** Readable values per class; most recent at the back. */
-    std::vector<RegIndex> intPool;
-    std::vector<RegIndex> fpPool;
+    /**
+     * The readable values of one register class in write order, most
+     * recent last. A register holds one value, so a pool never has
+     * more than the class's 32 registers. A write appends an entry and
+     * leaves the register's older entry stale rather than erasing it;
+     * only live entries count, and stale ones are squeezed out when
+     * the entry array fills.
+     */
+    class RegPool
+    {
+      public:
+        /** Seed the pool with registers [first, first + n). */
+        RegPool(RegIndex first, RegIndex n);
+
+        /** Live entries. */
+        std::size_t size() const { return live; }
+
+        /** The live value @p depth entries below the most recent. */
+        RegIndex fromTop(std::size_t depth) const;
+
+        /** Drop @p reg's value, if it is readable. */
+        void kill(RegIndex reg);
+
+        /** Make @p reg's new value the most recent. */
+        void write(RegIndex reg);
+
+      private:
+        static constexpr std::size_t slots = 128;
+        static constexpr std::uint8_t none = 0xff;
+
+        /** Keep only the live entries, in order, at the front. */
+        void compact();
+
+        std::array<RegIndex, slots> entry{};
+        /** Index of each register's live entry, `none` if it has none. */
+        std::array<std::uint8_t, numArchRegs> liveAt;
+        std::size_t used = 0;
+        std::size_t live = 0;
+    };
+
+    RegPool intPool{0, 6};
+    RegPool fpPool{numArchIntRegs, 6};
 
     /** Per-branch-site taken bias in [0,1]. */
     std::vector<double> siteBias;

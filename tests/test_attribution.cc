@@ -180,6 +180,60 @@ TEST(AttributionSnapshot, MergeFoldsKeywiseAndAppendsUnknownUnits)
     EXPECT_EQ(snapshotBytes(target), before);
 }
 
+TEST(AttributionSnapshot, MergeSortsRowsWhenTheUnitRemapReordersIds)
+{
+    const int load = static_cast<int>(trace::OpClass::Load);
+    obs::AttributionTracker a(trackerConfig());
+    const std::uint32_t aFetch = a.registerBlameUnit("fetch_buffer");
+    a.recordWindow(a.unitOf(core::Structure::IQ), 50, true, false, 0, -1);
+    a.recordWindow(aFetch, 50, true, true, 0x500, load);
+
+    // b registers the two probe units the other way round, so its
+    // rename_map rows (id 5) land after its fetch_buffer rows (id 6
+    // there, 5 in the merged table).
+    // A merge needs two trackers holding the same unit names.
+    obs::AttributionTracker b(trackerConfig());
+    // avflint: allow(metric-name-discipline)
+    const std::uint32_t bRename = b.registerBlameUnit("rename_map");
+    // avflint: allow(metric-name-discipline)
+    const std::uint32_t bFetch = b.registerBlameUnit("fetch_buffer");
+    b.recordWindow(bRename, 50, false, false, 0, -1);
+    b.recordWindow(bFetch, 50, true, true, 0x500, load);
+    b.recordWindow(bFetch, 150, true, false, 0, -1);
+
+    obs::AttributionSnapshot merged = a.snapshot();
+    merged.mergeFrom(b.snapshot());
+
+    const auto fetch = static_cast<std::uint32_t>(core::numStructures);
+    ASSERT_EQ(merged.units.size(), core::numStructures + 2u);
+    EXPECT_EQ(merged.units[fetch], "fetch_buffer");
+    EXPECT_EQ(merged.units[fetch + 1], "rename_map");
+    ASSERT_EQ(merged.rows.size(), 4u);
+    EXPECT_EQ(merged.rows[0].unit, a.unitOf(core::Structure::IQ));
+    EXPECT_EQ(merged.rows[1].unit, fetch);
+    EXPECT_EQ(merged.rows[1].phase, 0u);
+    EXPECT_EQ(merged.rows[1].pc, 0x500u);
+    EXPECT_EQ(merged.rows[1].windows, 2u);
+    EXPECT_EQ(merged.rows[1].failures, 2u);
+    EXPECT_EQ(merged.rows[2].unit, fetch);
+    EXPECT_EQ(merged.rows[2].phase, 1u);
+    EXPECT_EQ(merged.rows[2].pc, 0u);
+    EXPECT_EQ(merged.rows[3].unit, fetch + 1);
+    EXPECT_EQ(merged.totalWindows(), 5u);
+
+    // A decoded table need not be canonical: out-of-order rows sort
+    // and a repeated key folds, as a keyed fold would leave them.
+    obs::AttributionSnapshot scrambled = merged;
+    std::swap(scrambled.rows[0], scrambled.rows[3]);
+    scrambled.rows.push_back(merged.rows[1]);
+    obs::AttributionSnapshot canonical;
+    canonical.mergeFrom(scrambled);
+    obs::AttributionSnapshot doubled = merged;
+    doubled.mergeFrom(obs::AttributionSnapshot{
+        true, merged.units, {merged.rows[1]}});
+    EXPECT_EQ(snapshotBytes(canonical), snapshotBytes(doubled));
+}
+
 // ---------------------------------------------------------------- //
 // Campaign-level byte identity: engine workers                      //
 // ---------------------------------------------------------------- //

@@ -305,8 +305,8 @@ resultsDigest(const std::vector<SoftArchAvf> &rows)
     return hash;
 }
 
-/** Short intervals over a real profile: the log holds several
- *  thousand records at each finalize and drops a prefix of it. */
+/** Short intervals over a real profile: at each finalize the log
+ *  spans several blocks and drops a prefix that ends mid-block. */
 std::vector<SoftArchAvf>
 shortIntervalResults(const std::string &profile, bool fieldGranular)
 {
@@ -333,6 +333,29 @@ TEST(AceAnalyzer, ShortIntervalResultsPinned)
     ASSERT_EQ(integer.size(), 24u);
     EXPECT_EQ(resultsDigest(fp), 0x718fb00d37658d9aull);
     EXPECT_EQ(resultsDigest(integer), 0x1f3d73be8681a478ull);
+}
+
+TEST(AceAnalyzer, LogStopsGrowingAfterWarmUp)
+{
+    // Dropped blocks are recycled, so once the log has held its
+    // longest interval plus lookahead it takes no more memory. lucas
+    // settles within a dozen 3000-cycle intervals.
+    trace::SyntheticTraceGenerator gen(trace::specProfile("lucas"));
+    Pipeline pipe(CpuConfig{}, gen);
+    SoftArchConfig conf;
+    conf.intervalCycles = 3000;
+    conf.lookahead = 1000;
+    AceAnalyzer analyzer(pipe, conf);
+    pipe.addObserver(&analyzer);
+
+    pipe.run(3000 * 20);
+    const std::size_t warm = analyzer.reservedLogBytes();
+    EXPECT_GT(warm, 0u);
+    for (int k = 20; k < 100; ++k) {
+        pipe.run(3000);
+        EXPECT_EQ(analyzer.reservedLogBytes(), warm) << "interval " << k;
+    }
+    EXPECT_GE(analyzer.results().size(), 98u);
 }
 
 } // namespace
