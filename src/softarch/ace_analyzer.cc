@@ -1,6 +1,7 @@
 #include "softarch/ace_analyzer.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "trace/instruction.hh"
 #include "util/logging.hh"
@@ -53,9 +54,18 @@ AceAnalyzer::onRetire(const cpu::DynInstr &instr, const cpu::RetireInfo &)
     link.failurePoint = instr.isFailurePoint();
 
     Span &span = spanAt(count);
-    span.dispatchCycle = instr.dispatchCycle;
-    span.completeCycle = instr.completeCycle;
-    span.retireCycle = instr.retireCycle;
+    avf_assert(instr.dispatchCycle <= instr.issueCycle &&
+                   instr.issueCycle <= instr.completeCycle &&
+                   instr.completeCycle <= instr.retireCycle &&
+                   instr.retireCycle - instr.dispatchCycle <=
+                       std::numeric_limits<std::uint32_t>::max(),
+               "stage cycles out of order or in flight too long");
+    span.dispatchLead =
+        static_cast<std::uint32_t>(instr.issueCycle - instr.dispatchCycle);
+    span.completeLag =
+        static_cast<std::uint32_t>(instr.completeCycle - instr.issueCycle);
+    span.retireLag =
+        static_cast<std::uint32_t>(instr.retireCycle - instr.issueCycle);
     span.lastAceRead = 0;
     span.destPhys = instr.destPhys;
     span.numSrcs = static_cast<std::uint8_t>(instr.in.numSrcs());
@@ -133,10 +143,13 @@ AceAnalyzer::finalizeInterval()
     // ---- attribute and drop the prefix that retired before `end` ----
     const int int_regs = pipeline.numIntPhysRegs();
     std::size_t drop = 0;
-    while (drop < count && spanAt(drop).retireCycle < end) {
+    for (; drop < count; ++drop) {
+        const Link &link = linkAt(drop);
         const Span &rec = spanAt(drop);
-        const Cycle issue = linkAt(drop).issueCycle;
-        const bool failure_point = linkAt(drop).failurePoint;
+        const Cycle issue = link.issueCycle;
+        if (issue + rec.retireLag >= end)
+            break;
+        const Cycle complete = issue + rec.completeLag;
 
         if (rec.inIq) {
             // An issue-queue entry is ACE while it holds an
@@ -152,31 +165,29 @@ AceAnalyzer::finalizeInterval()
                              static_cast<double>(
                                  cpu::Pipeline::iqFieldsPerEntry);
                 }
-                addSpan(Structure::IQ, rec.dispatchCycle, issue,
+                addSpan(Structure::IQ, issue - rec.dispatchLead, issue,
                         weight);
             }
         }
 
-        if (rec.destPhys >= 0 && rec.lastAceRead > rec.completeCycle) {
+        if (rec.destPhys >= 0 && rec.lastAceRead > complete) {
             // The register holds an ACE value from writeback until
             // its last ACE read; integer and FP planes are separate
             // structures.
             addSpan(rec.destPhys < int_regs ? Structure::REG
                                             : Structure::FREG,
-                    rec.completeCycle, rec.lastAceRead);
+                    complete, rec.lastAceRead);
         }
 
-        if (rec.ace && !failure_point) {
+        if (rec.ace && !link.failurePoint) {
             // Compute ops occupy their unit from issue to writeback;
             // unit-cycles holding ACE work are vulnerable.
             auto cls = static_cast<cpu::FuClass>(rec.fuClass);
             if (cls == cpu::FuClass::Fxu)
-                addSpan(Structure::FXU, issue, rec.completeCycle);
+                addSpan(Structure::FXU, issue, complete);
             else if (cls == cpu::FuClass::Fpu)
-                addSpan(Structure::FPU, issue, rec.completeCycle);
+                addSpan(Structure::FPU, issue, complete);
         }
-
-        ++drop;
     }
 
     // Fully dropped blocks rotate behind the live ones, where the

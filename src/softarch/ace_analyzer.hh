@@ -132,15 +132,19 @@ class AceAnalyzer : public cpu::PipelineObserver
         bool failurePoint;
     };
 
-    /** What attribution reads of one retired instruction, plus the
-     *  marks the backward pass leaves for it. */
+    /**
+     * What attribution reads of one retired instruction, plus the
+     * marks the backward pass leaves for it. Stage cycles are stored
+     * as offsets from the issue cycle: an instruction's whole time in
+     * flight fits 32 bits (onRetire checks).
+     */
     struct Span
     {
-        Cycle dispatchCycle;
-        Cycle completeCycle;
-        Cycle retireCycle;
         /** Latest issue cycle of an ACE reader of the destination. */
         Cycle lastAceRead;
+        std::uint32_t dispatchLead; ///< issue - dispatch
+        std::uint32_t completeLag;  ///< complete - issue
+        std::uint32_t retireLag;    ///< retire - issue
         std::int16_t destPhys;
         std::uint8_t numSrcs; ///< populated source-operand fields
         std::uint8_t fuClass; ///< cpu::FuClass, NumClasses when none
