@@ -43,10 +43,12 @@ AceAnalyzer::onRetire(const cpu::DynInstr &instr, const cpu::RetireInfo &)
         InstrSeq producer = instr.srcProducer[s];
         std::uint32_t distance = 0;
         if (producer != invalidSeq && producer >= baseSeq) {
-            avf_assert(producer < instr.seq,
-                       "producer does not precede consumer");
             // The producer is buffered, so the distance is at most
             // the record count.
+            avf_assert(producer < instr.seq &&
+                           instr.seq - producer <=
+                               std::numeric_limits<std::uint32_t>::max(),
+                       "producer does not precede consumer in the log");
             distance = static_cast<std::uint32_t>(instr.seq - producer);
         }
         link.producerDistance[s] = distance;

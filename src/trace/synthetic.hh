@@ -113,6 +113,8 @@ class SyntheticTraceGenerator : public TraceSource
         std::size_t live = 0;
     };
 
+    // Seeded so the first instructions have sources to read: low
+    // registers model long-lived pointers and loop counters.
     RegPool intPool{0, 6};
     RegPool fpPool{numArchIntRegs, 6};
 
